@@ -104,7 +104,17 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	srv := &http.Server{Handler: campsvc.Handler(coord)}
+	// A lease, heartbeat or complete round trip takes milliseconds; the
+	// timeouts sit orders of magnitude above that and only stop a stalled
+	// or silent client from pinning a connection (and its goroutine)
+	// forever. Idle keep-alive connections outlive the default heartbeat
+	// interval (a third of the lease TTL).
+	srv := &http.Server{
+		Handler:           campsvc.Handler(coord),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 	go srv.Serve(ln)
 	st := coord.Status()
 	fmt.Fprintf(os.Stderr, "campaign service: %d cells (%d already done) on http://%s -> %s\n",

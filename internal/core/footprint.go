@@ -59,6 +59,40 @@ func (a Footprint) Commutes(b Footprint) bool {
 	return a.Op == OpRead && b.Op == OpRead
 }
 
+// DepClass sorts footprints by how Commutes treats them. The relation
+// is a function of the two classes and whether the objects match:
+//
+//   - ClassUniversal (invalid, fork, join, select) is dependent with
+//     every footprint;
+//   - ClassLocal (yield, sleep) is dependent only with ClassUniversal;
+//   - ClassRead and ClassWrite are dependent with ClassUniversal and
+//     with same-object footprints of either class, except that two
+//     reads commute.
+//
+// The DFS engine's last-dependent index relies on exactly this table
+// (FuzzCommutes pins it against Commutes).
+type DepClass uint8
+
+const (
+	ClassUniversal DepClass = iota
+	ClassLocal
+	ClassRead
+	ClassWrite
+)
+
+// Class returns the footprint's dependence class.
+func (a Footprint) Class() DepClass {
+	switch a.Op {
+	case OpInvalid, OpFork, OpJoin, OpSelect:
+		return ClassUniversal
+	case OpYield, OpSleep:
+		return ClassLocal
+	case OpRead:
+		return ClassRead
+	}
+	return ClassWrite
+}
+
 // Packed folds the footprint into one comparable word (op in the high
 // bits, object handle in the low), the representation the reduction
 // layer's summaries and the fuzzer's canonical forms store.

@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mtbench/internal/repository"
@@ -37,8 +38,13 @@ func benchmarkWorkers(b *testing.B, program string, workers, budget int) {
 }
 
 func BenchmarkExploreWorkers(b *testing.B) {
+	// NumCPU may repeat a fixed count (2 or 4), which would emit a
+	// duplicate "workers=N#01" row; run each count once.
+	counts := []int{1, 2, 4, runtime.NumCPU()}
+	slices.Sort(counts)
+	counts = slices.Compact(counts)
 	for _, program := range []string{"philosophers", "account"} {
-		for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
+		for _, workers := range counts {
 			b.Run(fmt.Sprintf("%s/workers=%d", program, workers), func(b *testing.B) {
 				benchmarkWorkers(b, program, workers, 2000)
 			})

@@ -2,7 +2,8 @@
 //
 // A workerKit is the reusable per-worker execution state: the pooled
 // runner, the DFS node free list, the reduction structures (event
-// hasher + canonical-state cache) and the outcome-key intern table.
+// hasher, canonical-state cache, DPOR last-dependent index) and the
+// outcome-key intern table.
 // Kits are recycled through a package-level pool, so a campaign that
 // calls Explore thousands of times pays the runner/cache construction
 // cost once — the state cache is invalidated by generation bump on
@@ -72,6 +73,9 @@ type workerKit struct {
 	pool   *nodePool
 	hasher *stateHasher
 	cache  *stateCache
+	// dep is the DPOR last-dependent index, reset per shard; pooled so
+	// its tables grow once per kit rather than once per Explore call.
+	dep depIndex
 
 	// spares holds idle runners freed by abandoned checkpoints, reused
 	// before constructing new ones.

@@ -240,11 +240,11 @@ type node struct {
 	// sleep marks options that need not be (re-)explored here.
 	sleep map[core.ThreadID]bool
 
-	// DPOR state (nil maps unless Options.DPOR): todo is the backtrack
-	// set — only its members are expanded — and done marks options
-	// whose subtrees completed.
-	todo map[core.ThreadID]bool
-	done map[core.ThreadID]bool
+	// DPOR state (empty unless Options.DPOR), index-aligned with
+	// options: todo is the backtrack set — only its members are
+	// expanded — and done marks options whose subtrees completed.
+	todo []bool
+	done []bool
 
 	// State-cache bookkeeping (Options.StateCache): the node's
 	// canonical identity at creation, the inherited sleep set as a
@@ -320,8 +320,8 @@ func (p *nodePool) get(current core.ThreadID) *node {
 		nd.vbObjs = nd.vbObjs[:0]
 		clear(nd.sleep)
 		nd.fps = nd.fps[:0]
-		clear(nd.todo)
-		clear(nd.done)
+		nd.todo = nd.todo[:0]
+		nd.done = nd.done[:0]
 		nd.stateHash, nd.sleepMask, nd.maskOK = 0, 0, false
 		nd.cut = false
 		nd.sub = nd.sub[:0]
@@ -419,6 +419,9 @@ type explorer struct {
 	// counters, merged by the coordinator when the shard ends.
 	red   *reduction
 	stats Stats
+	// dep is the worker's last-dependent index over path (DPOR's
+	// backtrack lookups; see depIndex), reset at shard start.
+	dep *depIndex
 	// cutDepth is the path index of the active cache cut (-1 when
 	// none): nodes created deeper only finish the in-flight run.
 	cutDepth int
@@ -669,16 +672,16 @@ func (e *explorer) newNode(c *sched.Choice, pd int, st *dfsStrategy) *node {
 	}
 
 	if e.opts.DPOR {
-		if n.todo == nil {
-			n.todo = map[core.ThreadID]bool{}
-			n.done = map[core.ThreadID]bool{}
+		for range n.options {
+			n.todo = append(n.todo, false)
+			n.done = append(n.done, false)
 		}
-		n.todo[n.chosen()] = true
+		n.todo[n.curIdx] = true
 		// Timing branches are never DPOR-pruned: the independence
 		// relation says nothing about virtual-time warps.
 		if e.opts.ExploreTimeouts {
-			if last := n.options[len(n.options)-1]; last == sched.IdleID {
-				n.todo[sched.IdleID] = true
+			if last := len(n.options) - 1; n.options[last] == sched.IdleID {
+				n.todo[last] = true
 			}
 		}
 		e.dporAnalyze(n, pd)
@@ -703,6 +706,10 @@ func (e *explorer) newNode(c *sched.Choice, pd int, st *dfsStrategy) *node {
 				n.options[0] = n.chosen()
 				n.options = n.options[:1]
 				n.curIdx = 0
+				if e.opts.DPOR {
+					n.todo = append(n.todo[:0], true)
+					n.done = append(n.done[:0], false)
+				}
 			}
 		}
 	}
@@ -729,6 +736,9 @@ func (e *explorer) newNode(c *sched.Choice, pd int, st *dfsStrategy) *node {
 func (e *explorer) backtrack() bool {
 	for len(e.path) > 0 {
 		n := e.path[len(e.path)-1]
+		// n is about to change its choice or pop: either way it leaves
+		// the last-dependent index.
+		e.dep.truncate(len(e.path) - 1)
 		if n.cut {
 			// Pruned region: nothing to advance, pop straight through.
 			e.popNode(n)
@@ -740,7 +750,7 @@ func (e *explorer) backtrack() bool {
 			n.sleep[n.chosen()] = true
 		}
 		if e.opts.DPOR {
-			n.done[n.chosen()] = true
+			n.done[n.curIdx] = true
 			if i, ok := n.nextTodo(); ok {
 				n.curIdx = i
 				return true
@@ -764,7 +774,7 @@ func (e *explorer) backtrack() bool {
 // backtrack-set additions land in discovery order, not option order.
 func (n *node) nextTodo() (int, bool) {
 	for i, o := range n.options {
-		if n.todo[o] && !n.done[o] && !n.sleep[o] {
+		if n.todo[i] && !n.done[i] && !n.sleep[o] {
 			return i, true
 		}
 	}
@@ -782,12 +792,12 @@ func (e *explorer) popNode(n *node) {
 		n.snap = nil
 	}
 	if e.opts.DPOR && !n.cut {
-		for _, o := range n.options {
+		for i, o := range n.options {
 			switch {
-			case n.done[o]:
+			case n.done[i]:
 			case n.sleep[o]:
 				e.stats.SleepPruned++
-			case !n.todo[o]:
+			case !n.todo[i]:
 				e.stats.PORPruned++
 			}
 		}
@@ -853,13 +863,13 @@ func (e *explorer) split() (*workItem, bool) {
 				continue
 			}
 			opt := n.options[j]
-			if n.sleep[opt] || (e.opts.DPOR && n.done[opt]) {
+			if n.sleep[opt] || (e.opts.DPOR && n.done[j]) {
 				continue
 			}
 			if e.opts.DPOR {
 				for i := 0; i <= d; i++ {
-					for _, o := range e.path[i].options {
-						e.path[i].todo[o] = true
+					for k := range e.path[i].todo {
+						e.path[i].todo[k] = true
 					}
 				}
 				// The donated subtree's footprints will never fold into
@@ -874,6 +884,10 @@ func (e *explorer) split() (*workItem, bool) {
 			n.options = slices.Delete(n.options, j, j+1)
 			if hasFPs {
 				n.fps = slices.Delete(n.fps, j, j+1)
+			}
+			if e.opts.DPOR {
+				n.todo = slices.Delete(n.todo, j, j+1)
+				n.done = slices.Delete(n.done, j, j+1)
 			}
 			if j < n.curIdx {
 				n.curIdx--

@@ -147,7 +147,8 @@ func (c *coordinator) run() *Result {
 // which frontier it explores, so bug sets, schedule counts and
 // novel-step totals are byte-identical to coast-mode search.
 func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem) {
-	e := &explorer{opts: c.opts, prefix: item.prefix, rootSleep: item.sleep, pool: kit.pool, red: red, cutDepth: -1}
+	kit.dep.reset()
+	e := &explorer{opts: c.opts, prefix: item.prefix, rootSleep: item.sleep, pool: kit.pool, red: red, dep: &kit.dep, cutDepth: -1}
 	labels := newPhaseLabels(c.opts.ProfileLabels)
 	defer func() {
 		labels.enter(phaseAbandon)

@@ -28,6 +28,19 @@
 // reduction: their reorderings are covered by a representative
 // schedule elsewhere in the tree.
 //
+// Finding "the deepest earlier dependent node" does not walk the path.
+// Independence is a function of four footprint classes (core.DepClass)
+// and object identity, so a last-dependent index over the path keeps,
+// per thread, the deepest node of any class and the deepest universal
+// one, and per (object, thread) the deepest read and write; each lookup
+// is a maximum over threads (depIndex). The index extends lazily at
+// query time and truncates with the path, so a lookup costs O(threads)
+// where scanning the path back from the frontier costs O(depth) — the
+// difference between linear and quadratic DPOR on long traces. It
+// returns exactly the node that scan finds (the scan survives as the
+// test oracle), so it changes the cost of DPOR, not which backtrack
+// points are added.
+//
 // # Canonical-state cache
 //
 // With Options.StateCache, a per-worker listener folds every executed
@@ -498,22 +511,22 @@ func (n *node) foldChild(edge uint64, child *node) {
 // option — Flanagan & Godefroid's conservative fallback. It reports
 // how many fresh additions were made.
 func (n *node) addBacktrack(p core.ThreadID) int {
-	if n.todo == nil {
+	if len(n.todo) == 0 {
 		return 0
 	}
-	for _, o := range n.options {
+	for i, o := range n.options {
 		if o == p {
-			if !n.todo[p] {
-				n.todo[p] = true
+			if !n.todo[i] {
+				n.todo[i] = true
 				return 1
 			}
 			return 0
 		}
 	}
 	added := 0
-	for _, o := range n.options {
-		if !n.todo[o] {
-			n.todo[o] = true
+	for i := range n.todo {
+		if !n.todo[i] {
+			n.todo[i] = true
 			added++
 		}
 	}
@@ -530,25 +543,18 @@ func (n *node) chosenFootprint() uint64 {
 // fresh node: for every pending operation at this decision point, find
 // the deepest earlier node whose chosen operation (by another thread)
 // does not commute with it, and request the pending thread there. The
-// scan stops at the shard root: races against the donated prefix are
+// search stops at the shard root: races against the donated prefix are
 // covered by the donor, which fully expands its path nodes before
-// every donation (see split).
+// every donation (see split). The last-dependent index answers each
+// lookup in O(threads) (see depIndex).
 func (e *explorer) dporAnalyze(n *node, pd int) {
+	e.dep.extend(e.path, pd)
 	for oi, p := range n.options {
 		if p == sched.IdleID {
 			continue
 		}
-		fp := n.fps[oi]
-		for i := pd - 1; i >= 0; i-- {
-			ni := e.path[i]
-			ch := ni.chosen()
-			if ch == p || ch == sched.IdleID {
-				continue
-			}
-			if !ni.chosenFP().Commutes(fp) {
-				e.stats.Backtracks += ni.addBacktrack(p)
-				break
-			}
+		if i := e.dep.deepest(n.fps[oi], p); i >= 0 {
+			e.stats.Backtracks += e.path[i].addBacktrack(p)
 		}
 	}
 }
@@ -574,28 +580,25 @@ func (e *explorer) notePick(c *sched.Choice, pick core.ThreadID) {
 // applySummary replays a cached subtree's footprint summary against
 // the current path: each summarized operation behaves like a pending
 // operation observed at the cut point, except the executing thread is
-// unknown, so the conservative all-options addition is used at the
-// deepest dependent node.
+// unknown, so no thread is excluded from the lookup and the
+// conservative all-options addition is used at the deepest dependent
+// node.
 func (e *explorer) applySummary(ent *cacheEnt, pd int) {
+	e.dep.extend(e.path, pd)
 	for _, packed := range ent.sum[:ent.nsum] {
-		fp := core.UnpackFootprint(packed)
-		for i := pd - 1; i >= 0; i-- {
-			ni := e.path[i]
-			ch := ni.chosen()
-			if ch == sched.IdleID {
-				continue
-			}
-			if !ni.chosenFP().Commutes(fp) {
-				added := 0
-				for _, o := range ni.options {
-					if o != ch && !ni.todo[o] {
-						ni.todo[o] = true
-						added++
-					}
-				}
-				e.stats.Backtracks += added
-				break
+		i := e.dep.deepest(core.UnpackFootprint(packed), core.NoThread)
+		if i < 0 {
+			continue
+		}
+		ni := e.path[i]
+		ch := ni.chosen()
+		added := 0
+		for k, o := range ni.options {
+			if o != ch && !ni.todo[k] {
+				ni.todo[k] = true
+				added++
 			}
 		}
+		e.stats.Backtracks += added
 	}
 }
