@@ -170,14 +170,15 @@ func workloads(profiled bool) ([]workload, error) {
 		})
 	}
 
-	// Checkpointed exploration: the same exhaustive searches with a
-	// parked-runner budget (explore.Options.Checkpoints), which trades
-	// prefix replay for suspended runners. Checkpointing requires the
-	// state cache (parks happen at cache cuts), so the explore/* variant
-	// here is cache-only reduction and the explore-por/* variant is the
-	// full reduced stack. The coast-mode entries above keep their pinned
-	// names and configs so trajectories stay comparable across BENCH
-	// files.
+	// Snapshot-positioned exploration: the same exhaustive searches
+	// with branch snapshots (explore.Options.Snapshots), which trade
+	// prefix replay for fast-forwards. Snapshots require the state
+	// cache, so the explore/* variant here is cache-only reduction and
+	// the explore-por/* variant is the full reduced stack. The row
+	// names keep their "checkpoints=4" suffix from the retired
+	// parked-runner budget: they are trajectory keys across BENCH files
+	// and CI's -compare. The coast-mode entries above likewise keep
+	// their pinned names and configs.
 	for _, prog := range []string{"philosophers", "account"} {
 		pb, err := body(prog)
 		if err != nil {
@@ -192,7 +193,7 @@ func workloads(profiled bool) ([]workload, error) {
 		} {
 			opts := explore.Options{
 				MaxSchedules: 200000, Workers: 1,
-				DPOR: mode.dpor, StateCache: true, Checkpoints: 4,
+				DPOR: mode.dpor, StateCache: true, Snapshots: true,
 				ProfileLabels: profiled,
 			}
 			warm := explore.Explore(opts, pb)

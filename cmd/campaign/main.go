@@ -148,7 +148,6 @@ func configFlags(fs *flag.FlagSet) func() (campaign.Config, error) {
 	seeds := fs.String("seeds", "", "comma-separated master seeds (empty = 0)")
 	budget := fs.Int("budget", 0, "per-cell run/schedule budget (0 = default)")
 	maxSteps := fs.Int64("maxsteps", 0, "per-run step bound (0 = default)")
-	checkpoints := fs.Int("checkpoints", 0, "parked-runner checkpoint budget for the explore-por finder (0 = off; results are identical either way)")
 	vbound := fs.Int("vbound", 0, "variable bound for the explore-vb finder (0 = finder default)")
 	tbound := fs.Int("tbound", 0, "thread bound for the explore-tb finder (0 = finder default)")
 	pctDepth := fs.Int("pctdepth", 0, "targeted bug depth d for the pct finder (0 = finder default)")
@@ -159,7 +158,6 @@ func configFlags(fs *flag.FlagSet) func() (campaign.Config, error) {
 		cfg := campaign.Config{
 			Budget:        *budget,
 			MaxSteps:      *maxSteps,
-			Checkpoints:   *checkpoints,
 			VariableBound: *vbound,
 			ThreadBound:   *tbound,
 			PCTDepth:      *pctDepth,

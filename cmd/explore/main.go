@@ -9,6 +9,7 @@
 //	explore -prog statmax -max 50000
 //	explore -prog philosophers -workers 8 -first=false
 //	explore -prog philosophers -por -statecache -stats -first=false
+//	explore -prog philosophers -por -statecache -snapshots -stats
 //	explore -prog account -params depositors=2,deposits=1 -json
 //	explore -prog inversion -bound 2 -save scenario.json
 //	explore -prog account -tbound 2 -vbound 2 -first=false
@@ -46,7 +47,7 @@ func main() {
 	por := flag.Bool("por", false, "enable dynamic partial-order reduction (implies -sleepsets)")
 	stateCache := flag.Bool("statecache", false, "enable canonical-state caching")
 	cacheSize := flag.Int("statecachesize", 0, "state-cache entries per worker (0 = default)")
-	checkpoints := flag.Int("checkpoints", 0, "parked-runner checkpoint budget per worker (0 = off; needs -statecache)")
+	snapshots := flag.Bool("snapshots", false, "position each schedule from the deepest branch snapshot instead of replaying from the root (needs -statecache)")
 	timeouts := flag.Bool("timeouts", false, "explore timer expirations too")
 	stopFirst := flag.Bool("first", true, "stop at first bug")
 	workers := flag.Int("workers", 0, "parallel search workers (0 = all cores, 1 = deterministic serial)")
@@ -63,6 +64,11 @@ func main() {
 		listPrograms()
 		return
 	}
+	if *snapshots && !*stateCache {
+		fmt.Fprintln(os.Stderr, "explore: -snapshots needs -statecache")
+		flag.Usage()
+		os.Exit(2)
+	}
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "explore:", err)
@@ -71,8 +77,8 @@ func main() {
 	err = run(cliConfig{
 		prog: *prog, params: *params, max: *max, bound: *bound, vbound: *vbound, tbound: *tbound, workers: *workers,
 		sleepSets: *sleepSets, por: *por, stateCache: *stateCache, cacheSize: *cacheSize,
-		checkpoints: *checkpoints,
-		timeouts:    *timeouts, stopFirst: *stopFirst, stats: *stats, jsonOut: *jsonOut,
+		snapshots: *snapshots,
+		timeouts:  *timeouts, stopFirst: *stopFirst, stats: *stats, jsonOut: *jsonOut,
 		save: *save, replayPath: *replayPath,
 		profiled: *cpuProfile != "",
 	})
@@ -99,13 +105,13 @@ type cliConfig struct {
 	sleepSets, por      bool
 	stateCache          bool
 	cacheSize           int
-	checkpoints         int
+	snapshots           bool
 	timeouts, stopFirst bool
 	stats, jsonOut      bool
 	save, replayPath    string
 	// profiled turns on pprof phase labels: when a CPU profile is being
 	// collected the driver tags its samples with the phase vocabulary
-	// documented in DESIGN.md (position/drive/park/abandon/record).
+	// documented in DESIGN.md (position/drive/record).
 	profiled bool
 }
 
@@ -179,7 +185,7 @@ func run(cfg cliConfig) error {
 		DPOR:            cfg.por,
 		StateCache:      cfg.stateCache,
 		StateCacheSize:  cfg.cacheSize,
-		Checkpoints:     cfg.checkpoints,
+		Snapshots:       cfg.snapshots,
 		ExploreTimeouts: cfg.timeouts,
 		StopAtFirstBug:  cfg.stopFirst,
 		Workers:         cfg.workers,
@@ -234,9 +240,9 @@ func run(cfg cliConfig) error {
 			res.Stats.VBPruned, res.Stats.TBPruned)
 		fmt.Printf("replay tax: replayed-steps=%d novel-steps=%d\n",
 			res.Stats.ReplayedSteps, res.Stats.NovelSteps)
-		fmt.Printf("checkpoints: hits=%d misses=%d snapshot-restores=%d restored-steps=%d total-steps=%d\n",
+		fmt.Printf("checkpoints: hits=%d misses=%d restored-steps=%d total-steps=%d\n",
 			res.Stats.CheckpointHits, res.Stats.CheckpointMisses,
-			res.Stats.SnapshotRestores, res.Stats.RestoredSteps, res.Stats.TotalSteps)
+			res.Stats.RestoredSteps, res.Stats.TotalSteps)
 	}
 	if cfg.save != "" && len(res.Bugs) > 0 {
 		s := &replay.Schedule{

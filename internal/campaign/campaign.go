@@ -56,13 +56,6 @@ type Config struct {
 	Budget int `json:"budget"`
 	// MaxSteps bounds each individual run (0 = DefaultMaxSteps).
 	MaxSteps int64 `json:"max_steps,omitempty"`
-	// Checkpoints is the parked-runner checkpoint budget per explore
-	// worker (see explore.Options.Checkpoints); only the explore-por
-	// finder consumes it. 0 = off, which keeps fixed-seed stores
-	// byte-identical with pre-checkpoint campaigns — checkpointing
-	// changes how the reduced DFS revisits branch points, never which
-	// schedules, bugs, or first-bug indices a cell reports.
-	Checkpoints int `json:"checkpoints,omitempty"`
 	// VariableBound and ThreadBound override the bounds the explore-vb
 	// and explore-tb finders search under (0 = the finder defaults,
 	// DefaultVariableBound / DefaultThreadBound). Zero values are

@@ -150,6 +150,55 @@ func TestCampaignResume(t *testing.T) {
 	}
 }
 
+// TestResumeStoreWithRetiredCheckpoints pins that retiring the
+// explore-por checkpoint budget strands no store: a journal whose meta
+// line still pins "checkpoints":4 — as stores written while the knob
+// existed do — opens, resumes under a Config that has no such field,
+// and compacts byte-identical to a fresh run, because the knob never
+// changed a result.
+func TestResumeStoreWithRetiredCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	full := filepath.Join(dir, "full.jsonl")
+	runToFile(t, cfg, full)
+	fullBytes, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The old store: its meta line carries the retired key, and it
+	// holds the first three of the full run's records.
+	lines := strings.SplitAfter(string(fullBytes), "\n")
+	meta := strings.Replace(lines[0], `"budget":60,`, `"budget":60,"checkpoints":4,`, 1)
+	if meta == lines[0] {
+		t.Fatalf("meta line has no budget field to anchor on: %s", lines[0])
+	}
+	path := filepath.Join(dir, "old.jsonl")
+	if err := os.WriteFile(path, []byte(meta+strings.Join(lines[1:4], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	sum, err := Run(context.Background(), cfg, store, nil)
+	if err != nil {
+		t.Fatalf("resume of a store pinning the retired checkpoints key: %v", err)
+	}
+	if sum.Skipped != 3 {
+		t.Fatalf("resume skipped %d cells, want the store's 3", sum.Skipped)
+	}
+	resumed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumed, fullBytes) {
+		t.Fatal("resumed old store differs from an uninterrupted run")
+	}
+}
+
 // TestCampaignParallelMatchesSerial pins that campaign-level
 // parallelism never changes cell results.
 func TestCampaignParallelMatchesSerial(t *testing.T) {

@@ -44,15 +44,14 @@ func bindCell(cfg Config, cell Cell) (boundCell, error) {
 		cell:   cell,
 		finder: finder,
 		spec: cellSpec{
-			prog:        prog,
-			body:        prog.BodyWith(params),
-			seed:        cell.Seed,
-			budget:      cell.Budget,
-			maxSteps:    cfg.MaxSteps,
-			checkpoints: cfg.Checkpoints,
-			vbound:      cfg.VariableBound,
-			tbound:      cfg.ThreadBound,
-			pctDepth:    cfg.PCTDepth,
+			prog:     prog,
+			body:     prog.BodyWith(params),
+			seed:     cell.Seed,
+			budget:   cell.Budget,
+			maxSteps: cfg.MaxSteps,
+			vbound:   cfg.VariableBound,
+			tbound:   cfg.ThreadBound,
+			pctDepth: cfg.PCTDepth,
 		},
 	}, nil
 }

@@ -39,15 +39,14 @@ type Finder struct {
 
 // cellSpec is everything a finder needs to execute one cell.
 type cellSpec struct {
-	prog        *repository.Program
-	body        func(core.T)
-	seed        int64
-	budget      int
-	maxSteps    int64
-	checkpoints int
-	vbound      int
-	tbound      int
-	pctDepth    int
+	prog     *repository.Program
+	body     func(core.T)
+	seed     int64
+	budget   int
+	maxSteps int64
+	vbound   int
+	tbound   int
+	pctDepth int
 }
 
 // cellOutcome is a finder's raw per-cell result before it becomes a
@@ -281,7 +280,6 @@ func runExplorePORFinder(ctx context.Context, spec cellSpec) (cellOutcome, error
 		Workers:      1,
 		DPOR:         true,
 		StateCache:   true,
-		Checkpoints:  spec.checkpoints,
 		Name:         spec.prog.Name,
 		Plan:         spec.prog.Plan,
 	}, spec.body)

@@ -12,26 +12,25 @@ import (
 
 // TestCheckpointedEquivalence pins the frontier-positioning contract
 // over the whole program repository. Serially the contract is exact:
-// checkpointed exploration (DPOR + state cache + branch snapshots +
-// parked runners) must visit exactly the tree the coast-mode reduced
-// search visits — same schedule count, same exhaustion, same
-// deduplicated bug set, same novel-step total — because positioning
+// exploration with branch snapshots (DPOR + state cache + snapshots)
+// must visit exactly the tree the coast-mode reduced search visits —
+// same schedule count, same exhaustion, same deduplicated bug set,
+// same outcome histogram, same novel-step total — because positioning
 // only changes how a run reaches its decision point, never which
-// decisions the DFS enumerates. The one intended serial difference is
-// the replay tax: the checkpointed search must never replay more steps
-// than coast mode, and on the benchmark gate program it must replay
-// strictly fewer while reporting snapshot fast-forwards in the stats
-// (and, with the always-park threshold, parked runs in the outcome
-// histogram).
+// decisions the DFS enumerates or how a run ends. The one intended
+// serial difference is the replay tax: the snapshot search must never
+// replay more steps than coast mode, and on the benchmark gate program
+// it must replay strictly fewer while reporting snapshot fast-forwards
+// in the stats.
 //
 // With Workers: 8 the per-worker state caches see different state
-// sequences depending on shard-donation timing — which parking shifts,
-// exactly as coast-mode donation timing already varies — so schedule
-// counts are not comparable across modes (TestReducedEquivalence pins
-// the parallel bound against the full tree instead). The parallel
-// checkpointed contract is the soundness half: when the search
-// exhausts, it finds exactly the serial bug set, and its outcome
-// histogram accounts for every schedule.
+// sequences depending on shard-donation timing — which positioning
+// shifts, exactly as coast-mode donation timing already varies — so
+// schedule counts are not comparable across modes
+// (TestReducedEquivalence pins the parallel bound against the full
+// tree instead). The parallel snapshot contract is the soundness half:
+// when the search exhausts, it finds exactly the serial bug set, and
+// its outcome histogram accounts for every schedule.
 //
 // At every worker count the two conservation laws must hold: every
 // schedule is positioned exactly once (hits + misses == schedules) and
@@ -58,9 +57,9 @@ func TestCheckpointedEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			ck := Explore(Options{
 				MaxSchedules: budget, MaxSteps: maxSteps, Workers: workers,
-				DPOR: true, StateCache: true, Checkpoints: 4,
+				DPOR: true, StateCache: true, Snapshots: true,
 			}, body)
-			label := fmt.Sprintf("%s/checkpoints=4/workers=%d", prog.Name, workers)
+			label := fmt.Sprintf("%s/snapshots/workers=%d", prog.Name, workers)
 			if ck.Err != nil {
 				t.Fatalf("%s: %v", label, ck.Err)
 			}
@@ -75,7 +74,7 @@ func TestCheckpointedEquivalence(t *testing.T) {
 			if workers > 1 {
 				if base.Exhausted && ck.Exhausted {
 					if got := bugKeys(ck); !reflect.DeepEqual(got, baseBugs) {
-						t.Errorf("%s: bug sets differ\n  coast:        %v\n  checkpointed: %v", label, baseBugs, got)
+						t.Errorf("%s: bug sets differ\n  coast:     %v\n  snapshots: %v", label, baseBugs, got)
 					}
 				}
 				continue
@@ -85,10 +84,13 @@ func TestCheckpointedEquivalence(t *testing.T) {
 					label, ck.Schedules, ck.Exhausted, base.Schedules, base.Exhausted)
 			}
 			if got := bugKeys(ck); !reflect.DeepEqual(got, baseBugs) {
-				t.Errorf("%s: bug sets differ\n  coast:        %v\n  checkpointed: %v", label, baseBugs, got)
+				t.Errorf("%s: bug sets differ\n  coast:     %v\n  snapshots: %v", label, baseBugs, got)
+			}
+			if !reflect.DeepEqual(ck.Outcomes, base.Outcomes) {
+				t.Errorf("%s: outcome histograms differ\n  coast:     %v\n  snapshots: %v", label, base.Outcomes, ck.Outcomes)
 			}
 			if ck.Stats.ReplayedSteps > base.Stats.ReplayedSteps {
-				t.Errorf("%s: checkpointing raised the replay tax: %d vs coast %d",
+				t.Errorf("%s: snapshots raised the replay tax: %d vs coast %d",
 					label, ck.Stats.ReplayedSteps, base.Stats.ReplayedSteps)
 			}
 			if ck.Stats.NovelSteps != base.Stats.NovelSteps {
@@ -100,38 +102,12 @@ func TestCheckpointedEquivalence(t *testing.T) {
 					t.Errorf("%s: expected strictly fewer replayed steps than coast mode: %d vs %d",
 						label, ck.Stats.ReplayedSteps, base.Stats.ReplayedSteps)
 				}
-				if ck.Stats.SnapshotRestores == 0 {
+				if ck.Stats.CheckpointHits == 0 {
 					t.Errorf("%s: no snapshot fast-forwards recorded; stats: %+v", label, ck.Stats)
 				}
 			}
 		}
 
-		// Always-park variant: ParkTailThreshold < 0 restores the
-		// park-every-cut disposal, which must still leave the tree shape,
-		// bug set and novel-step total untouched while putting parked
-		// runs back in the histogram.
-		ap := Explore(Options{
-			MaxSchedules: budget, MaxSteps: maxSteps, Workers: 1,
-			DPOR: true, StateCache: true, Checkpoints: 4, ParkTailThreshold: -1,
-		}, body)
-		label := prog.Name + "/checkpoints=4/always-park"
-		if ap.Err != nil {
-			t.Fatalf("%s: %v", label, ap.Err)
-		}
-		assertConservation(t, label, ap)
-		if ap.Schedules != base.Schedules || ap.Exhausted != base.Exhausted {
-			t.Errorf("%s: tree shape changed: %d schedules (exhausted=%v) vs coast %d (%v)",
-				label, ap.Schedules, ap.Exhausted, base.Schedules, base.Exhausted)
-		}
-		if got := bugKeys(ap); !reflect.DeepEqual(got, baseBugs) {
-			t.Errorf("%s: bug sets differ\n  coast:        %v\n  checkpointed: %v", label, baseBugs, got)
-		}
-		if ap.Stats.NovelSteps != base.Stats.NovelSteps {
-			t.Errorf("%s: novel steps differ: %d vs coast %d", label, ap.Stats.NovelSteps, base.Stats.NovelSteps)
-		}
-		if prog.Name == "philosophers" && ap.Outcomes["parked:"] == 0 {
-			t.Errorf("%s: no parked runs recorded; outcomes: %v", label, ap.Outcomes)
-		}
 	}
 }
 
@@ -151,9 +127,9 @@ func assertConservation(t *testing.T, label string, res *Result) {
 }
 
 // TestCheckpointConservation pins the two conservation laws repo-wide
-// across every exploration mode, checkpointed or not: every schedule
-// is positioned exactly once (checkpoint_hits + checkpoint_misses ==
-// schedules — all misses when positioning is off), and every scheduler
+// across every exploration mode, with snapshots or without: every
+// schedule is positioned exactly once (checkpoint_hits +
+// checkpoint_misses == schedules — all misses when positioning is off), and every scheduler
 // step is attributed exactly once (replayed + novel + restored ==
 // total). The laws are what make the counters trustworthy: a counter
 // that can drift from the ground truth silently is worse than no
@@ -187,8 +163,8 @@ func TestCheckpointConservation(t *testing.T) {
 }
 
 // leakModes is the mode matrix the goroutine-leak sweep drives: every
-// reduction configuration, with and without parked-runner checkpoints
-// where the state cache permits them, at both worker counts.
+// reduction configuration, with and without branch snapshots where the
+// state cache permits them, at both worker counts.
 var leakModes = []struct {
 	name string
 	set  func(*Options)
@@ -197,11 +173,11 @@ var leakModes = []struct {
 	{"dpor", func(o *Options) { o.DPOR = true }},
 	{"cache", func(o *Options) { o.StateCache = true }},
 	{"dpor+cache", func(o *Options) { o.DPOR = true; o.StateCache = true }},
-	{"dpor+cache+ckpt", func(o *Options) { o.DPOR = true; o.StateCache = true; o.Checkpoints = 2 }},
-	{"timeouts+ckpt", func(o *Options) {
+	{"dpor+cache+snap", func(o *Options) { o.DPOR = true; o.StateCache = true; o.Snapshots = true }},
+	{"timeouts+snap", func(o *Options) {
 		o.DPOR = true
 		o.StateCache = true
-		o.Checkpoints = 2
+		o.Snapshots = true
 		o.ExploreTimeouts = true
 	}},
 }
@@ -209,13 +185,12 @@ var leakModes = []struct {
 // TestExploreNoGoroutineLeak sweeps every explore mode over the whole
 // repository twice and checks the process goroutine count returns to
 // its post-warmup baseline. The first sweep is warmup: worker kits,
-// pooled runners and their parked virtual threads are retained by
+// pooled runners and their idle virtual threads are retained by
 // design (that is what makes repeated exploration cheap), and the
 // retained population reaches steady state once every program has run
-// in every mode. The second sweep must then add nothing — in
-// particular, every runner parked as a checkpoint and later evicted or
-// abandoned at shard end must have returned its threads to its pool
-// rather than leaking them.
+// in every mode. The second sweep must then add nothing: every run,
+// fast-forwarded or replayed from the root, must return its threads to
+// its runner's pool rather than leaking them.
 func TestExploreNoGoroutineLeak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-repository exploration sweep in -short mode")

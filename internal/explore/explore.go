@@ -102,42 +102,21 @@ type Options struct {
 	// (0 = DefaultStateCacheSize). Collisions overwrite, so a small
 	// cache prunes less but is never unsound.
 	StateCacheSize int
-	// Checkpoints bounds the parked-runner checkpoints each worker may
-	// retain (0 = checkpointing off), and turns on frontier positioning
-	// as a whole. With checkpointing on, every schedule is positioned
-	// from the nearest retained state instead of replayed from the root
-	// under full strategy control: each multi-option path node carries a
-	// forkable branch snapshot (hasher state + sched position digest),
-	// and a fresh pooled runner fast-forwards the branch's decision
-	// prefix at coast speed (sched.Config.FastForward), verifying the
-	// digest on arrival. A run that reaches a state-cache cut with a
-	// long enough expected tail (see ParkTailThreshold) is additionally
-	// parked at the cut: its virtual threads stay suspended on their
-	// resume channels, the runner joins the worker's checkpoint pool
-	// (oldest abandoned beyond the budget, all abandoned at shard end),
-	// and a later run whose replay sequence extends the parked prefix
-	// resumes it — a parked resume beats a snapshot of equal depth
-	// because it skips even the fast-forward. Parked runs never execute
-	// their cut tails, so they have no verdict and are counted under the
-	// synthetic "parked:" outcome key. Checkpointing therefore changes
-	// the outcome histogram (never the bug set, schedule count or
-	// novel-step total) and only applies when StateCache is on; leave it
-	// 0 for histogram-exact results.
-	Checkpoints int
-	// ParkTailThreshold tunes the park-versus-coast disposal of runs
-	// that reach a state-cache cut (only meaningful with Checkpoints >
-	// 0). Parking costs a park+abandon round trip (~2.6µs) where
-	// coasting the tail costs ~87ns per step, so parking only pays when
-	// the skipped tail is long enough: a run parks when its expected
-	// tail (previous completed run's step count minus the cut depth) is
-	// at least the threshold. 0 = DefaultParkTailThreshold; negative =
-	// always park (PR-6 behaviour, used by tests that pin the "parked:"
-	// outcome key). The disposal choice never affects the bug set,
-	// schedule count or novel-step total.
-	ParkTailThreshold int
+	// Snapshots turns on frontier positioning (only with StateCache):
+	// every multi-option path node carries a forkable branch snapshot
+	// (hasher state + sched position digest), and each schedule starts
+	// from the deepest one on the path — a pooled runner fast-forwards
+	// the branch's decision prefix at coast speed
+	// (sched.Config.FastForward) and verifies the digest on arrival —
+	// instead of replaying from the root under full strategy control.
+	// Positioning changes how a run reaches its frontier, never which
+	// frontier it explores: serially, results are identical to a search
+	// without snapshots. The cost is memory: every snapshot on the DFS
+	// path stays live, which is why the switch is off by default.
+	Snapshots bool
 	// ProfileLabels attaches runtime/pprof goroutine labels to the
-	// driver phases of every worker (position, drive, park, abandon,
-	// record — see DESIGN.md for the vocabulary), so CPU profiles split
+	// driver phases of every worker (position, drive, record — see
+	// DESIGN.md for the vocabulary), so CPU profiles split
 	// driver overhead from program execution (labelled "vthread" by the
 	// scheduler). Off by default: relabeling goroutines several times
 	// per schedule is measurable on the exploration hot path.
@@ -250,8 +229,8 @@ type node struct {
 	// canonical identity at creation, the inherited sleep set as a
 	// bitmask, the subtree's footprint summary accumulated as children
 	// pop, and the cut flag (this node's subtree was found in the
-	// cache; the run's remaining decisions are coasted or parked, so
-	// no nodes exist below a cut).
+	// cache; the run's remaining decisions are coasted, so no nodes
+	// exist below a cut).
 	stateHash   uint64
 	sleepMask   uint64
 	maskOK      bool
@@ -260,7 +239,7 @@ type node struct {
 	subOverflow bool
 
 	// snap is the node's forkable branch snapshot (nil unless
-	// Options.Checkpoints and the node has siblings worth returning
+	// Options.Snapshots and the node has siblings worth returning
 	// for): the hasher state and scheduler position digest frozen at
 	// this decision point, before any option was chosen. Later runs
 	// fast-forward here instead of replaying from the root. Freed when
@@ -425,11 +404,6 @@ type explorer struct {
 	// cutDepth is the path index of the active cache cut (-1 when
 	// none): nodes created deeper only finish the in-flight run.
 	cutDepth int
-	// lastRunSteps is the step count of the shard's previous completed
-	// run — the deterministic (timing-free) estimator behind the
-	// park-versus-coast disposal heuristic (see shouldPark). Zero until
-	// a run completes, so a shard's first cut disposal coasts.
-	lastRunSteps int64
 	// Bound accounting accumulated along the replayed prefix is a pure
 	// function of the prefix, so it is captured once from the shard's
 	// first fully-replayed run and reinstated on fast-forwarded runs
@@ -438,28 +412,6 @@ type explorer struct {
 	basePre         int
 	baseTB          uint64
 	baseVB          []uint32
-}
-
-// DefaultParkTailThreshold is the default ParkTailThreshold: parking
-// costs ~2.6µs of park+abandon round trips against ~87ns per coasted
-// step, so the break-even tail is about 30 steps.
-const DefaultParkTailThreshold = 32
-
-// shouldPark decides the disposal of a run that reached a state-cache
-// cut at the given decision depth: park it as a resumable checkpoint,
-// or coast the tail. Deterministic — the expected tail length is the
-// previous completed run's step count minus the cut depth, never a
-// wall-clock measurement — so disposal (and therefore the outcome
-// histogram) is reproducible run-to-run.
-func (e *explorer) shouldPark(depth int) bool {
-	t := e.opts.ParkTailThreshold
-	if t < 0 {
-		return true
-	}
-	if t == 0 {
-		t = DefaultParkTailThreshold
-	}
-	return e.lastRunSteps-int64(depth) >= int64(t)
 }
 
 // dfsStrategy drives one run: replay the prefix and the path's
@@ -540,17 +492,11 @@ func (st *dfsStrategy) Pick(c *sched.Choice) core.ThreadID {
 	}
 
 	// Below an active state-cache cut the subtree is already proven
-	// explored: the run need only be disposed of, not decided. With
-	// checkpointing on and a long enough expected tail the runner parks
-	// right here (the tail never executes; the decision is not
-	// consumed, so st.depth stays put); otherwise the scheduler coasts
-	// the tail under its built-in nonpreemptive rule — the exact
-	// decisions the old per-decision bypass nodes produced, with no
-	// strategy round trips.
+	// explored: the run need only be finished, not decided. The
+	// scheduler coasts the tail under its built-in nonpreemptive rule —
+	// the exact decisions the old per-decision bypass nodes produced,
+	// with no strategy round trips.
 	if e.cutDepth >= 0 && pd > e.cutDepth {
-		if e.opts.Checkpoints > 0 && e.shouldPark(d) {
-			return sched.ParkID
-		}
 		return sched.CoastID
 	}
 
@@ -721,7 +667,7 @@ func (e *explorer) newNode(c *sched.Choice, pd int, st *dfsStrategy) *node {
 	// decisions above this node and re-enter the DFS at the branch.
 	// Single-option nodes are popped straight through on backtrack and
 	// never returned to, so they carry no snapshot.
-	if e.opts.Checkpoints > 0 && e.red != nil && !n.cut && len(n.options) > 1 && c.SnapshotTo != nil {
+	if e.opts.Snapshots && e.red != nil && !n.cut && len(n.options) > 1 && c.SnapshotTo != nil {
 		bs := e.pool.getSnap()
 		e.red.hasher.snapshotInto(&bs.hasher)
 		c.SnapshotTo(&bs.sched)

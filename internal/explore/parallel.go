@@ -134,26 +134,21 @@ func (c *coordinator) run() *Result {
 
 // exploreItem runs the DFS over one shard, donating branches to
 // starving workers and observing the global budgets. kit and red are
-// the calling worker's reusable execution state; any runners the kit
-// parks as checkpoints during the shard are abandoned when it ends.
+// the calling worker's reusable execution state.
 //
-// Frontier positioning (Options.Checkpoints): depth-first backtracking
+// Frontier positioning (Options.Snapshots): depth-first backtracking
 // visits branches consecutively, so before each run the worker looks
-// for the deepest retained position that still covers the run's replay
-// sequence — a parked checkpoint to resume, or a live branch snapshot
-// to fast-forward to — and only falls back to a from-the-root replay
-// when neither exists (the first run of a shard). The DFS itself is
-// untouched: positioning changes how a run reaches its frontier, never
-// which frontier it explores, so bug sets, schedule counts and
-// novel-step totals are byte-identical to coast-mode search.
+// for the deepest live branch snapshot on the path and fast-forwards
+// to it, falling back to a from-the-root replay only when there is
+// none (the first run of a shard). The DFS itself is untouched:
+// positioning changes how a run reaches its frontier, never which
+// frontier it explores, so serial results are byte-identical to a
+// search without snapshots.
 func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem) {
 	kit.dep.reset()
 	e := &explorer{opts: c.opts, prefix: item.prefix, rootSleep: item.sleep, pool: kit.pool, red: red, dep: &kit.dep, cutDepth: -1}
 	labels := newPhaseLabels(c.opts.ProfileLabels)
 	defer func() {
-		labels.enter(phaseAbandon)
-		kit.abandonCheckpoints()
-		labels.exit()
 		c.resMu.Lock()
 		c.stats.add(e.stats)
 		c.resMu.Unlock()
@@ -186,13 +181,11 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 
 		labels.enter(phasePosition)
 		// The deepest live branch snapshot on the path is the furthest
-		// position a fresh runner can fast-forward to; a parked
-		// checkpoint at least that deep beats it (no fast-forward at
-		// all). Either way the run arrives at its branch without a
-		// single strategy round trip or listener event for the decisions
-		// it shares with the previous run.
+		// position a fresh run can fast-forward to: it arrives at its
+		// branch without a single strategy round trip or listener event
+		// for the decisions it shares with the previous run.
 		snapIdx := -1
-		if c.opts.Checkpoints > 0 {
+		if c.opts.Snapshots {
 			for i := len(e.path) - 1; i >= 0; i-- {
 				if e.path[i].snap != nil {
 					snapIdx = i
@@ -200,56 +193,23 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 				}
 			}
 		}
-		var planned []core.ThreadID
-		if len(kit.ckpts) > 0 || snapIdx >= 0 {
-			planned = kit.plan(e)
-		}
-		minDepth := 0
 		if snapIdx >= 0 {
-			minDepth = len(e.prefix) + snapIdx
-		}
-		ffUsed := false
-		var runRes *core.Result
-		if ck := kit.takeCheckpoint(planned, minDepth); ck != nil {
-			// A parked run already executed this schedule's replay
-			// sequence up to the park point: continue it instead of
-			// replaying from the root. The strategy's cursor starts past
-			// the decisions the parked run consumed, and the hasher
-			// resumes from the chains frozen at the park.
-			e.stats.CheckpointHits++
-			e.stats.RestoredSteps += len(ck.decisions)
-			st.depth = len(ck.decisions)
-			st.prefixPre = ck.prefixPre
-			st.prefixTB = ck.prefixTB
-			st.prefixVB = append(st.prefixVB[:0], ck.prefixVB...)
-			if red != nil && ck.snap != nil {
-				red.hasher.restore(ck.snap)
-			}
-			kit.spares = append(kit.spares, kit.runner)
-			kit.runner = ck.runner
-			labels.enter(phaseDrive)
-			runRes = kit.runner.Resume()
-		} else if snapIdx >= 0 {
-			// Fast-forward a fresh pooled runner to the branch: restore
-			// the hasher frozen at the node, replay the decisions above
-			// it at coast speed (no Pick, no listener fan-out) and verify
-			// the position digest on arrival. The strategy's cursor
-			// starts at the branch; its first Pick is the phase-2 replay
-			// of the branch node's current choice.
+			// Restore the hasher frozen at the node, replay the
+			// decisions above it at coast speed (no Pick, no listener
+			// fan-out) and verify the position digest on arrival. The
+			// strategy's cursor starts at the branch; its first Pick is
+			// the phase-2 replay of the branch node's current choice.
 			bs := e.path[snapIdx].snap
+			depth := len(e.prefix) + snapIdx
 			e.stats.CheckpointHits++
-			e.stats.SnapshotRestores++
-			e.stats.RestoredSteps += minDepth
-			st.depth = minDepth
+			e.stats.RestoredSteps += depth
+			st.depth = depth
 			st.prefixPre = e.basePre
 			st.prefixTB = e.baseTB
 			st.prefixVB = append(st.prefixVB[:0], e.baseVB...)
 			red.hasher.restore(&bs.hasher)
-			cfg.FastForward = planned[:minDepth]
+			cfg.FastForward = kit.plan(e)[:depth]
 			cfg.FFCheck = &bs.sched
-			ffUsed = true
-			labels.enter(phaseDrive)
-			runRes = kit.runner.Start(cfg, c.body)
 		} else {
 			e.stats.CheckpointMisses++
 			if red != nil {
@@ -258,45 +218,31 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 				// scratch, so the hasher rebuilds from scratch too.
 				red.hasher.reset()
 			}
-			labels.enter(phaseDrive)
-			runRes = kit.runner.Start(cfg, c.body)
-			if !e.prefixAccounted && e.err == nil {
-				// Prefix bound accounting is a pure function of the
-				// prefix; capture it from this full replay so
-				// fast-forwarded runs (which skip the prefix Picks) can
-				// reinstate it.
-				e.prefixAccounted = true
-				e.basePre, e.baseTB = st.prefixPre, st.prefixTB
-				e.baseVB = append(e.baseVB[:0], st.prefixVB...)
-			}
+		}
+		labels.enter(phaseDrive)
+		runRes := kit.runner.Start(cfg, c.body)
+		if snapIdx < 0 && !e.prefixAccounted && e.err == nil {
+			// Prefix bound accounting is a pure function of the prefix;
+			// capture it from this full replay so fast-forwarded runs
+			// (which skip the prefix Picks) can reinstate it.
+			e.prefixAccounted = true
+			e.basePre, e.baseTB = st.prefixPre, st.prefixTB
+			e.baseVB = append(e.baseVB[:0], st.prefixVB...)
 		}
 		index := int(c.executed.Add(1))
-		if runRes == nil {
-			// The strategy parked the run at a state-cache cut: the
-			// subtree below is proven explored, so the tail is never
-			// executed. The suspended runner joins the checkpoint pool
-			// and the schedule is counted under the synthetic outcome.
-			e.stats.TotalSteps += st.depth
-			labels.enter(phasePark)
-			kit.park(e, st, red, c.opts.Checkpoints)
-			labels.exit()
-			c.recordParked()
-		} else {
-			// Any scheduler steps beyond the decisions this strategy
-			// consumed were coasted below a cut — replay tax, not novel
-			// work.
-			e.stats.TotalSteps += int(runRes.Steps)
-			e.lastRunSteps = runRes.Steps
-			if tail := runRes.Steps - int64(st.depth); tail > 0 {
-				e.stats.ReplayedSteps += int(tail)
-			}
-			if ffUsed && runRes.Diverged && e.err == nil {
-				e.err = fmt.Errorf("explore: nondeterministic program: fast-forward to depth %d diverged", st.depth)
-			}
-			labels.enter(phaseRecord)
-			c.record(kit, runRes, index, e.err)
-			labels.exit()
+		// Any scheduler steps beyond the decisions this strategy
+		// consumed were coasted below a cut — replay tax, not novel
+		// work.
+		e.stats.TotalSteps += int(runRes.Steps)
+		if tail := runRes.Steps - int64(st.depth); tail > 0 {
+			e.stats.ReplayedSteps += int(tail)
 		}
+		if snapIdx >= 0 && runRes.Diverged && e.err == nil {
+			e.err = fmt.Errorf("explore: nondeterministic program: fast-forward to depth %d diverged", st.depth)
+		}
+		labels.enter(phaseRecord)
+		c.record(kit, runRes, index, e.err)
+		labels.exit()
 		if c.stopping.Load() {
 			return
 		}
@@ -353,15 +299,6 @@ func (c *coordinator) record(kit *workerKit, runRes *core.Result, index int, run
 	if runErr != nil || stopFirst {
 		c.stop()
 	}
-}
-
-// recordParked counts a schedule whose run was parked at a state-cache
-// cut: it has no verdict (the cut tail never executed), so it lands
-// under the synthetic outcome key.
-func (c *coordinator) recordParked() {
-	c.resMu.Lock()
-	c.outcomes["parked:"]++
-	c.resMu.Unlock()
 }
 
 // stop winds the search down: workers finish their in-flight schedule

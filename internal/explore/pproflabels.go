@@ -6,12 +6,10 @@
 // labels its own phases so a CPU profile splits driver overhead by
 // activity:
 //
-//	phase=position   checkpoint matching, snapshot bookkeeping and the
-//	                 hasher restore before a run starts
-//	phase=drive      blocked in Start/Resume while the program runs
-//	                 (the scheduler-side fast-forward happens here)
-//	phase=park       parking a cut run as a checkpoint
-//	phase=abandon    tearing parked runs down
+//	phase=position   branch-snapshot lookup and the hasher restore
+//	                 before a run starts
+//	phase=drive      blocked in Start while the program runs (the
+//	                 scheduler-side fast-forward happens here)
 //	phase=record     outcome/bug bookkeeping after a run
 //
 // A nil *phaseLabels (ProfileLabels off) makes every method a no-op,
@@ -27,13 +25,11 @@ import (
 const (
 	phasePosition = iota
 	phaseDrive
-	phasePark
-	phaseAbandon
 	phaseRecord
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"position", "drive", "park", "abandon", "record"}
+var phaseNames = [numPhases]string{"position", "drive", "record"}
 
 type phaseLabels struct {
 	base context.Context

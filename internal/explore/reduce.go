@@ -99,34 +99,26 @@ type Stats struct {
 	// ReplayedSteps counts scheduler steps spent re-establishing
 	// already-known state: schedule-prefix and path-replay decisions,
 	// plus the coasted tail steps below state-cache cuts. This is the
-	// replay tax DFS pays for statelessness — the quantity checkpointed
-	// exploration (Options.Checkpoints) removes.
+	// replay tax DFS pays for statelessness — the quantity branch
+	// snapshots (Options.Snapshots) remove.
 	ReplayedSteps int `json:"replayed_steps"`
 	// NovelSteps counts decisions taken at fresh frontier nodes — the
 	// steps that visit new state.
 	NovelSteps int `json:"novel_steps"`
-	// CheckpointHits counts schedules positioned from retained state —
-	// a parked runner resumed, or a branch snapshot fast-forwarded
-	// (see Options.Checkpoints) — instead of replayed from the root
-	// under full strategy control; CheckpointMisses counts the rest.
-	// Every schedule is exactly one or the other, so hits + misses ==
-	// schedules executed.
+	// CheckpointHits counts schedules positioned by fast-forwarding to
+	// a branch snapshot (see Options.Snapshots) instead of replayed from
+	// the root under full strategy control; CheckpointMisses counts the
+	// rest. Every schedule is exactly one or the other, so hits +
+	// misses == schedules executed.
 	CheckpointHits   int `json:"checkpoint_hits"`
 	CheckpointMisses int `json:"checkpoint_misses"`
-	// SnapshotRestores counts the checkpoint hits served by a branch
-	// snapshot (sched fast-forward + digest verify) rather than a
-	// parked-runner resume.
-	SnapshotRestores int `json:"snapshot_restores"`
-	// RestoredSteps counts scheduler steps positioning skipped paying
-	// full price for: the decisions a resumed parked run had already
-	// consumed, plus the decisions a fast-forward replayed without
+	// RestoredSteps counts the decisions fast-forwards replayed without
 	// strategy round trips or listener fan-out.
 	RestoredSteps int `json:"restored_steps"`
-	// TotalSteps counts every scheduler step of every schedule
-	// (including steps of runs parked at cuts). The step conservation
-	// law — ReplayedSteps + NovelSteps + RestoredSteps == TotalSteps —
-	// holds for every healthy exploration and is pinned repo-wide by
-	// TestCheckpointConservation.
+	// TotalSteps counts every scheduler step of every schedule. The
+	// step conservation law — ReplayedSteps + NovelSteps +
+	// RestoredSteps == TotalSteps — holds for every healthy exploration
+	// and is pinned repo-wide by TestCheckpointConservation.
 	TotalSteps int `json:"total_steps"`
 }
 
@@ -141,7 +133,6 @@ func (s *Stats) add(o Stats) {
 	s.NovelSteps += o.NovelSteps
 	s.CheckpointHits += o.CheckpointHits
 	s.CheckpointMisses += o.CheckpointMisses
-	s.SnapshotRestores += o.SnapshotRestores
 	s.RestoredSteps += o.RestoredSteps
 	s.TotalSteps += o.TotalSteps
 }
@@ -237,9 +228,9 @@ func (sh *stateHasher) slot(obj uint32) *objSlot {
 	return sl
 }
 
-// hasherSnap is a frozen copy of a stateHasher, taken when a run is
-// parked as a checkpoint: resuming the run later must continue folding
-// events onto exactly the chains the parked prefix built, even though
+// hasherSnap is a frozen copy of a stateHasher, taken at a branch
+// snapshot: a run fast-forwarded to the branch later must continue
+// folding events onto exactly the chains the prefix built, even though
 // the (shared, per-worker) hasher has been reset and reused by other
 // runs in between.
 type hasherSnap struct {
@@ -270,12 +261,6 @@ func (sh *stateHasher) snapshotInto(s *hasherSnap) {
 			s.objR = append(s.objR, sl.rh)
 		}
 	}
-}
-
-func (sh *stateHasher) snapshot() *hasherSnap {
-	s := &hasherSnap{}
-	sh.snapshotInto(s)
-	return s
 }
 
 func (sh *stateHasher) restore(s *hasherSnap) {

@@ -1,8 +1,10 @@
 package sched_test
 
 import (
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"mtbench/internal/core"
 	"mtbench/internal/coverage"
@@ -99,5 +101,41 @@ func TestRunnerPoolingCoverage(t *testing.T) {
 				t.Fatalf("%s seed %d: pooled coverage %v != fresh %v", name, seed, p, f)
 			}
 		}
+	}
+}
+
+// TestRunnerCloseNoLeak pins the no-goroutine-leak contract: a Runner
+// that executed strategy-driven runs, coasted runs and fast-forwards
+// that diverged mid-run (torn down with live threads) releases every
+// virtual thread's goroutine on Close, returning runtime.NumGoroutine
+// to its pre-runner baseline.
+func TestRunnerCloseNoLeak(t *testing.T) {
+	prog, err := repository.Get("philosophers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := prog.BodyWith(nil)
+	baseline := runtime.NumGoroutine()
+
+	runner := sched.NewRunner()
+	for i := int64(0); i < 4; i++ {
+		full := runner.Run(sched.Config{Strategy: sched.Random(i), MaxSteps: 300_000, RecordSchedule: true}, body)
+		prefix := slices.Clone(full.Schedule[:len(full.Schedule)/2])
+		runner.Run(sched.Config{Strategy: &coaster{inner: sched.Random(i), at: 5}, MaxSteps: 300_000}, body)
+		bad := sched.Snapshot{Steps: -1}
+		if res := runner.Run(sched.Config{MaxSteps: 300_000, FastForward: prefix, FFCheck: &bad}, body); !res.Diverged {
+			t.Fatalf("seed %d: tampered fast-forward did not diverge: %v", i, res)
+		}
+	}
+	runner.Close()
+
+	// Released goroutines exit asynchronously after receiving their
+	// quit message; give them a bounded moment to drain.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("goroutines leaked: baseline %d, after close %d", baseline, n)
 	}
 }

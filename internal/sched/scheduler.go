@@ -120,21 +120,12 @@ func Run(cfg Config, body func(t core.T)) *core.Result {
 // is single-threaded — one run at a time — and a run through a reused
 // Runner is byte-identical to one through a fresh scheduler.
 //
-// Beyond run-to-completion (Run), a Runner supports a parked
-// lifecycle: Start drives a run until it either finishes or the
-// strategy returns ParkID, in which case the run suspends with every
-// virtual thread blocked on its resume channel; Resume continues a
-// parked run from the exact decision point it parked at, and Abandon
-// tears a parked run down, unwinding the live threads back into the
-// free pool. A parked Runner holds its threads (and their goroutines)
-// but consumes no CPU.
-//
 // Ownership caveat: when Config.RecordSchedule is set, the returned
 // Result.Schedule aliases the Runner's internal buffer and is only
 // valid until the next run; callers that retain it (or retain the
 // Result) across runs must clone it first. The package-level Run has
 // no such caveat since its Runner is never reused. Results returned by
-// Start/Resume are pooled more aggressively: the Result itself and its
+// Start are pooled more aggressively: the Result itself and its
 // FinishOrder alias per-Runner buffers reused by the next run.
 type Runner struct {
 	s *scheduler
@@ -146,20 +137,15 @@ type Runner struct {
 func NewRunner() *Runner {
 	return &Runner{s: &scheduler{
 		parked:  make(chan *thread),
-		runDone: make(chan runSig),
+		runDone: make(chan struct{}),
 	}}
 }
 
 // Run executes body under cfg to completion, reusing the Runner's
 // pooled state. See Runner for the Result.Schedule ownership caveat;
-// everything else in the Result is valid indefinitely. Run panics if
-// the strategy parks the run — parking strategies must be driven
-// through Start/Resume/Abandon.
+// everything else in the Result is valid indefinitely.
 func (r *Runner) Run(cfg Config, body func(t core.T)) *core.Result {
 	p := r.Start(cfg, body)
-	if p == nil {
-		panic("sched: strategy parked a run driven by Run; use Start/Resume/Abandon")
-	}
 	// Start's Result is pooled (overwritten by the next run); Run's
 	// contract is a caller-owned Result, so unpool it here.
 	res := new(core.Result)
@@ -170,19 +156,16 @@ func (r *Runner) Run(cfg Config, body func(t core.T)) *core.Result {
 	return res
 }
 
-// Start begins a controlled run and drives it until it completes or
-// parks. It returns the run's Result, or nil when the strategy parked
-// the run (Parked reports true until Resume or Abandon). The returned
-// Result and its FinishOrder (and Schedule, under RecordSchedule)
-// alias per-Runner buffers: they are valid only until the next
-// Start/Resume/Run on this Runner and must be cloned to be retained.
+// Start executes a controlled run to completion and returns its
+// Result without copying it: the Result and its FinishOrder (and
+// Schedule, under RecordSchedule) alias per-Runner buffers, valid only
+// until the next Start/Run on this Runner, and must be cloned to be
+// retained. Search loops that read a Result and move on use Start to
+// keep the run allocation-free.
 func (r *Runner) Start(cfg Config, body func(t core.T)) *core.Result {
 	s := r.s
 	if s.closed {
 		panic("sched: Start on a closed Runner")
-	}
-	if s.parkedRun {
-		panic("sched: Start on a Runner holding a parked run (Resume or Abandon it first)")
 	}
 	if s.running {
 		panic("sched: Runner used for two runs at once")
@@ -199,53 +182,14 @@ func (r *Runner) Start(cfg Config, body func(t core.T)) *core.Result {
 	return s.drive()
 }
 
-// Resume continues a parked run from the decision point it parked at.
-// The interrupted decision is re-offered to the strategy (same
-// Choice.Step), so park+resume is invisible to the decision sequence.
-// Like Start, Resume returns nil if the run parks again; the returned
-// Result has Start's pooled-ownership caveat.
-func (r *Runner) Resume() *core.Result {
-	s := r.s
-	if !s.parkedRun {
-		panic("sched: Resume on a Runner with no parked run")
-	}
-	s.parkedRun = false
-	return s.drive()
-}
-
-// Parked reports whether the Runner holds a parked run.
-func (r *Runner) Parked() bool { return r.s.parkedRun }
-
-// Abandon tears down a parked run without completing it: every live
-// virtual thread is unwound via the abort handshake and returned to
-// the Runner's free pool, exactly as at the end of a completed run, so
-// an abandoned run leaks no goroutines. The run produces no Result and
-// is not reported to RunObserver EndRun hooks. Abandon on a Runner
-// with no parked run is a no-op.
-func (r *Runner) Abandon() {
-	s := r.s
-	if !s.parkedRun {
-		return
-	}
-	s.parkedRun = false
-	s.teardown()
-	s.free = append(s.free, s.threads...)
-	s.threads = s.threads[:0]
-	s.running = false
-}
-
-// Close releases the Runner's pooled goroutines, abandoning a parked
-// run first if one is suspended. It is a no-op on a Runner whose last
-// run panicked mid-flight (the pool is unrecoverable then; the
-// goroutines are leaked exactly as a fresh-scheduler panic leaked
-// them).
+// Close releases the Runner's pooled goroutines. It is a no-op on a
+// Runner whose last run panicked mid-flight (the pool is
+// unrecoverable then; the goroutines are leaked exactly as a
+// fresh-scheduler panic leaked them).
 func (r *Runner) Close() {
 	s := r.s
 	if s.closed {
 		return
-	}
-	if s.parkedRun {
-		r.Abandon()
 	}
 	s.closed = true
 	if s.running || len(s.threads) > 0 {
@@ -312,27 +256,14 @@ type resumeMsg struct {
 	quit  bool
 }
 
-// runSig is the one-per-suspension signal a virtual thread sends the
-// driver on runDone: the run either finished for good (sigOver) or
-// parked at a decision point with every thread waiting on its resume
-// channel (sigParked).
-type runSig uint8
-
-const (
-	sigOver runSig = iota
-	sigParked
-)
-
 // stepStatus classifies a scheduling decision's outcome for the
 // goroutine that took it: hand control to the returned thread
-// (stepGo), the run is finished (stepOver), or the strategy parked the
-// run without consuming the decision (stepParked).
+// (stepGo), or the run is finished (stepOver).
 type stepStatus uint8
 
 const (
 	stepGo stepStatus = iota
 	stepOver
-	stepParked
 )
 
 // engineBug is the panic payload for scheduler-internal invariant
@@ -437,11 +368,11 @@ type scheduler struct {
 	// their next assignment.
 	free []*thread
 	// parked carries the abort handshake during teardown; runDone is
-	// the one signal per suspension that control has left the virtual
-	// threads — either for good (clean completion, failure, deadlock,
-	// step limit, divergence) or because the run parked.
+	// the one signal per run that control has left the virtual threads
+	// for good (clean completion, failure, deadlock, step limit,
+	// divergence).
 	parked  chan *thread
-	runDone chan runSig
+	runDone chan struct{}
 	cur     *thread
 
 	seq     int64
@@ -482,7 +413,7 @@ type scheduler struct {
 	snapshotToFn  func(*Snapshot)
 
 	// start is the run's wall-clock start (zero under SkipTiming); res
-	// is the pooled Result returned by Start/Resume.
+	// is the pooled Result returned by Start.
 	start time.Time
 	res   core.Result
 
@@ -491,8 +422,8 @@ type scheduler struct {
 	// round trips or schedule recording.
 	coasting bool
 	// Fast-forward state (Config.FastForward): ffDec is the scheduler-
-	// owned copy of the prefix (the caller's slice may be reused while
-	// a run is parked), ffPos the replay cursor, ffQuiet suppresses
+	// owned copy of the prefix (the caller's slice may be reused as
+	// soon as Start is called), ffPos the replay cursor, ffQuiet suppresses
 	// listener fan-out until the first post-fast-forward decision
 	// (those events are covered by the restored listener state), and
 	// ffCheck/hasFFCheck carry the position digest verified there.
@@ -501,9 +432,6 @@ type scheduler struct {
 	ffQuiet    bool
 	ffCheck    Snapshot
 	hasFFCheck bool
-	// parkedRun is set while a run is suspended between Start/Resume
-	// and Resume/Abandon.
-	parkedRun bool
 
 	// outcomeTab interns Result.Outcome strings and dlTab interns
 	// deadlock descriptions: searches revisit the same few outcome and
@@ -607,8 +535,8 @@ func (s *scheduler) reset(cfg Config) {
 	if s.hasFFCheck {
 		s.ffCheck = *cfg.FFCheck
 	}
-	// Drop the config's aliases: the scheduler owns its copies, and a
-	// parked run must not pin the caller's (reused) buffers.
+	// Drop the config's aliases: the scheduler owns its copies and
+	// must not pin the caller's (reused) buffers.
 	s.cfg.FastForward = nil
 	s.cfg.FFCheck = nil
 	s.sleepers = 0
@@ -634,39 +562,34 @@ func (s *scheduler) progLoc() (core.Location, uint32) {
 	return core.CallerLocationID(2)
 }
 
-// drive takes one scheduling decision on the driver goroutine — the
-// run's first, or the re-offered decision after a Resume — hands
-// control to the picked thread, and sleeps until the virtual threads
-// report the run suspended again. From the handoff on, control moves
-// directly from thread to thread; the driver wakes only when the run
-// is over (finish) or parked (return nil with parkedRun set).
+// drive takes the run's first scheduling decision on the driver
+// goroutine, hands control to the picked thread, and sleeps until the
+// virtual threads report the run over. From the handoff on, control
+// moves directly from thread to thread; the driver wakes only to
+// finish the run.
 func (s *scheduler) drive() *core.Result {
 	next, st, bug := s.stepSafe()
 	switch {
 	case bug != nil:
 		s.bug = bug
-	case st == stepParked:
-		s.parkedRun = true
-		return nil
-	case st == stepOver:
-	default:
+	case st == stepGo:
 		s.cur = next
 		next.ready <- resumeMsg{}
-		if <-s.runDone == sigParked {
-			s.parkedRun = true
-			return nil
-		}
+		<-s.runDone
 	}
 	return s.finish()
 }
 
-// teardown unwinds every live thread and re-panics a ferried engine
-// bug on the driver goroutine.
-func (s *scheduler) teardown() {
+// finish tears the completed run down — unwinding every live thread
+// and re-panicking a ferried engine bug on the driver goroutine — and
+// builds its Result in the pooled slot. Outcome and DeadlockInfo are
+// interned strings and FinishOrder aliases the per-run accumulator, so
+// a completed run allocates nothing here in steady state.
+func (s *scheduler) finish() *core.Result {
 	s.abortAll()
 	if s.bug != nil {
-		// An engine bug surfaced on a virtual thread; the teardown
-		// above already unwound the other threads, so the pool is
+		// An engine bug surfaced on a virtual thread; abortAll above
+		// already unwound the other threads, so the pool is
 		// intact — now fail as loudly as the old driver loop did.
 		msg := s.bug.msg
 		s.free = append(s.free, s.threads...)
@@ -674,14 +597,6 @@ func (s *scheduler) teardown() {
 		s.running = false
 		panic(msg)
 	}
-}
-
-// finish tears the completed run down and builds its Result in the
-// pooled slot. Outcome and DeadlockInfo are interned strings and
-// FinishOrder aliases the per-run accumulator, so a completed run
-// allocates nothing here in steady state.
-func (s *scheduler) finish() *core.Result {
-	s.teardown()
 
 	res := &s.res
 	*res = core.Result{
@@ -743,13 +658,12 @@ func (s *scheduler) internOutcome() string {
 }
 
 // step is one scheduling decision, executed inline by whichever
-// goroutine currently holds control (the driver at kickoff or resume,
-// the yielding virtual thread everywhere else — the overhaul that
+// goroutine currently holds control (the driver at kickoff, the
+// yielding virtual thread everywhere else — the overhaul that
 // removed the per-step round trip through a driver goroutine). It
-// returns the thread control should pass to, stepOver when the run is
-// finished (clean completion, failure, deadlock, step limit, or
-// strategy divergence), or stepParked when the strategy parked the run
-// without consuming the decision.
+// returns the thread control should pass to, or stepOver when the run
+// is finished (clean completion, failure, deadlock, step limit, or
+// strategy divergence).
 func (s *scheduler) step() (next *thread, st stepStatus) {
 	if s.ffPos < len(s.ffDec) {
 		return s.ffStep()
@@ -814,11 +728,6 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 		case core.NoThread:
 			s.diverged = true
 			return nil, stepOver
-		case ParkID:
-			// The decision is not consumed: no step is counted and
-			// nothing is recorded, so the same Choice is re-offered to
-			// the first Pick after Resume.
-			return nil, stepParked
 		case CoastID:
 			// The strategy hands the rest of the run to the built-in
 			// nonpreemptive rule, starting with this decision; coasted
@@ -1239,7 +1148,7 @@ func (th *thread) runBody() {
 			// returns to the pool.
 			th.state = tDone
 			s.bug = &eb
-			s.runDone <- sigOver
+			s.runDone <- struct{}{}
 			return
 		}
 		fail, aborted := core.RecoverThread(rec, th.id)
@@ -1273,23 +1182,14 @@ func (th *thread) finishHandoff() {
 	s := th.sc
 	next, st, bug := s.stepSafe()
 	if bug != nil {
-		s.bug = bug
-		s.runDone <- sigOver
+		s.bug = bug // stepSafe reports stepOver with it
+	}
+	if st == stepOver {
+		s.runDone <- struct{}{}
 		return
 	}
-	switch st {
-	case stepOver:
-		s.runDone <- sigOver
-	case stepParked:
-		// The run parks with this thread already finished: report the
-		// park and return to the pool loop. The driver re-takes the
-		// decision on Resume; s.cur still names this thread, so the
-		// re-offered Choice.Current is unchanged.
-		s.runDone <- sigParked
-	default:
-		s.cur = next
-		next.ready <- resumeMsg{}
-	}
+	s.cur = next
+	next.ready <- resumeMsg{}
 }
 
 // park takes one scheduling decision on behalf of the scheduler and
@@ -1303,20 +1203,10 @@ func (th *thread) park() {
 	s := th.sc
 	next, st := s.step()
 	if st == stepOver {
-		s.runDone <- sigOver
+		s.runDone <- struct{}{}
 		th.awaitAbort()
 	}
-	if st == stepParked {
-		// The run parks at this thread's decision point: report it to
-		// the driver, then wait exactly like a descheduled thread — a
-		// decision after Resume may pick this thread again, or the
-		// teardown abort unwinds it.
-		s.runDone <- sigParked
-		msg := <-th.ready
-		if msg.abort {
-			core.AbortNow()
-		}
-	} else if next != th {
+	if next != th {
 		s.cur = next
 		next.ready <- resumeMsg{}
 		msg := <-th.ready

@@ -53,8 +53,8 @@ type Snapshot struct {
 }
 
 // captureSnapshot fills dst with the scheduler's current position
-// digest. Only meaningful at a decision point (inside a strategy Pick
-// or while the run is parked), when no virtual thread is mid-
+// digest. Only meaningful at a decision point (inside a strategy
+// Pick, through Choice.SnapshotTo), when no virtual thread is mid-
 // operation.
 func (s *scheduler) captureSnapshot(dst *Snapshot) {
 	dst.Steps = s.steps
@@ -150,20 +150,6 @@ func (s *scheduler) stateSum() uint64 {
 	h = core.FoldHash(h, uint64(s.nWGs))
 	h = core.FoldHash(h, uint64(s.nChans))
 	return h
-}
-
-// Snapshot fills dst with the parked run's position digest and
-// reports whether the Runner holds a parked run (it reports false,
-// leaving dst alone, otherwise). The digest pairs with
-// Config.FastForward/FFCheck: a later run that fast-forwards the
-// parked run's recorded decision prefix verifies it reached this
-// exact position.
-func (r *Runner) Snapshot(dst *Snapshot) bool {
-	if !r.s.parkedRun {
-		return false
-	}
-	r.s.captureSnapshot(dst)
-	return true
 }
 
 // ffStep is the fast-forward decision path: while recorded decisions

@@ -16,14 +16,56 @@ type countListener struct{ n int }
 
 func (c *countListener) OnEvent(*core.Event) { c.n++ }
 
+// snapshotter wraps a strategy and, at decision at, captures the
+// position digest through Choice.SnapshotTo before delegating the
+// decision — the capture path the exploration engine uses for branch
+// snapshots. When events is set, it also notes how many events that
+// listener had seen at the capture point.
+type snapshotter struct {
+	inner  sched.Strategy
+	at     int64
+	events *countListener
+
+	snap     sched.Snapshot
+	taken    bool
+	eventsAt int
+}
+
+func (s *snapshotter) Name() string { return "snapshotter:" + s.inner.Name() }
+
+func (s *snapshotter) Pick(c *sched.Choice) core.ThreadID {
+	if c.Step == s.at && !s.taken {
+		c.SnapshotTo(&s.snap)
+		s.taken = true
+		if s.events != nil {
+			s.eventsAt = s.events.n
+		}
+	}
+	return s.inner.Pick(c)
+}
+
+// sameRun reports whether two results agree on everything a run
+// produces: verdict, outcome, steps, events, threads, deadlock
+// description, finish order and recorded schedule.
+func sameRun(a, b *core.Result) bool {
+	return a.Verdict == b.Verdict && a.Outcome == b.Outcome &&
+		a.Steps == b.Steps && a.Events == b.Events &&
+		a.Threads == b.Threads && a.DeadlockInfo == b.DeadlockInfo &&
+		slices.Equal(a.FinishOrder, b.FinishOrder) &&
+		slices.Equal(a.Schedule, b.Schedule)
+}
+
 // TestFastForwardByteIdentical is the fast-forward contract: replaying
 // a recorded decision prefix through Config.FastForward (with the
-// position digest captured at the park verified via FFCheck) and
-// handing the rest of the run to a replay strategy produces a Result
-// byte-identical to the original run — verdict, outcome, steps,
-// events, finish order and the full recorded schedule — while the
-// listeners see exactly the events the original run emitted after the
-// snapshot point.
+// position digest captured at decision k through Choice.SnapshotTo
+// verified via FFCheck) and handing the rest of the run to a replay
+// strategy produces a Result byte-identical to the original run —
+// verdict, outcome, steps, events, finish order and the full recorded
+// schedule — while the listeners see exactly the events the original
+// run emitted after the snapshot point. Capturing the snapshot is
+// itself invisible: the capturing run is byte-identical to the
+// original too. Every repository program is cut at several depths,
+// including decision 0 (before any thread has run).
 func TestFastForwardByteIdentical(t *testing.T) {
 	capture := sched.NewRunner()
 	defer capture.Close()
@@ -48,34 +90,33 @@ func TestFastForwardByteIdentical(t *testing.T) {
 					if k > len(full.Schedule) {
 						continue
 					}
-					// Position a run at decision k by replaying the
-					// recorded schedule and parking there, and capture
-					// the digest of that position.
-					parkCount := &countListener{}
-					res := capture.Start(sched.Config{
-						Strategy: &parker{
-							inner:  &sched.FixedSchedule{Decisions: full.Schedule},
-							parkAt: map[int64]bool{int64(k): true},
-							done:   map[int64]bool{},
-						},
-						Listeners:      []core.Listener{parkCount},
+					// Replay the recorded schedule, capturing the
+					// digest of the position at decision k.
+					capCount := &countListener{}
+					snapper := &snapshotter{
+						inner:  &sched.FixedSchedule{Decisions: full.Schedule},
+						at:     int64(k),
+						events: capCount,
+					}
+					captured := capture.Run(sched.Config{
+						Strategy:       snapper,
+						Listeners:      []core.Listener{capCount},
 						Name:           p.Name,
 						MaxSteps:       300_000,
 						RecordSchedule: true,
 					}, body)
-					if res != nil {
+					if !sameRun(captured, full) {
+						t.Fatalf("seed %d k %d: capturing run %+v != full %+v", seed, k, captured, full)
+					}
+					if !snapper.taken {
 						// The run ended before decision k (k == full
 						// schedule length); nothing to snapshot.
 						continue
 					}
-					var snap sched.Snapshot
-					if !capture.Snapshot(&snap) {
-						t.Fatalf("seed %d k %d: Snapshot on parked runner returned false", seed, k)
-					}
+					snap := snapper.snap
 					if snap.Steps != int64(k) {
 						t.Fatalf("seed %d k %d: snapshot cursor %d", seed, k, snap.Steps)
 					}
-					capture.Abandon()
 
 					// Fast-forward a fresh run to the same position and
 					// replay the rest of the schedule.
@@ -89,24 +130,15 @@ func TestFastForwardByteIdentical(t *testing.T) {
 						FastForward:    full.Schedule[:k],
 						FFCheck:        &snap,
 					}, body)
-					if ff.Verdict != full.Verdict || ff.Outcome != full.Outcome ||
-						ff.Steps != full.Steps || ff.Events != full.Events ||
-						ff.Threads != full.Threads || ff.DeadlockInfo != full.DeadlockInfo {
+					if !sameRun(ff, full) {
 						t.Fatalf("seed %d k %d: ff %+v != full %+v", seed, k, ff, full)
 					}
-					if !slices.Equal(ff.FinishOrder, full.FinishOrder) {
-						t.Fatalf("seed %d k %d: finish order %v != %v", seed, k, ff.FinishOrder, full.FinishOrder)
-					}
-					if !slices.Equal(ff.Schedule, full.Schedule) {
-						t.Fatalf("seed %d k %d: ff schedule %d decisions, want %d",
-							seed, k, len(ff.Schedule), len(full.Schedule))
-					}
-					// Event conservation: the park-capture run saw the
-					// first k decisions' events, the fast-forwarded run
-					// saw the rest.
-					if parkCount.n+ffCount.n != fullCount.n {
+					// Event conservation: the capturing run had seen
+					// the first k decisions' events at the snapshot, the
+					// fast-forwarded run saw the rest.
+					if snapper.eventsAt+ffCount.n != fullCount.n {
 						t.Fatalf("seed %d k %d: event split %d+%d != full %d",
-							seed, k, parkCount.n, ffCount.n, fullCount.n)
+							seed, k, snapper.eventsAt, ffCount.n, fullCount.n)
 					}
 				}
 			}
@@ -130,29 +162,16 @@ func TestFastForwardDivergence(t *testing.T) {
 	}
 	k := 6
 
-	capture := sched.NewRunner()
-	defer capture.Close()
-	if res := capture.Start(sched.Config{
-		Strategy: &parker{
-			inner:  &sched.FixedSchedule{Decisions: full.Schedule},
-			parkAt: map[int64]bool{int64(k): true},
-			done:   map[int64]bool{},
-		},
-		MaxSteps:       300_000,
-		RecordSchedule: true,
-	}, body); res != nil {
-		t.Fatal("capture run completed before park depth")
+	snapper := &snapshotter{inner: &sched.FixedSchedule{Decisions: full.Schedule}, at: int64(k)}
+	sched.Run(sched.Config{Strategy: snapper, MaxSteps: 300_000, RecordSchedule: true}, body)
+	if !snapper.taken {
+		t.Fatal("capture run completed before the snapshot depth")
 	}
-	var snap sched.Snapshot
-	if !capture.Snapshot(&snap) {
-		t.Fatal("Snapshot on parked runner returned false")
-	}
-	capture.Abandon()
 
 	runner := sched.NewRunner()
 	defer runner.Close()
 
-	tampered := snap
+	tampered := snapper.snap
 	tampered.Sum ^= 1
 	res := runner.Run(sched.Config{
 		Strategy:    &sched.FixedSchedule{Decisions: append([]core.ThreadID(nil), full.Schedule[k:]...)},

@@ -15,19 +15,6 @@ import (
 // lost-wakeup timing bugs.
 const IdleID core.ThreadID = -2
 
-// ParkID is the pseudo-thread a Strategy may return from Pick to park
-// the run at the current decision point instead of deciding it. The
-// scheduler suspends the run with every virtual thread blocked on its
-// resume channel and hands control back to the driver: Runner.Start
-// (or Resume) returns nil and Runner.Parked reports true. The decision
-// is not consumed — it is re-offered, with the same Choice.Step, to
-// the first Pick after Runner.Resume — so parking is invisible to the
-// decision sequence: park+resume produces a byte-identical run.
-// Runner.Abandon tears a parked run down without completing it.
-// Strategies driven through Run (or the package-level Run) must not
-// park: Run has no way to hand a suspended run back.
-const ParkID core.ThreadID = -3
-
 // CoastID is the pseudo-thread a Strategy may return from Pick to hand
 // the rest of the run to the scheduler: this and all later decisions
 // follow the built-in nonpreemptive rule (current thread while it can
@@ -95,8 +82,8 @@ func (c *Choice) CurrentRunnable() bool {
 //
 // Pick must return a member of c.Runnable; core.NoThread to declare
 // divergence (used by replay when the recorded schedule cannot be
-// followed); IdleID to warp virtual time (only when c.CanIdle); or one
-// of the run-control sentinels ParkID / CoastID.
+// followed); IdleID to warp virtual time (only when c.CanIdle); or the
+// run-control sentinel CoastID.
 type Strategy interface {
 	Name() string
 	Pick(c *Choice) core.ThreadID
