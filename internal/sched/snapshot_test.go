@@ -202,3 +202,79 @@ func TestFastForwardDivergence(t *testing.T) {
 		t.Fatalf("post-divergence run %+v != fresh %+v", after, fresh)
 	}
 }
+
+// multiSnapshotter wraps a strategy and captures the position digest
+// through Choice.SnapshotTo at every listed decision index of one run,
+// before delegating the decision.
+type multiSnapshotter struct {
+	inner sched.Strategy
+	at    map[int64]bool
+	snaps map[int64]sched.Snapshot
+}
+
+func (m *multiSnapshotter) Name() string { return "multisnapshotter:" + m.inner.Name() }
+
+func (m *multiSnapshotter) Pick(c *sched.Choice) core.ThreadID {
+	if m.at[c.Step] {
+		var snap sched.Snapshot
+		c.SnapshotTo(&snap)
+		m.snaps[c.Step] = snap
+	}
+	return m.inner.Pick(c)
+}
+
+// TestParkResume is the suspend-and-resume contract of branch
+// snapshots: parking a live run's position at several decision points
+// (decision 0, before any thread has run, included) leaves that run
+// byte-identical to the same strategy run without interruption, and
+// resuming from each parked position later — fast-forwarding the
+// recorded prefix on the same pooled runner, verified against the
+// parked digest — completes with the same verdict, outcome, steps,
+// events, finish order and recorded schedule. Every repository program
+// is parked and resumed.
+func TestParkResume(t *testing.T) {
+	runner := sched.NewRunner()
+	defer runner.Close()
+
+	for _, p := range repository.All() {
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			body := p.BodyWith(nil)
+			for seed := int64(0); seed < 2; seed++ {
+				cfg := func(st sched.Strategy) sched.Config {
+					return sched.Config{
+						Strategy:       st,
+						Seed:           seed,
+						Name:           p.Name,
+						MaxSteps:       300_000,
+						RecordSchedule: true,
+					}
+				}
+				fresh := sched.Run(cfg(sched.Random(seed)), body)
+				parker := &multiSnapshotter{
+					inner: sched.Random(seed),
+					at:    map[int64]bool{0: true, 3: true, 17: true},
+					snaps: map[int64]sched.Snapshot{},
+				}
+				// Start's Result is pooled; compare before the next run.
+				if parked := runner.Start(cfg(parker), body); !sameRun(parked, fresh) {
+					t.Fatalf("seed %d: parking run %+v != fresh %+v", seed, parked, fresh)
+				}
+				if len(parker.snaps) == 0 {
+					t.Fatalf("seed %d: run never parked", seed)
+				}
+				for k, snap := range parker.snaps {
+					if snap.Steps != k {
+						t.Fatalf("seed %d k %d: snapshot cursor %d", seed, k, snap.Steps)
+					}
+					rc := cfg(&sched.FixedSchedule{Decisions: append([]core.ThreadID(nil), fresh.Schedule[k:]...)})
+					rc.FastForward = fresh.Schedule[:k]
+					rc.FFCheck = &snap
+					if resumed := runner.Start(rc, body); !sameRun(resumed, fresh) {
+						t.Fatalf("seed %d k %d: resumed %+v != fresh %+v", seed, k, resumed, fresh)
+					}
+				}
+			}
+		})
+	}
+}
