@@ -9,6 +9,7 @@
 //
 //	fuzz -prog account -runs 2000 -seed 1
 //	fuzz -prog account -runs 200 -seed 1 -json   # machine-readable (CI smoke)
+//	fuzz -prog account -params depositors=2,deposits=1 -runs 200 -seed 1 -json
 //	fuzz -prog abastack -runs 5000 -workers 4 -first=false
 //	fuzz -prog philosophers -pbound 2 -save scenario.json
 //	fuzz -prog philosophers -replay scenario.json
@@ -23,47 +24,17 @@ import (
 
 	"mtbench/internal/core"
 	"mtbench/internal/fuzz"
-	"mtbench/internal/profiling"
-	"mtbench/internal/replay"
 	"mtbench/internal/repository"
-	"mtbench/internal/sched"
+	"mtbench/internal/searchcli"
 
 	// Generated instrumented packages register themselves on import.
 	_ "mtbench/internal/genprog"
 )
 
 func main() {
-	prog := flag.String("prog", "account", "program to fuzz")
-	runs := flag.Int("runs", 2000, "run budget")
-	workers := flag.Int("workers", 1, "parallel fuzz workers (1 = deterministic)")
-	seed := flag.Int64("seed", 0, "master seed (fixed seed + 1 worker reproduces the campaign)")
-	pbound := flag.Int("pbound", -1, "preemption bound for the bounding mutator (-1 = draw 0..2 per mutation)")
-	stopFirst := flag.Bool("first", true, "stop at first bug")
-	jsonOut := flag.Bool("json", false, "emit one JSON object instead of text (first_bug is null when no bug was found)")
-	save := flag.String("save", "", "save the first failing scenario to this file")
-	replayPath := flag.String("replay", "", "replay a saved scenario instead of fuzzing")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	list := flag.Bool("list", false, "list the registered programs and exit")
+	cli, search := command(flag.CommandLine)
 	flag.Parse()
-
-	if *list {
-		for _, p := range repository.All() {
-			fmt.Printf("%-18s %-20s %s\n", p.Name, p.Kind, p.Synopsis)
-		}
-		return
-	}
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fuzz:", err)
-		os.Exit(1)
-	}
-	err = run(*prog, *runs, *workers, *pbound, *seed, *stopFirst, *jsonOut, *save, *replayPath)
-	stopProf()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fuzz:", err)
-		os.Exit(1)
-	}
+	cli.Main("fuzz", search)
 }
 
 // jsonReport fixes the machine-readable serialization CI's fuzz-smoke
@@ -89,47 +60,50 @@ type jsonBug struct {
 	Decisions int    `json:"decisions"`
 }
 
-func run(progName string, runs, workers, pbound int, seed int64, stopFirst, jsonOut bool, save, replayPath string) error {
-	prog, err := repository.Get(progName)
-	if err != nil {
-		return err
-	}
-	body := prog.BodyWith(nil)
+// command registers fuzz's flags on fs and returns the shared flags and
+// the search to run once fs is parsed.
+func command(fs *flag.FlagSet) (*searchcli.Flags, searchcli.Search) {
+	cli := searchcli.Register(fs, "account")
+	runs := fs.Int("runs", 2000, "run budget")
+	workers := fs.Int("workers", 1, "parallel fuzz workers (1 = deterministic)")
+	seed := fs.Int64("seed", 0, "master seed (fixed seed + 1 worker reproduces the campaign)")
+	pbound := fs.Int("pbound", -1, "preemption bound for the bounding mutator (-1 = draw 0..2 per mutation)")
 
-	if replayPath != "" {
-		s, err := replay.LoadFile(replayPath)
-		if err != nil {
+	return cli, func(prog *repository.Program, body func(core.T)) error {
+		opts := fuzz.Options{
+			MaxRuns:        *runs,
+			Seed:           *seed,
+			Workers:        *workers,
+			StopAtFirstBug: cli.First,
+			Name:           cli.Prog,
+			Plan:           prog.Plan,
+		}
+		if *pbound >= 0 {
+			opts.PreemptionBound = fuzz.Bound(*pbound)
+		}
+		res := fuzz.Fuzz(opts, body)
+		if err := report(cli, *seed, res); err != nil {
 			return err
 		}
-		res := replay.ReplayControlled(s, sched.Config{Name: progName}, body)
-		if jsonOut {
-			return json.NewEncoder(os.Stdout).Encode(map[string]any{
-				"program":   progName,
-				"decisions": len(s.Decisions),
-				"verdict":   res.Verdict.String(),
-				"diverged":  res.Diverged,
-			})
+		// A first-bug hunt that found nothing exits non-zero, so
+		// campaign scripts (and CI's fuzz smoke) detect a dead search,
+		// not just a crashed one.
+		if len(res.Bugs) == 0 {
+			if cli.First {
+				return fmt.Errorf("no bug found within %d runs", res.Runs)
+			}
+			return nil
 		}
-		fmt.Printf("replayed scenario (%d decisions): %v\n", len(s.Decisions), res)
-		return nil
+		return cli.SaveScenario("fuzz-guided", *seed, res.Bugs[0].Schedule)
 	}
+}
 
-	opts := fuzz.Options{
-		MaxRuns:        runs,
-		Seed:           seed,
-		Workers:        workers,
-		StopAtFirstBug: stopFirst,
-		Name:           progName,
-		Plan:           prog.Plan,
-	}
-	if pbound >= 0 {
-		opts.PreemptionBound = fuzz.Bound(pbound)
-	}
-	res := fuzz.Fuzz(opts, body)
-
-	if jsonOut {
+// report prints the campaign result as text or, under -json, as one
+// jsonReport document.
+func report(cli *searchcli.Flags, seed int64, res *fuzz.Result) error {
+	if cli.JSON {
 		rep := jsonReport{
-			Program:      progName,
+			Program:      cli.Prog,
 			Seed:         seed,
 			Runs:         res.Runs,
 			Bugs:         []jsonBug{},
@@ -150,15 +124,8 @@ func run(progName string, runs, workers, pbound int, seed int64, stopFirst, json
 				Decisions: len(b.Schedule),
 			})
 		}
-		if err := json.NewEncoder(os.Stdout).Encode(rep); err != nil {
-			return err
-		}
-		if stopFirst && len(res.Bugs) == 0 {
-			return fmt.Errorf("no bug found within %d runs", res.Runs)
-		}
-		return saveScenario(save, progName, seed, res)
+		return json.NewEncoder(os.Stdout).Encode(rep)
 	}
-
 	fmt.Printf("runs executed: %d (corpus=%d, coverage tasks=%d, coverage-adding runs=%d, repaired decisions=%d)\n",
 		res.Runs, res.CorpusSize, res.Coverage, res.CoverageRuns, res.Repairs)
 	ops := make([]string, 0, len(res.Ops))
@@ -175,31 +142,5 @@ func run(progName string, runs, workers, pbound int, seed int64, stopFirst, json
 	for _, b := range res.Bugs {
 		fmt.Printf("  run #%d: %v\n", b.Index, b.Result)
 	}
-	// A first-bug hunt that found nothing exits non-zero, so campaign
-	// scripts (and CI's fuzz smoke) detect a dead search, not just a
-	// crashed one.
-	if stopFirst && len(res.Bugs) == 0 {
-		return fmt.Errorf("no bug found within %d runs", res.Runs)
-	}
-	return saveScenario(save, progName, seed, res)
-}
-
-// saveScenario writes the first failing schedule as a replayable
-// scenario file when asked and a bug exists.
-func saveScenario(save, progName string, seed int64, res *fuzz.Result) error {
-	if save == "" || len(res.Bugs) == 0 {
-		return nil
-	}
-	s := &replay.Schedule{
-		Program:   progName,
-		Mode:      "controlled",
-		Seed:      seed,
-		Strategy:  "fuzz-guided",
-		Decisions: append([]core.ThreadID(nil), res.Bugs[0].Schedule...),
-	}
-	if err := s.SaveFile(save); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "saved failing scenario to %s (%d decisions)\n", save, len(s.Decisions))
 	return nil
 }

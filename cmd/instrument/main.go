@@ -13,20 +13,18 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
-	"sort"
 
-	"mtbench/internal/core"
-	"mtbench/internal/explore"
-	"mtbench/internal/fuzz"
-	"mtbench/internal/noise"
+	"mtbench/internal/campaign"
 	"mtbench/internal/repository"
 	"mtbench/internal/rewrite"
 	"mtbench/internal/sched"
+	"mtbench/internal/searchcli"
 
 	_ "mtbench/internal/genprog"
 )
@@ -45,9 +43,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, p := range repository.All() {
-			fmt.Printf("%-18s %-20s %s\n", p.Name, p.Kind, p.Synopsis)
-		}
+		searchcli.ListPrograms(os.Stdout)
 		return
 	}
 
@@ -90,14 +86,20 @@ func main() {
 	}
 
 	if *run {
-		ok := runSuite(results, suiteBudgets{noise: *noiseRuns, explore: *exploreMax, fuzz: *fuzzRuns}, *jsonOut)
+		budgets := []finderBudget{{"noise", *noiseRuns}, {"explore-por", *exploreMax}, {"fuzz", *fuzzRuns}}
+		ok := runSuite(results, budgets, *jsonOut)
 		if !ok {
 			os.Exit(1)
 		}
 	}
 }
 
-type suiteBudgets struct{ noise, explore, fuzz int }
+// finderBudget is one campaign finder of the suite and its per-program
+// budget.
+type finderBudget struct {
+	finder string
+	budget int
+}
 
 // finderReport is one finder's outcome over one program. Field names
 // are pinned: the CI instrument-smoke job parses them with jq.
@@ -117,8 +119,13 @@ type programReport struct {
 }
 
 // runSuite runs the planted-bug gauntlet: every generated program must
-// fail under at least one finder within the fixed budgets.
-func runSuite(results []*rewrite.Result, budgets suiteBudgets, jsonOut bool) bool {
+// fail under at least one finder within the fixed budgets. Each
+// (program, finder) pair is one campaign cell at seed 1, so the suite
+// runs the registry's finders inside the campaign's panic sandbox.
+func runSuite(results []*rewrite.Result, budgets []finderBudget, jsonOut bool) bool {
+	// An empty Params map means full-size programs; MaxSteps is the
+	// plain scheduler's default bound.
+	cfg := campaign.Config{MaxSteps: sched.DefaultMaxSteps, Params: map[string]map[string]int{}}
 	var reports []programReport
 	allFound := true
 	for _, res := range results {
@@ -127,17 +134,23 @@ func runSuite(results []*rewrite.Result, budgets suiteBudgets, jsonOut bool) boo
 			fmt.Fprintln(os.Stderr, "instrument:", err)
 			return false
 		}
-		body := prog.BodyWith(nil)
 		rep := programReport{Program: prog.Name, Kind: string(prog.Kind)}
-		rep.Finders = append(rep.Finders,
-			runNoise(prog, body, budgets.noise),
-			runExplorePOR(prog, body, budgets.explore),
-			runFuzz(prog, body, budgets.fuzz),
-		)
-		for _, f := range rep.Finders {
-			if len(f.Bugs) > 0 {
+		for _, fb := range budgets {
+			cell := campaign.Cell{Program: prog.Name, Finder: fb.finder, Seed: 1, Budget: fb.budget}
+			rec, err := campaign.ExecCell(context.Background(), cfg, cell)
+			if err == nil && rec.Failed() {
+				err = fmt.Errorf("%s/%s: %s", prog.Name, fb.finder, rec.Outcome)
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "instrument:", err)
+				return false
+			}
+			f := finderReport{Finder: fb.finder, Runs: rec.Runs, FirstBug: rec.FirstBug}
+			if len(rec.Bugs) > 0 {
+				f.Bugs = rec.Bugs
 				rep.Found = true
 			}
+			rep.Finders = append(rep.Finders, f)
 		}
 		if prog.HasBug() && !rep.Found {
 			allFound = false
@@ -169,77 +182,4 @@ func runSuite(results []*rewrite.Result, budgets suiteBudgets, jsonOut bool) boo
 		fmt.Fprintln(os.Stderr, "instrument: planted bug(s) not found within budget")
 	}
 	return allFound
-}
-
-func runNoise(prog *repository.Program, body func(core.T), budget int) finderReport {
-	runner := sched.NewRunner()
-	defer runner.Close()
-	rep := finderReport{Finder: "noise", Runs: budget, FirstBug: -1}
-	seen := map[string]bool{}
-	for i := 0; i < budget; i++ {
-		seed := core.MixSeed(1, int64(i))
-		st := noise.NewStrategy(nil, noise.NewBernoulli(0.4, noise.KindYield), seed)
-		res := runner.Run(sched.Config{
-			Strategy: st,
-			Seed:     seed,
-			Name:     prog.Name,
-			Plan:     prog.Plan,
-		}, body)
-		if res.Verdict.Bug() {
-			sig := core.BugSignature(res)
-			if !seen[sig] {
-				seen[sig] = true
-				rep.Bugs = append(rep.Bugs, sig)
-			}
-			if rep.FirstBug < 0 {
-				rep.FirstBug = i + 1
-			}
-		}
-	}
-	sort.Strings(rep.Bugs)
-	return rep
-}
-
-func runExplorePOR(prog *repository.Program, body func(core.T), budget int) finderReport {
-	er := explore.Explore(explore.Options{
-		MaxSchedules:   budget,
-		Workers:        1,
-		DPOR:           true,
-		StateCache:     true,
-		StopAtFirstBug: false,
-		Name:           prog.Name,
-		Plan:           prog.Plan,
-	}, body)
-	rep := finderReport{Finder: "explore-por", Runs: er.Schedules, FirstBug: er.FirstBugIndex()}
-	seen := map[string]bool{}
-	for _, b := range er.Bugs {
-		sig := core.BugSignature(b.Result)
-		if !seen[sig] {
-			seen[sig] = true
-			rep.Bugs = append(rep.Bugs, sig)
-		}
-	}
-	sort.Strings(rep.Bugs)
-	return rep
-}
-
-func runFuzz(prog *repository.Program, body func(core.T), budget int) finderReport {
-	fr := fuzz.Fuzz(fuzz.Options{
-		MaxRuns: budget,
-		Seed:    1,
-		Workers: 1,
-		Name:    prog.Name,
-		Plan:    prog.Plan,
-	}, body)
-	rep := finderReport{Finder: "fuzz", Runs: fr.Runs, FirstBug: fr.FirstBugIndex()}
-	seen := map[string]bool{}
-	for _, b := range fr.Bugs {
-		sig := core.BugSignature(b.Result)
-		if !seen[sig] {
-			seen[sig] = true
-			rep.Bugs = append(rep.Bugs, sig)
-		}
-	}
-	sort.Strings(rep.Bugs)
-	return rep
 }

@@ -19,52 +19,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"mtbench/internal/core"
 	"mtbench/internal/pct"
-	"mtbench/internal/profiling"
-	"mtbench/internal/replay"
 	"mtbench/internal/repository"
-	"mtbench/internal/sched"
+	"mtbench/internal/searchcli"
 
 	// Generated instrumented packages register themselves on import.
 	_ "mtbench/internal/genprog"
 )
 
 func main() {
-	prog := flag.String("prog", "account", "program to test")
-	params := flag.String("params", "", "program parameter overrides, k=v comma-separated (e.g. depositors=2,deposits=1)")
-	runs := flag.Int("runs", 500, "run budget")
-	seed := flag.Int64("seed", 0, "master seed (a fixed seed reproduces the campaign)")
-	depth := flag.Int("depth", 0, "targeted bug depth d: d-1 priority-change points per run (0 = default)")
-	stopFirst := flag.Bool("first", true, "stop at first bug")
-	jsonOut := flag.Bool("json", false, "emit one JSON object instead of text (first_bug is null when no bug was found)")
-	save := flag.String("save", "", "save the first failing scenario to this file")
-	replayPath := flag.String("replay", "", "replay a saved scenario instead of testing")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	list := flag.Bool("list", false, "list the registered programs and exit")
+	cli, search := command(flag.CommandLine)
 	flag.Parse()
-
-	if *list {
-		for _, p := range repository.All() {
-			fmt.Printf("%-18s %-20s %s\n", p.Name, p.Kind, p.Synopsis)
-		}
-		return
-	}
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pct:", err)
-		os.Exit(1)
-	}
-	err = run(*prog, *params, *runs, *depth, *seed, *stopFirst, *jsonOut, *save, *replayPath)
-	stopProf()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pct:", err)
-		os.Exit(1)
-	}
+	cli.Main("pct", search)
 }
 
 // jsonReport fixes the machine-readable serialization CI's
@@ -88,67 +56,45 @@ type jsonBug struct {
 	Decisions int    `json:"decisions"`
 }
 
-// parseParams parses "k=v,k=v" overrides (same syntax as cmd/explore).
-func parseParams(s string) (repository.Params, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := repository.Params{}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -params entry %q (want k=v)", kv)
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, fmt.Errorf("bad -params value %q: %v", kv, err)
-		}
-		out[k] = n
-	}
-	return out, nil
-}
+// command registers pct's flags on fs and returns the shared flags and
+// the search to run once fs is parsed.
+func command(fs *flag.FlagSet) (*searchcli.Flags, searchcli.Search) {
+	cli := searchcli.Register(fs, "account")
+	runs := fs.Int("runs", 500, "run budget")
+	seed := fs.Int64("seed", 0, "master seed (a fixed seed reproduces the campaign)")
+	depth := fs.Int("depth", 0, "targeted bug depth d: d-1 priority-change points per run (0 = default)")
 
-func run(progName, params string, runs, depth int, seed int64, stopFirst, jsonOut bool, save, replayPath string) error {
-	prog, err := repository.Get(progName)
-	if err != nil {
-		return err
-	}
-	over, err := parseParams(params)
-	if err != nil {
-		return err
-	}
-	body := prog.BodyWith(over)
-
-	if replayPath != "" {
-		s, err := replay.LoadFile(replayPath)
-		if err != nil {
+	return cli, func(prog *repository.Program, body func(core.T)) error {
+		res := pct.Run(pct.Options{
+			MaxRuns:        *runs,
+			Seed:           *seed,
+			Depth:          *depth,
+			StopAtFirstBug: cli.First,
+			Name:           cli.Prog,
+			Plan:           prog.Plan,
+		}, body)
+		if err := report(cli, *seed, *depth, res); err != nil {
 			return err
 		}
-		res := replay.ReplayControlled(s, sched.Config{Name: progName}, body)
-		if jsonOut {
-			return json.NewEncoder(os.Stdout).Encode(map[string]any{
-				"program":   progName,
-				"decisions": len(s.Decisions),
-				"verdict":   res.Verdict.String(),
-				"diverged":  res.Diverged,
-			})
+		// A first-bug hunt that found nothing exits non-zero, so
+		// campaign scripts (and CI's bounded smoke) detect a dead
+		// search, not just a crashed one.
+		if len(res.Bugs) == 0 {
+			if cli.First {
+				return fmt.Errorf("no bug found within %d runs", res.Runs)
+			}
+			return nil
 		}
-		fmt.Printf("replayed scenario (%d decisions): %v\n", len(s.Decisions), res)
-		return nil
+		return cli.SaveScenario("pct", *seed, res.Bugs[0].Schedule)
 	}
+}
 
-	res := pct.Run(pct.Options{
-		MaxRuns:        runs,
-		Seed:           seed,
-		Depth:          depth,
-		StopAtFirstBug: stopFirst,
-		Name:           progName,
-		Plan:           prog.Plan,
-	}, body)
-
-	if jsonOut {
+// report prints the campaign result as text or, under -json, as one
+// jsonReport document.
+func report(cli *searchcli.Flags, seed int64, depth int, res *pct.Result) error {
+	if cli.JSON {
 		rep := jsonReport{
-			Program:        progName,
+			Program:        cli.Prog,
 			Seed:           seed,
 			Depth:          depth,
 			Runs:           res.Runs,
@@ -167,46 +113,13 @@ func run(progName, params string, runs, depth int, seed int64, stopFirst, jsonOu
 				Decisions: len(b.Schedule),
 			})
 		}
-		if err := json.NewEncoder(os.Stdout).Encode(rep); err != nil {
-			return err
-		}
-		if stopFirst && len(res.Bugs) == 0 {
-			return fmt.Errorf("no bug found within %d runs", res.Runs)
-		}
-		return saveScenario(save, progName, seed, res)
+		return json.NewEncoder(os.Stdout).Encode(rep)
 	}
-
 	fmt.Printf("runs executed: %d (estimated steps k=%d, max threads n=%d)\n",
 		res.Runs, res.EstimatedSteps, res.MaxThreads)
 	fmt.Printf("bugs found: %d\n", len(res.Bugs))
 	for _, b := range res.Bugs {
 		fmt.Printf("  run #%d: %v\n", b.Index, b.Result)
 	}
-	// A first-bug hunt that found nothing exits non-zero, so campaign
-	// scripts (and CI's bounded smoke) detect a dead search, not just a
-	// crashed one.
-	if stopFirst && len(res.Bugs) == 0 {
-		return fmt.Errorf("no bug found within %d runs", res.Runs)
-	}
-	return saveScenario(save, progName, seed, res)
-}
-
-// saveScenario writes the first failing schedule as a replayable
-// scenario file when asked and a bug exists.
-func saveScenario(save, progName string, seed int64, res *pct.Result) error {
-	if save == "" || len(res.Bugs) == 0 {
-		return nil
-	}
-	s := &replay.Schedule{
-		Program:   progName,
-		Mode:      "controlled",
-		Seed:      seed,
-		Strategy:  "pct",
-		Decisions: append([]core.ThreadID(nil), res.Bugs[0].Schedule...),
-	}
-	if err := s.SaveFile(save); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "saved failing scenario to %s (%d decisions)\n", save, len(s.Decisions))
 	return nil
 }

@@ -22,7 +22,7 @@ import (
 type boundCell struct {
 	cell   Cell
 	finder *Finder
-	spec   cellSpec
+	in     CellInput
 }
 
 // bindCell resolves a cell's program, finder and parameter overrides,
@@ -43,15 +43,15 @@ func bindCell(cfg Config, cell Cell) (boundCell, error) {
 	return boundCell{
 		cell:   cell,
 		finder: finder,
-		spec: cellSpec{
-			prog:     prog,
-			body:     prog.BodyWith(params),
-			seed:     cell.Seed,
-			budget:   cell.Budget,
-			maxSteps: cfg.MaxSteps,
-			vbound:   cfg.VariableBound,
-			tbound:   cfg.ThreadBound,
-			pctDepth: cfg.PCTDepth,
+		in: CellInput{
+			Program:       prog,
+			Body:          prog.BodyWith(params),
+			Seed:          cell.Seed,
+			Budget:        cell.Budget,
+			MaxSteps:      cfg.MaxSteps,
+			VariableBound: cfg.VariableBound,
+			ThreadBound:   cfg.ThreadBound,
+			PCTDepth:      cfg.PCTDepth,
 		},
 	}, nil
 }
@@ -79,7 +79,7 @@ func ExecCell(ctx context.Context, cfg Config, cell Cell) (Record, error) {
 
 // finderReturn is what the sandboxed finder goroutine reports back.
 type finderReturn struct {
-	out      cellOutcome
+	out      CellResult
 	err      error
 	panicked string // non-empty: the recovered panic value + stack
 }
@@ -111,7 +111,7 @@ func (bc boundCell) exec(ctx context.Context, cfg Config) (Record, error) {
 				ch <- finderReturn{panicked: fmt.Sprintf("%v\n%s", r, debug.Stack())}
 			}
 		}()
-		out, err := bc.finder.run(cellCtx, bc.spec)
+		out, err := bc.finder.run(cellCtx, bc.in)
 		ch <- finderReturn{out: out, err: err}
 	}()
 
@@ -131,20 +131,21 @@ func (bc boundCell) exec(ctx context.Context, cfg Config) (Record, error) {
 				return Record{}, fr.err
 			}
 		default:
-			rec.Runs = fr.out.runs
-			if bugs := sortedUnique(fr.out.bugs); len(bugs) > 0 {
+			rec.Runs = fr.out.Runs
+			if bugs := sortedUnique(fr.out.Bugs); len(bugs) > 0 {
 				rec.Bugs = bugs
 			}
-			rec.FirstBug = fr.out.firstBug
+			rec.FirstBug = fr.out.FirstBug
 		}
 	case <-cellCtx.Done():
-		// The finder did not notice its context in time (the engine
-		// finders — explore, fuzz, pct — are uninterruptible library
-		// calls). A parent cancellation is a kill: no record. A
+		// The finder has not returned yet. Built-in finders stop within
+		// one run or schedule of the context firing; a registered
+		// finder may ignore its context altogether, so the executor
+		// does not wait. A parent cancellation is a kill: no record. A
 		// deadline is the cell timeout: the finder goroutine is
-		// abandoned (MaxSteps bounds how long it can linger; the
-		// buffered channel lets its eventual return vanish) and a
-		// timeout record takes the cell's place.
+		// abandoned (nothing bounds how long an uncooperative one
+		// lingers; the buffered channel lets its eventual return
+		// vanish) and a timeout record takes the cell's place.
 		if ctx.Err() != nil {
 			return Record{}, context.Cause(ctx)
 		}

@@ -6,6 +6,7 @@ package campaign
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -177,5 +178,51 @@ func TestRegisterFinderValidation(t *testing.T) {
 	registerTestFinder(t, "test-dup", ok)
 	if err := RegisterFinder("test-dup", "doc", ok); err == nil {
 		t.Error("RegisterFinder accepted a duplicate name")
+	}
+}
+
+// TestExecCellTimeoutStopsEngine: a timed-out engine cell must stop its
+// engine, not abandon it. Full-size philosophers under a 200,000-run
+// budget keeps each engine busy for many seconds, so only a search that
+// honours the cell's context returns the process to its goroutine
+// baseline within a second of the timeout record.
+func TestExecCellTimeoutStopsEngine(t *testing.T) {
+	for _, finder := range []string{"explore", "fuzz", "pct"} {
+		t.Run(finder, func(t *testing.T) {
+			cfg := Config{
+				Finders:  []string{finder},
+				Programs: []string{"philosophers"},
+				Params:   map[string]map[string]int{},
+			}
+			// Warm up first: engines pool runners whose parked thread
+			// goroutines belong in the baseline.
+			if _, err := ExecCell(context.Background(), cfg, Cell{Program: "philosophers", Finder: finder, Budget: 5}); err != nil {
+				t.Fatalf("warm-up: %v", err)
+			}
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+			baseline := runtime.NumGoroutine()
+
+			cfg.CellTimeout = 50 * time.Millisecond
+			rec, err := ExecCell(context.Background(), cfg, Cell{Program: "philosophers", Finder: finder, Budget: 200_000})
+			if err != nil {
+				t.Fatalf("ExecCell: %v", err)
+			}
+			if !strings.HasPrefix(rec.Outcome, "timeout: ") {
+				t.Fatalf("outcome = %q, want timeout classification", rec.Outcome)
+			}
+			deadline := time.Now().Add(time.Second)
+			for {
+				runtime.GC()
+				n := runtime.NumGoroutine()
+				if n <= baseline {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("timed-out %s cell left its engine running: baseline %d goroutines, now %d", finder, baseline, n)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -1,10 +1,9 @@
 // The finder registry: every tool the campaign matrix compares,
-// wrapped behind one per-cell interface. A finder spends at most the
+// wrapped behind one per-cell signature. A finder spends at most the
 // cell's budget, deduplicates what it finds by core.BugSignature, and
-// must be a pure function of (program, params, seed, budget, max
-// steps) — campaign determinism rests on every finder being serially
-// deterministic inside its cell, with parallelism living one level up
-// in the cell pool.
+// must be a pure function of its CellInput — campaign determinism
+// rests on every finder being serially deterministic inside its cell,
+// with parallelism living one level up in the cell pool.
 package campaign
 
 import (
@@ -29,35 +28,13 @@ type Finder struct {
 	Name string
 	// Doc is the one-line description the CLI lists.
 	Doc string
-	// run executes one cell. The context carries the cell's wall-clock
-	// deadline (Config.CellTimeout) and kill signal: per-run loop
-	// finders check it between runs and return ctx.Err() early; the
-	// engine finders (explore, fuzz, pct) run uninterruptible library
-	// calls and rely on the exec watchdog to abandon them.
-	run func(ctx context.Context, spec cellSpec) (cellOutcome, error)
+	// run executes one cell; built-in and registered finders share
+	// this signature (see RegisterFinder for its contract).
+	run func(ctx context.Context, in CellInput) (CellResult, error)
 }
 
-// cellSpec is everything a finder needs to execute one cell.
-type cellSpec struct {
-	prog     *repository.Program
-	body     func(core.T)
-	seed     int64
-	budget   int
-	maxSteps int64
-	vbound   int
-	tbound   int
-	pctDepth int
-}
-
-// cellOutcome is a finder's raw per-cell result before it becomes a
-// Record.
-type cellOutcome struct {
-	runs     int
-	bugs     []string // deduplicated signatures, sorted before storing
-	firstBug int      // 1-based run index, -1 = none
-}
-
-// finderTable is the registry, keyed by name.
+// finderTable is the registry, keyed by name: the one place a tool
+// name turns into an engine call.
 var finderTable = map[string]*Finder{
 	"noise": {
 		Name: "noise",
@@ -67,22 +44,35 @@ var finderTable = map[string]*Finder{
 	"explore": {
 		Name: "explore",
 		Doc:  "systematic serial DFS over schedules (seed-invariant)",
-		run:  runExploreFinder,
+		run:  exploreFinder("explore", func(CellInput, *explore.Options) {}),
 	},
 	"explore-por": {
 		Name: "explore-por",
 		Doc:  "reduced serial DFS: dynamic partial-order reduction + state caching (seed-invariant)",
-		run:  runExplorePORFinder,
+		// The reduced systematic extreme: within the shared budget it
+		// reaches (and usually exhausts) trees the full DFS cannot, so
+		// a reduction regression shows up as a lost bug or a worse
+		// first-bug envelope.
+		run: exploreFinder("explore-por", func(_ CellInput, o *explore.Options) {
+			o.DPOR, o.StateCache = true, true
+		}),
 	},
 	"explore-vb": {
 		Name: "explore-vb",
 		Doc:  "variable-bounded serial DFS: context switches limited to few distinct shared objects (seed-invariant)",
-		run:  runExploreVBFinder,
+		// Bindal et al.'s variable bounding: an exponentially smaller
+		// tree the bounded search exhausts within the shared budget,
+		// the portfolio bet experiment E13 measures.
+		run: exploreFinder("explore-vb", func(in CellInput, o *explore.Options) {
+			o.VariableBound = explore.Bound(orDefault(in.VariableBound, DefaultVariableBound))
+		}),
 	},
 	"explore-tb": {
 		Name: "explore-tb",
 		Doc:  "thread-bounded serial DFS: preemptions limited to few distinct threads (seed-invariant)",
-		run:  runExploreTBFinder,
+		run: exploreFinder("explore-tb", func(in CellInput, o *explore.Options) {
+			o.ThreadBound = explore.Bound(orDefault(in.ThreadBound, DefaultThreadBound))
+		}),
 	},
 	"pct": {
 		Name: "pct",
@@ -127,18 +117,23 @@ func getFinder(name string) (*Finder, error) {
 	return f, nil
 }
 
-// CellInput is what an externally registered finder receives for one
-// cell: the resolved program, its parameter-applied body, and the
-// cell's identity and budgets.
+// CellInput is what a finder receives for one cell: the resolved
+// program, its parameter-applied body, the cell's identity and budgets,
+// and the engine knobs the config carries.
 type CellInput struct {
 	Program  *repository.Program
 	Body     func(core.T)
 	Seed     int64
 	Budget   int
 	MaxSteps int64
+	// VariableBound, ThreadBound and PCTDepth are the config's
+	// overrides, 0 = the finder's default.
+	VariableBound int
+	ThreadBound   int
+	PCTDepth      int
 }
 
-// CellResult is an externally registered finder's raw per-cell result.
+// CellResult is a finder's raw per-cell result.
 type CellResult struct {
 	// Runs is the number of executions actually spent (≤ Budget).
 	Runs int
@@ -172,23 +167,7 @@ func RegisterFinder(name, doc string, fn func(ctx context.Context, in CellInput)
 	if _, dup := finderTable[name]; dup {
 		return fmt.Errorf("campaign: finder %q already registered", name)
 	}
-	finderTable[name] = &Finder{
-		Name: name,
-		Doc:  doc,
-		run: func(ctx context.Context, spec cellSpec) (cellOutcome, error) {
-			res, err := fn(ctx, CellInput{
-				Program:  spec.prog,
-				Body:     spec.body,
-				Seed:     spec.seed,
-				Budget:   spec.budget,
-				MaxSteps: spec.maxSteps,
-			})
-			if err != nil {
-				return cellOutcome{}, err
-			}
-			return cellOutcome{runs: res.Runs, bugs: res.Bugs, firstBug: res.FirstBug}, nil
-		},
-	}
+	finderTable[name] = &Finder{Name: name, Doc: doc, run: fn}
 	return nil
 }
 
@@ -213,86 +192,6 @@ func (b *bugSet) add(sig string) {
 	}
 }
 
-// runNoiseFinder is the ConTest-style baseline: every budget unit is
-// one fresh-seeded noise run (Bernoulli yield noise over random
-// dispatch, the E11 configuration) through one pooled runner.
-func runNoiseFinder(ctx context.Context, spec cellSpec) (cellOutcome, error) {
-	runner := sched.NewRunner()
-	defer runner.Close()
-	var bugs bugSet
-	first := -1
-	for i := 0; i < spec.budget; i++ {
-		if err := ctx.Err(); err != nil {
-			return cellOutcome{}, err
-		}
-		runSeed := mix(spec.seed, int64(i))
-		st := noise.NewStrategy(nil, noise.NewBernoulli(0.4, noise.KindYield), runSeed)
-		res := runner.Run(sched.Config{
-			Strategy: st,
-			Seed:     runSeed,
-			Name:     spec.prog.Name,
-			MaxSteps: spec.maxSteps,
-			Plan:     spec.prog.Plan,
-		}, spec.body)
-		if res.Verdict.Bug() {
-			bugs.add(core.BugSignature(res))
-			if first < 0 {
-				first = i + 1
-			}
-		}
-	}
-	return cellOutcome{runs: spec.budget, bugs: bugs.sigs, firstBug: first}, nil
-}
-
-// runExploreFinder is the systematic extreme: a serial DFS under the
-// cell's schedule budget. The DFS is deterministic and ignores the
-// seed; seeds still enumerate cells so the matrix stays rectangular,
-// and multi-seed configs simply pin that exploration reproduces.
-func runExploreFinder(ctx context.Context, spec cellSpec) (cellOutcome, error) {
-	er := explore.Explore(explore.Options{
-		MaxSchedules: spec.budget,
-		MaxSteps:     spec.maxSteps,
-		Workers:      1,
-		Name:         spec.prog.Name,
-		Plan:         spec.prog.Plan,
-	}, spec.body)
-	if er.Err != nil {
-		return cellOutcome{}, fmt.Errorf("explore %s: %w", spec.prog.Name, er.Err)
-	}
-	var bugs bugSet
-	for _, b := range er.Bugs {
-		bugs.add(core.BugSignature(b.Result))
-	}
-	return cellOutcome{runs: er.Schedules, bugs: bugs.sigs, firstBug: er.FirstBugIndex()}, nil
-}
-
-// runExplorePORFinder is the reduced systematic extreme: the same
-// serial DFS under the same budget, with dynamic partial-order
-// reduction and the canonical-state cache pruning schedules that only
-// re-prove an already-explored partial order. Its cells pin the pruned
-// budgets: within the shared budget the reduced search reaches (and
-// usually exhausts) trees the full DFS cannot, so a reduction
-// regression shows up as a lost bug or a worse first-bug envelope.
-func runExplorePORFinder(ctx context.Context, spec cellSpec) (cellOutcome, error) {
-	er := explore.Explore(explore.Options{
-		MaxSchedules: spec.budget,
-		MaxSteps:     spec.maxSteps,
-		Workers:      1,
-		DPOR:         true,
-		StateCache:   true,
-		Name:         spec.prog.Name,
-		Plan:         spec.prog.Plan,
-	}, spec.body)
-	if er.Err != nil {
-		return cellOutcome{}, fmt.Errorf("explore-por %s: %w", spec.prog.Name, er.Err)
-	}
-	var bugs bugSet
-	for _, b := range er.Bugs {
-		bugs.add(core.BugSignature(b.Result))
-	}
-	return cellOutcome{runs: er.Schedules, bugs: bugs.sigs, firstBug: er.FirstBugIndex()}, nil
-}
-
 // Gate bounds for the bounded finders when the config leaves them
 // zero: both gate programs (and every repository program measured so
 // far) expose their full documented bug set at bound 2, pinned by
@@ -302,97 +201,51 @@ const (
 	DefaultThreadBound   = 2
 )
 
-// runExploreVBFinder is the variable-bounded systematic regime
-// (Bindal et al.): the same serial DFS under the same budget, with
-// context switches restricted to schedules that involve at most
-// vbound distinct shared objects. The bounded tree is exponentially
-// smaller, so within the shared budget the bounded search exhausts
-// programs the full DFS cannot — the portfolio bet the E13 experiment
-// measures.
-func runExploreVBFinder(ctx context.Context, spec cellSpec) (cellOutcome, error) {
-	bound := spec.vbound
-	if bound <= 0 {
-		bound = DefaultVariableBound
+func orDefault(v, def int) int {
+	if v <= 0 {
+		return def
 	}
-	er := explore.Explore(explore.Options{
-		MaxSchedules:  spec.budget,
-		MaxSteps:      spec.maxSteps,
-		Workers:       1,
-		VariableBound: explore.Bound(bound),
-		Name:          spec.prog.Name,
-		Plan:          spec.prog.Plan,
-	}, spec.body)
-	if er.Err != nil {
-		return cellOutcome{}, fmt.Errorf("explore-vb %s: %w", spec.prog.Name, er.Err)
-	}
-	var bugs bugSet
-	for _, b := range er.Bugs {
-		bugs.add(core.BugSignature(b.Result))
-	}
-	return cellOutcome{runs: er.Schedules, bugs: bugs.sigs, firstBug: er.FirstBugIndex()}, nil
+	return v
 }
 
-// runExploreTBFinder is the thread-bounded systematic regime (Bindal
-// et al.): preemptions restricted to at most tbound distinct threads
-// per schedule, arbitrarily many preemptions against that set.
-func runExploreTBFinder(ctx context.Context, spec cellSpec) (cellOutcome, error) {
-	bound := spec.tbound
-	if bound <= 0 {
-		bound = DefaultThreadBound
-	}
-	er := explore.Explore(explore.Options{
-		MaxSchedules: spec.budget,
-		MaxSteps:     spec.maxSteps,
-		Workers:      1,
-		ThreadBound:  explore.Bound(bound),
-		Name:         spec.prog.Name,
-		Plan:         spec.prog.Plan,
-	}, spec.body)
-	if er.Err != nil {
-		return cellOutcome{}, fmt.Errorf("explore-tb %s: %w", spec.prog.Name, er.Err)
-	}
+// runLoop is the per-run finder shape noise and race share: the cell's
+// budget of fresh runs through one pooled runner, ctx checked between
+// runs, verdict bugs deduplicated by signature. setup fills run i's
+// strategy and seed (and any listeners); warned, when non-nil, reports
+// non-verdict findings that also count as run i's first bug.
+func runLoop(ctx context.Context, in CellInput, setup func(i int, cfg *sched.Config), warned func() bool) (CellResult, error) {
+	runner := sched.NewRunner()
+	defer runner.Close()
+	cfg := sched.Config{Name: in.Program.Name, MaxSteps: in.MaxSteps, Plan: in.Program.Plan}
 	var bugs bugSet
-	for _, b := range er.Bugs {
-		bugs.add(core.BugSignature(b.Result))
+	first := -1
+	for i := 0; i < in.Budget; i++ {
+		if err := ctx.Err(); err != nil {
+			return CellResult{}, err
+		}
+		setup(i, &cfg)
+		res := runner.Run(cfg, in.Body)
+		if res.Verdict.Bug() {
+			bugs.add(core.BugSignature(res))
+			if first < 0 {
+				first = i + 1
+			}
+		}
+		if first < 0 && warned != nil && warned() {
+			first = i + 1
+		}
 	}
-	return cellOutcome{runs: er.Schedules, bugs: bugs.sigs, firstBug: er.FirstBugIndex()}, nil
+	return CellResult{Runs: in.Budget, Bugs: bugs.sigs, FirstBug: first}, nil
 }
 
-// runPCTFinder is the randomized-with-guarantees regime: one serial
-// PCT campaign under the cell's run budget (see internal/pct for the
-// depth-d probability bound).
-func runPCTFinder(ctx context.Context, spec cellSpec) (cellOutcome, error) {
-	pr := pct.Run(pct.Options{
-		MaxRuns:  spec.budget,
-		MaxSteps: spec.maxSteps,
-		Seed:     spec.seed,
-		Depth:    spec.pctDepth,
-		Name:     spec.prog.Name,
-		Plan:     spec.prog.Plan,
-	}, spec.body)
-	var bugs bugSet
-	for _, b := range pr.Bugs {
-		bugs.add(core.BugSignature(b.Result))
-	}
-	return cellOutcome{runs: pr.Runs, bugs: bugs.sigs, firstBug: pr.FirstBugIndex()}, nil
-}
-
-// runFuzzFinder is the greybox middle ground: one deterministic fuzz
-// worker under the cell's run budget.
-func runFuzzFinder(ctx context.Context, spec cellSpec) (cellOutcome, error) {
-	fr := fuzz.Fuzz(fuzz.Options{
-		MaxRuns:  spec.budget,
-		MaxSteps: spec.maxSteps,
-		Seed:     spec.seed,
-		Workers:  1,
-		Name:     spec.prog.Name,
-		Plan:     spec.prog.Plan,
-	}, spec.body)
-	var bugs bugSet
-	for _, b := range fr.Bugs {
-		bugs.add(core.BugSignature(b.Result))
-	}
-	return cellOutcome{runs: fr.Runs, bugs: bugs.sigs, firstBug: fr.FirstBugIndex()}, nil
+// runNoiseFinder is the ConTest-style baseline: every budget unit is
+// one fresh-seeded noise run (Bernoulli yield noise over random
+// dispatch, the E11 configuration).
+func runNoiseFinder(ctx context.Context, in CellInput) (CellResult, error) {
+	return runLoop(ctx, in, func(i int, cfg *sched.Config) {
+		cfg.Seed = mix(in.Seed, int64(i))
+		cfg.Strategy = noise.NewStrategy(nil, noise.NewBernoulli(0.4, noise.KindYield), cfg.Seed)
+	}, nil)
 }
 
 // runRaceFinder attaches the hybrid race detector to one round-robin
@@ -403,42 +256,99 @@ func runFuzzFinder(ctx context.Context, spec cellSpec) (cellOutcome, error) {
 // signatures — including false alarms, deliberately: the gate guards
 // the tool's output, and a detector that stops warning where it used
 // to warn has changed behaviour either way.
-func runRaceFinder(ctx context.Context, spec cellSpec) (cellOutcome, error) {
-	runner := sched.NewRunner()
-	defer runner.Close()
+func runRaceFinder(ctx context.Context, in CellInput) (CellResult, error) {
 	det := race.NewHybrid(true)
-	var bugs bugSet
-	first := -1
-	for i := 0; i < spec.budget; i++ {
-		if err := ctx.Err(); err != nil {
-			return cellOutcome{}, err
-		}
-		var st sched.Strategy
+	listeners := []core.Listener{det}
+	res, err := runLoop(ctx, in, func(i int, cfg *sched.Config) {
+		cfg.Seed, cfg.Listeners = in.Seed, listeners
 		if i == 0 {
-			st = sched.RoundRobin()
+			cfg.Strategy = sched.RoundRobin()
 		} else {
-			st = sched.Random(mix(spec.seed, int64(i)))
+			cfg.Strategy = sched.Random(mix(in.Seed, int64(i)))
 		}
-		res := runner.Run(sched.Config{
-			Strategy:  st,
-			Listeners: []core.Listener{det},
-			Seed:      spec.seed,
-			Name:      spec.prog.Name,
-			MaxSteps:  spec.maxSteps,
-			Plan:      spec.prog.Plan,
-		}, spec.body)
-		if res.Verdict.Bug() {
-			bugs.add(core.BugSignature(res))
-			if first < 0 {
-				first = i + 1
-			}
-		}
-		if first < 0 && len(det.Warnings()) > 0 {
-			first = i + 1
-		}
+	}, func() bool { return len(det.Warnings()) > 0 })
+	if err != nil {
+		return CellResult{}, err
 	}
 	for _, v := range det.WarnedVars() {
-		bugs.add("race:" + v)
+		res.Bugs = append(res.Bugs, "race:"+v)
 	}
-	return cellOutcome{runs: spec.budget, bugs: bugs.sigs, firstBug: first}, nil
+	return res, nil
+}
+
+// exploreFinder builds a systematic finder: a serial DFS under the
+// cell's schedule budget, with preset switching on the reduction or
+// bounding that distinguishes name. The DFS is deterministic and
+// ignores the seed; seeds still enumerate cells so the matrix stays
+// rectangular, and multi-seed configs simply pin that exploration
+// reproduces.
+func exploreFinder(name string, preset func(in CellInput, o *explore.Options)) func(context.Context, CellInput) (CellResult, error) {
+	return func(ctx context.Context, in CellInput) (CellResult, error) {
+		opts := explore.Options{
+			MaxSchedules: in.Budget,
+			MaxSteps:     in.MaxSteps,
+			Workers:      1,
+			Context:      ctx,
+			Name:         in.Program.Name,
+			Plan:         in.Program.Plan,
+		}
+		preset(in, &opts)
+		er := explore.Explore(opts, in.Body)
+		if err := ctx.Err(); err != nil {
+			return CellResult{}, err
+		}
+		if er.Err != nil {
+			return CellResult{}, fmt.Errorf("%s %s: %w", name, in.Program.Name, er.Err)
+		}
+		res := CellResult{Runs: er.Schedules, FirstBug: er.FirstBugIndex()}
+		for _, b := range er.Bugs {
+			res.Bugs = append(res.Bugs, core.BugSignature(b.Result))
+		}
+		return res, nil
+	}
+}
+
+// runPCTFinder is the randomized-with-guarantees regime: one serial
+// PCT campaign under the cell's run budget (see internal/pct for the
+// depth-d probability bound).
+func runPCTFinder(ctx context.Context, in CellInput) (CellResult, error) {
+	pr := pct.Run(pct.Options{
+		MaxRuns:  in.Budget,
+		MaxSteps: in.MaxSteps,
+		Seed:     in.Seed,
+		Depth:    in.PCTDepth,
+		Context:  ctx,
+		Name:     in.Program.Name,
+		Plan:     in.Program.Plan,
+	}, in.Body)
+	if err := ctx.Err(); err != nil {
+		return CellResult{}, err
+	}
+	res := CellResult{Runs: pr.Runs, FirstBug: pr.FirstBugIndex()}
+	for _, b := range pr.Bugs {
+		res.Bugs = append(res.Bugs, core.BugSignature(b.Result))
+	}
+	return res, nil
+}
+
+// runFuzzFinder is the greybox middle ground: one deterministic fuzz
+// worker under the cell's run budget.
+func runFuzzFinder(ctx context.Context, in CellInput) (CellResult, error) {
+	fr := fuzz.Fuzz(fuzz.Options{
+		MaxRuns:  in.Budget,
+		MaxSteps: in.MaxSteps,
+		Seed:     in.Seed,
+		Workers:  1,
+		Context:  ctx,
+		Name:     in.Program.Name,
+		Plan:     in.Program.Plan,
+	}, in.Body)
+	if err := ctx.Err(); err != nil {
+		return CellResult{}, err
+	}
+	res := CellResult{Runs: fr.Runs, FirstBug: fr.FirstBugIndex()}
+	for _, b := range fr.Bugs {
+		res.Bugs = append(res.Bugs, core.BugSignature(b.Result))
+	}
+	return res, nil
 }

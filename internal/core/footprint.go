@@ -5,8 +5,8 @@ package core
 // the interned handle the hot paths already carry (Event.NameID /
 // PendingOp.NameID). Two footprints commute when executing them in
 // either order from the same state reaches the same state — the
-// independence relation dynamic partial-order reduction, sleep sets
-// and schedule canonicalization all share.
+// independence relation dynamic partial-order reduction and sleep sets
+// share.
 //
 // The relation is deliberately conservative: it may declare dependent
 // operations that actually commute (costing pruning, never soundness),
@@ -95,7 +95,7 @@ func (a Footprint) Class() DepClass {
 
 // Packed folds the footprint into one comparable word (op in the high
 // bits, object handle in the low), the representation the reduction
-// layer's summaries and the fuzzer's canonical forms store.
+// layer's summaries store.
 func (a Footprint) Packed() uint64 {
 	return uint64(a.Op)<<32 | uint64(a.Obj)
 }
@@ -105,14 +105,9 @@ func UnpackFootprint(p uint64) Footprint {
 	return Footprint{Op: Op(p >> 32), Obj: uint32(p)}
 }
 
-// CommutesPacked is Commutes over packed footprints.
-func CommutesPacked(a, b uint64) bool {
-	return UnpackFootprint(a).Commutes(UnpackFootprint(b))
-}
-
 // HashOffset and FoldHash are the shared word-level FNV-1a fold used
 // by every reduction-layer hash (the exploration engine's canonical-
-// state chains, the fuzzer's canonical-form keys): one definition, so
+// state chains, the scheduler's position digests): one definition, so
 // the constants cannot drift between consumers.
 const HashOffset uint64 = 14695981039346656037
 

@@ -41,6 +41,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -130,6 +131,10 @@ type Options struct {
 	// With Workers > 1 the stop is global: in-flight schedules on other
 	// workers finish and are counted, then the search winds down.
 	StopAtFirstBug bool
+	// Context, when non-nil, cancels the search: once it is done the
+	// search winds down exactly like a first-bug stop (in-flight
+	// schedules finish, Exhausted is false). nil is never cancelled.
+	Context context.Context
 	// Workers is the number of parallel search workers (0 =
 	// runtime.NumCPU()). Workers == 1 is the exact serial DFS: schedule
 	// order, bug indices and outcome counts are deterministic. With

@@ -19,6 +19,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -91,6 +92,10 @@ func newCoordinator(opts Options, body func(core.T)) *coordinator {
 
 // run executes the sharded search to completion and merges the result.
 func (c *coordinator) run() *Result {
+	if ctx := c.opts.Context; ctx != nil {
+		unhook := context.AfterFunc(ctx, c.stop)
+		defer unhook()
+	}
 	c.push(&workItem{}) // the root shard: the whole tree
 	var wg sync.WaitGroup
 	for i := 0; i < c.workers; i++ {

@@ -1,9 +1,11 @@
 package explore
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"mtbench/internal/core"
 	"mtbench/internal/repository"
@@ -255,5 +257,27 @@ func TestFirstBugIndexNoBug(t *testing.T) {
 	res := &Result{}
 	if got := res.FirstBugIndex(); got != -1 {
 		t.Fatalf("FirstBugIndex() on empty result = %d, want -1", got)
+	}
+}
+
+// TestExploreContextCancels: cancelling Options.Context winds a
+// parallel search down like a first-bug stop — promptly, unexhausted,
+// far short of its budget.
+func TestExploreContextCancels(t *testing.T) {
+	prog, err := repository.Get("philosophers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(20*time.Millisecond, cancel)
+	defer timer.Stop()
+	const budget = 1_000_000
+	start := time.Now()
+	res := Explore(Options{MaxSchedules: budget, Workers: 4, Context: ctx}, prog.BodyWith(nil))
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancelled search took %v to return", elapsed)
+	}
+	if res.Exhausted || res.Schedules >= budget {
+		t.Fatalf("cancelled search: exhausted=%v after %d schedules", res.Exhausted, res.Schedules)
 	}
 }

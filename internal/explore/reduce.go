@@ -143,8 +143,8 @@ func (s *Stats) add(o Stats) {
 // summaries cannot replay their backtrack obligations).
 const subCap = 24
 
-// word-level FNV-1a fold, shared with the fuzzer's canonical-form
-// hashing through core so the constants cannot drift.
+// word-level FNV-1a fold, shared with the scheduler's position digests
+// through core so the constants cannot drift.
 const fnvOffset = core.HashOffset
 
 func mix(h, v uint64) uint64 { return core.FoldHash(h, v) }

@@ -17,14 +17,6 @@ type entry struct {
 	// operation on a then-known contended variable; the variable-bias
 	// mutator prefers them.
 	hot []int
-	// fps are the per-decision packed operation footprints (aligned
-	// with schedule) and canon the schedule's commutation normal form,
-	// both recorded only under Options.Canonicalize. The normal form
-	// is computed once at admission — entries are immutable, so the
-	// preemption-bound mutator reuses it instead of re-running the
-	// quadratic canonicalization per draw.
-	fps   []uint64
-	canon []core.ThreadID
 	// gain is the number of new coverage tasks the entry contributed
 	// when admitted; it is the entry's selection weight (+1).
 	gain int

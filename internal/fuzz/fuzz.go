@@ -39,6 +39,8 @@
 package fuzz
 
 import (
+	"context"
+
 	"mtbench/internal/core"
 	"mtbench/internal/instrument"
 )
@@ -75,6 +77,10 @@ type Options struct {
 	// The stop is global: in-flight runs on other workers finish and
 	// are counted, then the campaign winds down.
 	StopAtFirstBug bool
+	// Context, when non-nil, cancels the campaign: once it is done
+	// every worker winds down after its in-flight run, as under
+	// StopAtFirstBug. nil is never cancelled.
+	Context context.Context
 	// PreemptionBound, when non-nil, fixes the budget the
 	// preemption-bound mutator canonicalizes candidates to. When nil
 	// the mutator stays enabled but draws a small bound (0..2) per
@@ -84,18 +90,6 @@ type Options struct {
 	// MaxCorpus caps retained corpus entries (0 = 256); when full, the
 	// lowest-gain entry after the baseline seed is evicted.
 	MaxCorpus int
-	// Canonicalize enables commutation-aware candidate dedup: the
-	// guided strategy records each executed decision's operation
-	// footprint, the preemption-bound mutator first rewrites its base
-	// into a canonical normal form (adjacent independent decisions
-	// sorted by thread id, using the exploration engine's
-	// core.Footprint.Commutes relation — two schedules that differ
-	// only by reordering commuting operations rewrite to the same
-	// log), and runs whose canonical form was already executed are
-	// counted (Result.CanonDups) and kept out of the corpus. Off by
-	// default: it changes the campaign's run sequence, and the
-	// fixed-seed goldens pin the un-canonicalized search.
-	Canonicalize bool
 	// Listeners are attached to every run. With Workers > 1, runs
 	// execute concurrently, so listeners must be safe for concurrent
 	// use.
@@ -139,10 +133,6 @@ type Result struct {
 	// Repairs counts mutated decisions that were infeasible at
 	// execution time and were repaired by the guided strategy.
 	Repairs int64
-	// CanonDups counts executed runs whose commutation-canonical form
-	// had already been executed — budget spent re-proving an
-	// equivalence class (0 unless Options.Canonicalize).
-	CanonDups int
 	// Ops histograms executed runs by the mutation operator that
 	// produced them ("seed" for the corpus-seeding runs).
 	Ops map[string]int

@@ -232,66 +232,6 @@ func TestFuzzPreemptionBound(t *testing.T) {
 	}
 }
 
-// TestCanonicalize pins the commutation normal form: adjacent
-// independent decisions sort by thread id, dependent ones hold their
-// order, and independence can move a decision across several
-// commuting positions.
-func TestCanonicalize(t *testing.T) {
-	read := core.Footprint{Op: core.OpRead, Obj: core.InternName("cx")}.Packed()
-	write := core.Footprint{Op: core.OpWrite, Obj: core.InternName("cx")}.Packed()
-	readY := core.Footprint{Op: core.OpRead, Obj: core.InternName("cy")}.Packed()
-	for _, tc := range []struct {
-		name string
-		s    []core.ThreadID
-		fps  []uint64
-		want []core.ThreadID
-	}{
-		{"commuting-reads-sort", []core.ThreadID{2, 1}, []uint64{read, read}, []core.ThreadID{1, 2}},
-		{"dependent-holds", []core.ThreadID{2, 1}, []uint64{write, read}, []core.ThreadID{2, 1}},
-		{"bubble-through", []core.ThreadID{3, 2, 1}, []uint64{readY, read, readY}, []core.ThreadID{1, 2, 3}},
-		{"same-thread-holds", []core.ThreadID{2, 2, 1}, []uint64{read, read, read}, []core.ThreadID{1, 2, 2}},
-		// Confluence: both linearizations of {t3:write-x < t1:read-x}
-		// with an independent t2:read-y must reach the same normal form
-		// (an adjacent-swap rewrite strands t1 behind t3 in one of the
-		// two, splitting the equivalence class).
-		{"confluent-a", []core.ThreadID{3, 1, 2}, []uint64{write, read, readY}, []core.ThreadID{2, 3, 1}},
-		{"confluent-b", []core.ThreadID{3, 2, 1}, []uint64{write, readY, read}, []core.ThreadID{2, 3, 1}},
-	} {
-		if got := canonicalize(tc.s, tc.fps); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: canonicalize(%v) = %v, want %v", tc.name, tc.s, got, tc.want)
-		}
-	}
-	// Equivalent logs share a canonical hash; inequivalent ones don't.
-	if canonHash([]core.ThreadID{2, 1}, []uint64{read, read}) != canonHash([]core.ThreadID{1, 2}, []uint64{read, read}) {
-		t.Error("commutation-equivalent logs hash differently")
-	}
-	if canonHash([]core.ThreadID{2, 1}, []uint64{write, read}) == canonHash([]core.ThreadID{1, 2}, []uint64{read, write}) {
-		t.Error("conflicting orders collapsed to one hash")
-	}
-}
-
-// TestFuzzCanonicalizeDedups: with Canonicalize on, the campaign still
-// finds the documented bug, detects commutation-duplicate runs, and
-// stays deterministic for a fixed seed.
-func TestFuzzCanonicalizeDedups(t *testing.T) {
-	body := bodyOf(t, "account")
-	a := Fuzz(Options{MaxRuns: 1000, Seed: 1, Canonicalize: true}, body)
-	if len(a.Bugs) == 0 {
-		t.Fatalf("canonicalizing campaign missed the account bug in %d runs", a.Runs)
-	}
-	if a.CanonDups == 0 {
-		t.Error("no commutation duplicates detected in 1000 runs on a 3-thread program")
-	}
-	b := Fuzz(Options{MaxRuns: 1000, Seed: 1, Canonicalize: true}, body)
-	if a.Runs != b.Runs || a.CanonDups != b.CanonDups || a.Coverage != b.Coverage {
-		t.Errorf("canonicalizing campaign not deterministic: %+v vs %+v", a, b)
-	}
-	plain := Fuzz(Options{MaxRuns: 1000, Seed: 1}, body)
-	if plain.CanonDups != 0 {
-		t.Errorf("CanonDups = %d without Canonicalize", plain.CanonDups)
-	}
-}
-
 // TestFirstBugIndexNoBug pins the documented -1 sentinel.
 func TestFirstBugIndexNoBug(t *testing.T) {
 	res := &Result{}

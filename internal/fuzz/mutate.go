@@ -32,10 +32,7 @@ type mutator struct {
 //     to a suffix of another.
 //   - pbound:  canonicalize to at most P context switches (Options.
 //     PreemptionBound, or a drawn 0..2), per Bindal/Bansal/Lal's
-//     bounded mutations: most bugs need very few preemptions. Under
-//     Options.Canonicalize it bounds the commutation normal form of
-//     the base (see canonicalize), so equivalent bases produce
-//     identical mutants.
+//     bounded mutations: most bugs need very few preemptions.
 //   - trunc:   keep a prefix and let the guided random tail re-explore
 //     from there.
 var mutators = []mutator{
@@ -144,91 +141,12 @@ func mutSplice(rng *rand.Rand, base, donor *entry, _ *Options) []core.ThreadID {
 	return append(out, b[j:]...)
 }
 
-// canonicalize rewrites a decision log into its commutation normal
-// form: the unique greedy linearization of the log's dependence DAG
-// (Foata-style), built by repeatedly emitting the smallest-thread
-// decision all of whose dependent predecessors — same thread, or a
-// non-commuting operation per core.CommutesPacked, the exploration
-// engine's independence relation — are already emitted. Two logs that
-// differ only by reordering independent operations have the same
-// dependence DAG and therefore rewrite to the same bytes (an
-// adjacent-swap bubble sort would not: a decision stuck behind a
-// dependent one can block its thread while an independent later
-// decision bubbles past, leaving two distinct fixed points of one
-// equivalence class). The rewrite preserves feasibility: by
-// definition of independence, any linearization of the DAG executes
-// the same operations through the same states.
-func canonicalize(s []core.ThreadID, fps []uint64) []core.ThreadID {
-	n := len(s)
-	// preds[i] = indices j < i whose decision must precede i; indeg is
-	// the count still unemitted.
-	preds := make([][]int, n)
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			if s[j] == s[i] || !core.CommutesPacked(fps[j], fps[i]) {
-				preds[i] = append(preds[i], j)
-				indeg[i]++
-			}
-		}
-	}
-	out := make([]core.ThreadID, 0, n)
-	emitted := make([]bool, n)
-	for len(out) < n {
-		// The smallest ready thread; scanning in log order makes the
-		// earliest decision of that thread win, preserving program
-		// order (same-thread decisions are mutual predecessors anyway).
-		best := -1
-		for i := 0; i < n; i++ {
-			if !emitted[i] && indeg[i] == 0 && (best < 0 || s[i] < s[best]) {
-				best = i
-			}
-		}
-		emitted[best] = true
-		out = append(out, s[best])
-		for i := best + 1; i < n; i++ {
-			if emitted[i] {
-				continue
-			}
-			for _, j := range preds[i] {
-				if j == best {
-					indeg[i]--
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-// canonHashOf is the FNV-1a fold of an already-canonicalized log, the
-// key the coordinator dedups executed runs by.
-func canonHashOf(canon []core.ThreadID) uint64 {
-	h := core.HashOffset
-	for _, id := range canon {
-		h = core.FoldHash(h, uint64(uint32(id)))
-	}
-	return h
-}
-
-// canonHash canonicalizes and hashes in one step.
-func canonHash(s []core.ThreadID, fps []uint64) uint64 {
-	return canonHashOf(canonicalize(s, fps))
-}
-
 func mutPBound(rng *rand.Rand, base, _ *entry, opts *Options) []core.ThreadID {
 	bound := rng.Intn(3)
 	if opts.PreemptionBound != nil {
 		bound = *opts.PreemptionBound
 	}
 	out := slices.Clone(base.schedule)
-	// With Canonicalize, bound the commutation normal form instead of
-	// the raw log: equivalent bases then produce identical mutants.
-	// The form was computed at corpus admission (entries are
-	// immutable).
-	if opts.Canonicalize && base.canon != nil {
-		out = slices.Clone(base.canon)
-	}
 	switches := 0
 	for i := 1; i < len(out); i++ {
 		if out[i] == out[i-1] {

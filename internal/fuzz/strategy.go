@@ -66,16 +66,10 @@ type guided struct {
 	// construction time, keyed by interned name handle (nil disables
 	// hot tracking).
 	targets map[uint32]bool
-	// capture records each executed decision's packed operation
-	// footprint into fps, aligned with the run's recorded schedule —
-	// the input the commutation canonicalizer needs
-	// (Options.Canonicalize).
-	capture bool
 
 	pos     int
 	repairs int64
 	hot     []int
-	fps     []uint64
 }
 
 // Name implements sched.Strategy.
@@ -91,18 +85,6 @@ func (g *guided) Pick(c *sched.Choice) core.ThreadID {
 			}
 		}
 	}
-	pick := g.pickRaw(c)
-	if g.capture && c.PendingOf != nil {
-		// Footprint of the decision actually executed (repairs
-		// included), aligned index-for-index with the recorded
-		// schedule. IdleID has no pending operation and records the
-		// conservative zero footprint.
-		g.fps = append(g.fps, c.PendingOf(pick).Footprint().Packed())
-	}
-	return pick
-}
-
-func (g *guided) pickRaw(c *sched.Choice) core.ThreadID {
 	if g.pos < len(g.decisions) {
 		want := g.decisions[g.pos]
 		g.pos++

@@ -23,6 +23,7 @@
 package fuzz
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sync"
@@ -52,10 +53,6 @@ type coordinator struct {
 	coverageRuns int
 	repairs      int64
 	ops          map[string]int
-	// seenCanon dedups executed runs by commutation-canonical form
-	// (Options.Canonicalize); canonDups counts the repeats.
-	seenCanon map[uint64]bool
-	canonDups int
 
 	// reserved hands out run-budget slots; executed counts runs
 	// actually performed (Result.Runs and Bug.Index).
@@ -78,7 +75,6 @@ func newCoordinator(opts Options, body func(core.T)) *coordinator {
 		coveredTasks: map[coverage.TaskKey]bool{},
 		coveredOuts:  map[string]bool{},
 		ops:          map[string]int{},
-		seenCanon:    map[uint64]bool{},
 		seenBugs:     map[string]bool{},
 	}
 }
@@ -125,6 +121,10 @@ func mix(seed, stream int64) int64 { return core.MixSeed(seed, stream) }
 // run executes the campaign: seed the corpus, run the worker pool to
 // budget exhaustion (or global stop), merge.
 func (c *coordinator) run() *Result {
+	if ctx := c.opts.Context; ctx != nil {
+		unhook := context.AfterFunc(ctx, func() { c.stopping.Store(true) })
+		defer unhook()
+	}
 	seedWS := c.newWorkerState()
 	c.seedCorpus(seedWS)
 	seedWS.runner.Close()
@@ -149,7 +149,6 @@ func (c *coordinator) run() *Result {
 		Coverage:     len(c.coveredTasks) + len(c.coveredOuts),
 		CoverageRuns: c.coverageRuns,
 		Repairs:      c.repairs,
-		CanonDups:    c.canonDups,
 		Ops:          c.ops,
 	}
 	c.mu.Unlock()
@@ -168,7 +167,7 @@ func (c *coordinator) seedCorpus(ws *workerState) {
 		if c.stopping.Load() || c.reserved.Add(1) > int64(c.opts.MaxRuns) {
 			return
 		}
-		g := &guided{rng: rand.New(rand.NewSource(mix(c.opts.Seed, -int64(i)-1))), capture: c.opts.Canonicalize}
+		g := &guided{rng: rand.New(rand.NewSource(mix(c.opts.Seed, -int64(i)-1)))}
 		var st sched.Strategy = g
 		if i == 0 {
 			st = sched.Nonpreemptive()
@@ -206,8 +205,7 @@ func (c *coordinator) fuzzLoop(ws *workerState, rng *rand.Rand) {
 		// would, so reuse is invisible to the campaign's determinism.
 		g := &ws.g
 		ws.gsrc.Seed(rng.Int63())
-		*g = guided{decisions: candidate, rng: ws.grng, targets: targets, hot: g.hot[:0],
-			capture: c.opts.Canonicalize, fps: g.fps[:0]}
+		*g = guided{decisions: candidate, rng: ws.grng, targets: targets, hot: g.hot[:0]}
 		c.executeAndMerge(ws, g, g, m.name)
 	}
 }
@@ -257,31 +255,10 @@ func (c *coordinator) executeAndMerge(ws *workerState, st sched.Strategy, g *gui
 
 	newBug := c.recordBug(res, index)
 
-	// Commutation dedup: a run whose canonical form was already
-	// executed re-proved a known partial order. Count it and keep it
-	// out of the corpus (unless it exposed a fresh bug). The canonical
-	// form is computed once here and retained on the admitted entry
-	// for the preemption-bound mutator.
-	dup := false
-	var ch uint64
-	var canon []core.ThreadID
-	if c.opts.Canonicalize && g != nil && len(g.fps) == len(res.Schedule) {
-		canon = canonicalize(res.Schedule, g.fps)
-		ch = canonHashOf(canon)
-	}
-
 	c.mu.Lock()
 	c.ops[op]++
 	if g != nil {
 		c.repairs += g.repairs
-	}
-	if ch != 0 {
-		if c.seenCanon[ch] {
-			dup = true
-			c.canonDups++
-		} else {
-			c.seenCanon[ch] = true
-		}
 	}
 	gain := 0
 	for _, task := range ws.keys {
@@ -297,7 +274,7 @@ func (c *coordinator) executeAndMerge(ws *workerState, st sched.Strategy, g *gui
 	if gain > 0 {
 		c.coverageRuns++
 	}
-	if (gain > 0 || newBug) && (!dup || newBug) {
+	if gain > 0 || newBug {
 		e := &entry{
 			schedule: slices.Clone(res.Schedule),
 			gain:     gain,
@@ -305,10 +282,6 @@ func (c *coordinator) executeAndMerge(ws *workerState, st sched.Strategy, g *gui
 		}
 		if g != nil {
 			e.hot = slices.Clone(g.hot)
-			if canon != nil {
-				e.fps = slices.Clone(g.fps)
-				e.canon = canon // fresh slice from canonicalize
-			}
 		}
 		c.corp.add(e)
 	}

@@ -32,8 +32,10 @@
 package pct
 
 import (
+	"context"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 
 	"mtbench/internal/core"
 	"mtbench/internal/instrument"
@@ -63,6 +65,9 @@ type Options struct {
 	Depth int
 	// StopAtFirstBug ends the campaign at the first non-pass verdict.
 	StopAtFirstBug bool
+	// Context, when non-nil, cancels the campaign: once it is done the
+	// loop stops after its in-flight run. nil is never cancelled.
+	Context context.Context
 	// Listeners are attached to every run.
 	Listeners []core.Listener
 	// Name labels runs for RunObserver listeners.
@@ -188,6 +193,11 @@ func Run(opts Options, body func(core.T)) *Result {
 	}
 	runner := sched.NewRunner()
 	defer runner.Close()
+	var stopping atomic.Bool
+	if opts.Context != nil {
+		unhook := context.AfterFunc(opts.Context, func() { stopping.Store(true) })
+		defer unhook()
+	}
 
 	cfg := sched.Config{
 		Listeners:      opts.Listeners,
@@ -199,7 +209,7 @@ func Run(opts Options, body func(core.T)) *Result {
 	res := &Result{}
 	seen := map[string]bool{}
 	var horizon int64
-	for i := 0; i < opts.MaxRuns; i++ {
+	for i := 0; i < opts.MaxRuns && !stopping.Load(); i++ {
 		rng := rand.New(rand.NewSource(core.MixSeed(opts.Seed, int64(i))))
 		changePoints := 0
 		if i > 0 {

@@ -336,9 +336,9 @@ type PendingOp struct {
 
 // Footprint is the operation's reduction-layer identity: its kind plus
 // the interned handle of the object it targets. The exploration
-// engine's independence relation (core.Footprint.Commutes) and the
-// fuzzer's commutation canonicalizer both key on it. It allocates
-// nothing — both fields are already carried by the pending op.
+// engine's independence relation (core.Footprint.Commutes) keys on
+// it. It allocates nothing — both fields are already carried by the
+// pending op.
 func (p PendingOp) Footprint() core.Footprint {
 	return core.Footprint{Op: p.Op, Obj: p.NameID}
 }

@@ -1,0 +1,87 @@
+package searchcli
+
+import (
+	"flag"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"mtbench/internal/core"
+	"mtbench/internal/explore"
+	"mtbench/internal/replay"
+	"mtbench/internal/repository"
+	"mtbench/internal/sched"
+)
+
+func TestParseParams(t *testing.T) {
+	got, err := ParseParams("depositors=2, deposits=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (repository.Params{"depositors": 2, "deposits": 1}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseParams = %v, want %v", got, want)
+	}
+	if got, err := ParseParams(""); got != nil || err != nil {
+		t.Fatalf(`ParseParams("") = %v, %v; want no overrides`, got, err)
+	}
+}
+
+// TestParseParamsRejectsMalformed: every malformed entry is an error
+// that names the entry.
+func TestParseParamsRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct{ in, entry string }{
+		{"a", "a"},
+		{"a=", "a="},
+		{"=1", "=1"},
+		{"a=x", "a=x"},
+		{"a=1,,b=2", ""},
+	} {
+		_, err := ParseParams(tc.in)
+		if err == nil {
+			t.Errorf("ParseParams(%q) accepted malformed input", tc.in)
+			continue
+		}
+		if !strings.Contains(err.Error(), "entry "+strconv.Quote(tc.entry)) {
+			t.Errorf("ParseParams(%q) error %q does not name entry %q", tc.in, err, tc.entry)
+		}
+	}
+}
+
+// TestSaveScenarioReplays: a scenario written by SaveScenario loads back
+// through replay.LoadFile and replays to the verdict that saved it.
+func TestSaveScenarioReplays(t *testing.T) {
+	prog, err := repository.Get("inversion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := prog.BodyWith(nil)
+	res := explore.Explore(explore.Options{Workers: 1, StopAtFirstBug: true}, body)
+	if len(res.Bugs) == 0 {
+		t.Fatal("explore found no inversion deadlock")
+	}
+	bug := res.Bugs[0]
+
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs, "inversion")
+	path := filepath.Join(t.TempDir(), "scenario.json")
+	if err := fs.Parse([]string{"-json", "-save", path}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SaveScenario("explore-dfs", 0, bug.Schedule); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := replay.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Program != "inversion" || s.Strategy != "explore-dfs" {
+		t.Errorf("scenario header = %q/%q", s.Program, s.Strategy)
+	}
+	got := replay.ReplayControlled(s, sched.Config{Name: "inversion"}, body)
+	if got.Diverged || got.Verdict != bug.Result.Verdict || core.BugSignature(got) != core.BugSignature(bug.Result) {
+		t.Fatalf("replay = %v (diverged=%v), want %v", got, got.Diverged, bug.Result)
+	}
+}

@@ -264,8 +264,7 @@ type (
 	ExploreStats = explore.Stats
 	// Footprint is the reduction layer's (operation, interned object)
 	// view of a pending operation; Footprint.Commutes is the
-	// independence relation DPOR, sleep sets and the fuzzer's
-	// commutation canonicalizer share.
+	// independence relation DPOR and sleep sets share.
 	Footprint = core.Footprint
 )
 
