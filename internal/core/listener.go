@@ -71,7 +71,9 @@ type OpFilter interface {
 // locations. The state-hashing listener of the exploration engine's
 // reduction layer is the motivating case: it observes every event on
 // the hottest search path and must not reinstate the per-probe stack
-// walk the runner pooling work removed.
+// walk the runner pooling work removed. Noise heuristics use the same
+// declaration: the noise strategy asks for capture unless its
+// heuristic implements this with NeedsLocations() false.
 type LocationIndifferent interface {
 	NeedsLocations() bool
 }

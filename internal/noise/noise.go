@@ -53,7 +53,10 @@ type Point struct {
 // Heuristic decides, at every enabled instrumentation point, whether
 // and how to perturb the schedule. Implementations must be safe for
 // concurrent use (the native runtime calls Decide from many
-// goroutines); the rng is owned by the calling thread.
+// goroutines); the rng is owned by the calling thread. A heuristic
+// that never reads Point.Loc should implement core.LocationIndifferent
+// with NeedsLocations() false, so controlled runs skip the per-operation
+// stack walk that fills it in.
 type Heuristic interface {
 	Name() string
 	Decide(p *Point, rng *rand.Rand) Decision
@@ -67,6 +70,9 @@ type noneH struct{}
 
 func (noneH) Name() string                       { return "none" }
 func (noneH) Decide(*Point, *rand.Rand) Decision { return Decision{} }
+
+// NeedsLocations implements core.LocationIndifferent.
+func (noneH) NeedsLocations() bool { return false }
 
 // Kind selects the perturbation a probabilistic heuristic applies in
 // native mode (controlled mode always translates to a forced switch).
@@ -133,6 +139,10 @@ func (b *Bernoulli) applies(op core.Op) bool {
 	}
 	return false
 }
+
+// NeedsLocations implements core.LocationIndifferent: Bernoulli keys
+// on the operation kind alone, never on Point.Loc.
+func (b *Bernoulli) NeedsLocations() bool { return false }
 
 // Decide implements Heuristic.
 func (b *Bernoulli) Decide(p *Point, rng *rand.Rand) Decision {

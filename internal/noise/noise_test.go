@@ -2,6 +2,8 @@ package noise
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"mtbench/internal/core"
@@ -174,5 +176,108 @@ func TestStrategyStats(t *testing.T) {
 	}
 	if per > dec {
 		t.Fatalf("perturbations %d > decisions %d", per, dec)
+	}
+}
+
+// locReader is a listener that reads every event's location, which
+// keeps the scheduler's location capture on for the run.
+type locReader struct{ located int }
+
+func (l *locReader) OnEvent(ev *core.Event) {
+	if ev.Loc.File != "" {
+		l.located++
+	}
+}
+
+// locHeuristic is a heuristic without a NeedsLocations method that
+// records whether it saw a location at every point.
+type locHeuristic struct{ points, located int }
+
+func (*locHeuristic) Name() string { return "loc-probe" }
+
+func (h *locHeuristic) Decide(p *Point, rng *rand.Rand) Decision {
+	h.points++
+	if p.Loc.File != "" {
+		h.located++
+	}
+	return Decision{}
+}
+
+// TestLocationCaptureOptOut checks the heuristics' location opt-out:
+// Bernoulli never reads Point.Loc, so its listener-free runs skip
+// location capture, and a run with capture forced on by a
+// location-reading listener takes the same decisions and reaches the
+// same verdict and bug signature (failure locations are resolved when
+// the failure happens, capture or not). Location-keyed heuristics, and
+// heuristics that do not declare themselves, keep seeing locations.
+func TestLocationCaptureOptOut(t *testing.T) {
+	body := func(ct core.T) {
+		x := ct.NewInt("x", 0)
+		mu := ct.NewMutex("mu")
+		h := ct.Go("a", func(wt core.T) {
+			mu.Lock(wt)
+			v := x.Load(wt)
+			x.Store(wt, v+1)
+			mu.Unlock(wt)
+		})
+		v := x.Load(ct)
+		x.Store(ct, v+1)
+		h.Join(ct)
+		ct.Assert(x.Load(ct) == 2, "lost update")
+	}
+	for _, h := range []Heuristic{None(), NewBernoulli(0.5, KindYield), SyncNoise(0.5)} {
+		if NewStrategy(nil, h, 1).NeedsLocations() {
+			t.Errorf("%s: noise strategy asks for location capture", h.Name())
+		}
+	}
+	bugs := 0
+	for seed := int64(0); seed < 40; seed++ {
+		off := NewStrategy(nil, NewBernoulli(0.5, KindYield), seed)
+		resOff := sched.Run(sched.Config{Strategy: off}, body)
+		on := NewStrategy(nil, NewBernoulli(0.5, KindYield), seed)
+		l := &locReader{}
+		resOn := sched.Run(sched.Config{Strategy: on, Listeners: []core.Listener{l}}, body)
+		if l.located == 0 {
+			t.Fatalf("seed %d: the listener saw no locations; capture was not on", seed)
+		}
+		if !slices.Equal(resOff.Schedule, resOn.Schedule) {
+			t.Fatalf("seed %d: decisions differ with capture on:\n off %v\n on  %v", seed, resOff.Schedule, resOn.Schedule)
+		}
+		if resOff.Verdict != resOn.Verdict {
+			t.Fatalf("seed %d: verdict %v with capture off, %v on", seed, resOff.Verdict, resOn.Verdict)
+		}
+		if a, b := core.BugSignature(resOff), core.BugSignature(resOn); a != b {
+			t.Fatalf("seed %d: bug signature %q with capture off, %q on", seed, a, b)
+		}
+		da, pa := off.Stats()
+		db, pb := on.Stats()
+		if da != db || pa != pb {
+			t.Fatalf("seed %d: stats (%d, %d) with capture off, (%d, %d) on", seed, da, pa, db, pb)
+		}
+		if resOff.Verdict.Bug() {
+			bugs++
+			if resOff.Failure.Loc.File == "" {
+				t.Fatalf("seed %d: failure lost its location with capture off: %+v", seed, resOff.Failure)
+			}
+		}
+	}
+	if bugs == 0 {
+		t.Fatal("no seed found the lost update; the signature comparison checked nothing")
+	}
+
+	stat := NewStatistical(1.0, 0.5)
+	sched.Run(sched.Config{Strategy: NewStrategy(nil, stat, 1)}, body)
+	if len(stat.counts) == 0 {
+		t.Fatal("statistical heuristic never perturbed")
+	}
+	for key := range stat.counts {
+		if strings.HasPrefix(key, ":") {
+			t.Fatalf("statistical heuristic saw a zero location (key %q)", key)
+		}
+	}
+	probe := &locHeuristic{}
+	sched.Run(sched.Config{Strategy: NewStrategy(nil, probe, 1)}, body)
+	if probe.points == 0 || probe.located != probe.points {
+		t.Fatalf("undeclared heuristic saw locations at %d of %d points", probe.located, probe.points)
 	}
 }

@@ -41,16 +41,25 @@ func NewStrategy(base sched.Strategy, h Heuristic, seed int64) *Strategy {
 	if h == nil {
 		h = None()
 	}
-	return &Strategy{Base: base, H: h, rng: rand.New(rand.NewSource(seed))}
+	return &Strategy{Base: base, H: h, rng: core.NewRand(seed)}
 }
 
 // Name implements sched.Strategy.
 func (s *Strategy) Name() string { return "noise:" + s.H.Name() }
 
-// NeedsLocations implements sched.LocationAware: noise heuristics key
-// their Points on the pending operation's program location, so the
-// scheduler must keep capturing locations even in listener-free runs.
-func (s *Strategy) NeedsLocations() bool { return true }
+// NeedsLocations implements sched.LocationAware: heuristics that key
+// their Points on the pending operation's program location need the
+// scheduler to capture locations even in listener-free runs. A
+// heuristic opts out by implementing core.LocationIndifferent with
+// NeedsLocations() false; one without the method keeps capture, and so
+// does a location-aware base strategy.
+func (s *Strategy) NeedsLocations() bool {
+	if li, ok := s.H.(core.LocationIndifferent); ok && !li.NeedsLocations() {
+		la, ok := s.Base.(sched.LocationAware)
+		return ok && la.NeedsLocations()
+	}
+	return true
+}
 
 // Pick implements sched.Strategy.
 func (s *Strategy) Pick(c *sched.Choice) core.ThreadID {
@@ -77,15 +86,20 @@ func (s *Strategy) Pick(c *sched.Choice) core.ThreadID {
 }
 
 // pickOther picks a uniformly random runnable thread other than the
-// current one.
+// current one (which is runnable): the j-th of the others, in
+// c.Runnable order.
 func (s *Strategy) pickOther(c *sched.Choice) core.ThreadID {
-	others := make([]core.ThreadID, 0, len(c.Runnable)-1)
+	j := s.rng.Intn(len(c.Runnable) - 1)
 	for _, id := range c.Runnable {
-		if id != c.Current {
-			others = append(others, id)
+		if id == c.Current {
+			continue
 		}
+		if j == 0 {
+			return id
+		}
+		j--
 	}
-	return others[s.rng.Intn(len(others))]
+	panic("noise: current thread not runnable")
 }
 
 // Stats returns how many points the heuristic saw and how many it

@@ -1,19 +1,28 @@
 package mtbench_test
 
 // Reproducibility lint: every noise maker, random strategy and native
-// runtime must draw randomness from a per-run rand.New(rand.NewSource
-// (seed)) — never from math/rand's process-global source — so that a
-// (program, seed) pair always reproduces the same schedule (the
-// property TestStrategyDeterministicPerSeed pins for one strategy;
-// this test pins the whole module). A call to the global source would
-// make runs depend on whatever else drew from it first.
+// runtime must draw randomness from a per-run rng built by
+// core.NewRand(seed) — never from math/rand's process-global source —
+// so that a (program, seed) pair always reproduces the same schedule
+// (the property TestStrategyDeterministicPerSeed pins for one
+// strategy; this test pins the whole module). A call to the global
+// source would make runs depend on whatever else drew from it first.
+//
+// core.NewRand draws the stream rand.New(rand.NewSource(seed)) would,
+// but reseeds in O(1) where the stock source regenerates its whole
+// state (a third of a short fuzz run). So non-test code in
+// this module calls rand.NewSource only inside internal/core/rand.go.
+// Nested modules (the benchmark harness under stackbench/) are held
+// to the global-source rule alone.
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -28,8 +37,12 @@ var globalRandFuncs = map[string]bool{
 	"Read": true,
 }
 
+// newSourceHome is the one non-test file allowed to call rand.NewSource.
+const newSourceHome = "internal/core/rand.go"
+
 func TestNoGlobalRandSource(t *testing.T) {
 	fset := token.NewFileSet()
+	var nested []string // roots of modules nested inside this one
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -37,6 +50,9 @@ func TestNoGlobalRandSource(t *testing.T) {
 		if d.IsDir() {
 			if name := d.Name(); name == ".git" || name == ".github" {
 				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != "." {
+				nested = append(nested, path+string(filepath.Separator))
 			}
 			return nil
 		}
@@ -64,6 +80,10 @@ func TestNoGlobalRandSource(t *testing.T) {
 		if len(randNames) == 0 {
 			return nil
 		}
+		inModule := !slices.ContainsFunc(nested, func(root string) bool {
+			return strings.HasPrefix(path, root)
+		})
+		banNewSource := inModule && filepath.ToSlash(path) != newSourceHome
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -77,9 +97,13 @@ func TestNoGlobalRandSource(t *testing.T) {
 			if !ok || !randNames[pkg.Name] || pkg.Obj != nil {
 				return true
 			}
-			if globalRandFuncs[sel.Sel.Name] {
-				t.Errorf("%s: %s.%s uses math/rand's global source; route through a per-run rand.New(rand.NewSource(seed))",
+			switch {
+			case globalRandFuncs[sel.Sel.Name]:
+				t.Errorf("%s: %s.%s uses math/rand's global source; route through a per-run core.NewRand(seed)",
 					fset.Position(call.Pos()), pkg.Name, sel.Sel.Name)
+			case sel.Sel.Name == "NewSource" && banNewSource:
+				t.Errorf("%s: %s.NewSource pays the stock O(state) reseed; use core.NewRand(seed), which draws the same stream",
+					fset.Position(call.Pos()), pkg.Name)
 			}
 			return true
 		})
