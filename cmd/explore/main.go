@@ -83,12 +83,8 @@ func command(fs *flag.FlagSet) (*searchcli.Flags, func() bool, searchcli.Search)
 			ExploreTimeouts: *timeouts,
 			StopAtFirstBug:  cli.First,
 			Workers:         *workers,
-			// Under a CPU profile the driver tags its samples with the
-			// phase vocabulary documented in DESIGN.md
-			// (position/drive/record).
-			ProfileLabels: cli.CPUProfile != "",
-			Name:          cli.Prog,
-			Plan:          prog.Plan,
+			Name:            cli.Prog,
+			Plan:            prog.Plan,
 		}
 		if *bound >= 0 {
 			opts.PreemptionBound = explore.Bound(*bound)

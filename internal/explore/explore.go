@@ -115,13 +115,6 @@ type Options struct {
 	// without snapshots. The cost is memory: every snapshot on the DFS
 	// path stays live, which is why the switch is off by default.
 	Snapshots bool
-	// ProfileLabels attaches runtime/pprof goroutine labels to the
-	// driver phases of every worker (position, drive, record — see
-	// DESIGN.md for the vocabulary), so CPU profiles split
-	// driver overhead from program execution (labelled "vthread" by the
-	// scheduler). Off by default: relabeling goroutines several times
-	// per schedule is measurable on the exploration hot path.
-	ProfileLabels bool
 	// ExploreTimeouts includes "let virtual time pass" (sched.IdleID)
 	// among the choices at points where a thread sleeps on a timer,
 	// extending the search to timing bugs (sleep-as-synchronization,

@@ -44,6 +44,7 @@ type coordinator struct {
 	opts    Options
 	body    func(core.T)
 	workers int
+	labels  *phaseLabels
 
 	// mu guards the queue/idle/closed scheduling state; cond signals
 	// queue pushes and shutdown.
@@ -83,6 +84,7 @@ func newCoordinator(opts Options, body func(core.T)) *coordinator {
 		opts:     opts,
 		body:     body,
 		workers:  workers,
+		labels:   newPhaseLabels(opts.Context),
 		seenBugs: map[string]bool{},
 		outcomes: map[string]int{},
 	}
@@ -152,7 +154,6 @@ func (c *coordinator) run() *Result {
 func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem) {
 	kit.dep.reset()
 	e := &explorer{opts: c.opts, prefix: item.prefix, rootSleep: item.sleep, pool: kit.pool, red: red, dep: &kit.dep, cutDepth: -1}
-	labels := newPhaseLabels(c.opts.ProfileLabels)
 	defer func() {
 		c.resMu.Lock()
 		c.stats.add(e.stats)
@@ -184,7 +185,7 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 		st.prefixTB, st.prefixVB = 0, st.prefixVB[:0]
 		cfg.FastForward, cfg.FFCheck = nil, nil
 
-		labels.enter(phasePosition)
+		c.labels.enter(phasePosition)
 		// The deepest live branch snapshot on the path is the furthest
 		// position a fresh run can fast-forward to: it arrives at its
 		// branch without a single strategy round trip or listener event
@@ -224,7 +225,7 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 				red.hasher.reset()
 			}
 		}
-		labels.enter(phaseDrive)
+		c.labels.enter(phaseDrive)
 		runRes := kit.runner.Start(cfg, c.body)
 		if snapIdx < 0 && !e.prefixAccounted && e.err == nil {
 			// Prefix bound accounting is a pure function of the prefix;
@@ -245,9 +246,9 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 		if snapIdx >= 0 && runRes.Diverged && e.err == nil {
 			e.err = fmt.Errorf("explore: nondeterministic program: fast-forward to depth %d diverged", st.depth)
 		}
-		labels.enter(phaseRecord)
+		c.labels.enter(phaseRecord)
 		c.record(kit, runRes, index, e.err)
-		labels.exit()
+		c.labels.exit()
 		if c.stopping.Load() {
 			return
 		}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -85,6 +86,9 @@ func (f *Flags) Run(search Search) error {
 	if err != nil {
 		return err
 	}
+	if err := checkParams(prog, over); err != nil {
+		return err
+	}
 	body := prog.BodyWith(over)
 	if f.Replay != "" {
 		return f.replay(body)
@@ -93,7 +97,7 @@ func (f *Flags) Run(search Search) error {
 }
 
 // ParseParams parses "k=v,k=v" program parameter overrides with
-// integer values; "" means no overrides.
+// integer values; "" means no overrides. Each name may appear once.
 func ParseParams(s string) (repository.Params, error) {
 	if s == "" {
 		return nil, nil
@@ -105,9 +109,38 @@ func ParseParams(s string) (repository.Params, error) {
 		if !ok || k == "" || err != nil {
 			return nil, fmt.Errorf("bad -params entry %q in %q (want name=integer)", kv, s)
 		}
+		if _, dup := out[k]; dup {
+			return nil, fmt.Errorf("bad -params entry %q in %q (%q is already set)", kv, s, k)
+		}
 		out[k] = n
 	}
 	return out, nil
+}
+
+// checkParams rejects overrides the program does not declare. A body
+// reads only its Defaults keys, so any other name would be silently
+// ignored and the search would run the default configuration.
+func checkParams(prog *repository.Program, over repository.Params) error {
+	var unknown []string
+	for k := range over {
+		if _, ok := prog.Defaults[k]; !ok {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	sort.Strings(unknown)
+	if len(prog.Defaults) == 0 {
+		return fmt.Errorf("program %s takes no -params (got %s)", prog.Name, strings.Join(unknown, ", "))
+	}
+	accepted := make([]string, 0, len(prog.Defaults))
+	for k := range prog.Defaults {
+		accepted = append(accepted, k)
+	}
+	sort.Strings(accepted)
+	return fmt.Errorf("program %s has no parameter %s (accepted: %s)",
+		prog.Name, strings.Join(unknown, ", "), strings.Join(accepted, ", "))
 }
 
 // ListPrograms prints every registered program — including ones the

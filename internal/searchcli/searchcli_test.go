@@ -37,6 +37,7 @@ func TestParseParamsRejectsMalformed(t *testing.T) {
 		{"=1", "=1"},
 		{"a=x", "a=x"},
 		{"a=1,,b=2", ""},
+		{"a=1,a=2", "a=2"},
 	} {
 		_, err := ParseParams(tc.in)
 		if err == nil {
@@ -46,6 +47,53 @@ func TestParseParamsRejectsMalformed(t *testing.T) {
 		if !strings.Contains(err.Error(), "entry "+strconv.Quote(tc.entry)) {
 			t.Errorf("ParseParams(%q) error %q does not name entry %q", tc.in, err, tc.entry)
 		}
+	}
+}
+
+// TestRunRejectsUndeclaredParams: Run refuses an override the program
+// does not declare, naming the accepted parameters (or saying there are
+// none), and hands a declared one to the search.
+func TestRunRejectsUndeclaredParams(t *testing.T) {
+	run := func(prog, params string) (searched bool, err error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := Register(fs, prog)
+		if err := fs.Parse([]string{"-params", params}); err != nil {
+			t.Fatal(err)
+		}
+		err = f.Run(func(*repository.Program, func(core.T)) error {
+			searched = true
+			return nil
+		})
+		return searched, err
+	}
+
+	searched, err := run("account", "depositor=2")
+	if err == nil || searched {
+		t.Fatalf("account depositor=2: searched=%v err=%v, want an error and no search", searched, err)
+	}
+	for _, name := range []string{"depositor", "depositors", "deposits"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("account depositor=2: error %q does not name %q", err, name)
+		}
+	}
+
+	if searched, err := run("account", "depositors=2"); err != nil || !searched {
+		t.Fatalf("account depositors=2: searched=%v err=%v, want a search", searched, err)
+	}
+
+	prog, err := repository.Get("gatedinversion")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.Defaults) != 0 {
+		t.Fatalf("gatedinversion declares %v; the test needs a program without parameters", prog.Defaults)
+	}
+	searched, err = run("gatedinversion", "bogus=7")
+	if err == nil || searched {
+		t.Fatalf("gatedinversion bogus=7: searched=%v err=%v, want an error and no search", searched, err)
+	}
+	if !strings.Contains(err.Error(), "takes no -params") || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("gatedinversion bogus=7: error %q does not say the program takes no parameters", err)
 	}
 }
 
