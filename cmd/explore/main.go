@@ -9,7 +9,6 @@
 //	explore -prog statmax -max 50000
 //	explore -prog philosophers -workers 8 -first=false
 //	explore -prog philosophers -por -statecache -stats -first=false
-//	explore -prog philosophers -por -statecache -snapshots -stats
 //	explore -prog account -params depositors=2,deposits=1 -json
 //	explore -prog inversion -bound 2 -save scenario.json
 //	explore -prog account -tbound 2 -vbound 2 -first=false
@@ -33,13 +32,8 @@ import (
 )
 
 func main() {
-	cli, snapshotsWithoutCache, search := command(flag.CommandLine)
+	cli, search := command(flag.CommandLine)
 	flag.Parse()
-	if snapshotsWithoutCache() {
-		fmt.Fprintln(os.Stderr, "explore: -snapshots needs -statecache")
-		flag.Usage()
-		os.Exit(2)
-	}
 	cli.Main("explore", search)
 }
 
@@ -55,9 +49,8 @@ type jsonResult struct {
 }
 
 // command registers explore's flags on fs. It returns the shared
-// flags, the -snapshots usage check, and the search to run once fs is
-// parsed.
-func command(fs *flag.FlagSet) (*searchcli.Flags, func() bool, searchcli.Search) {
+// flags and the search to run once fs is parsed.
+func command(fs *flag.FlagSet) (*searchcli.Flags, searchcli.Search) {
 	cli := searchcli.Register(fs, "statmax")
 	max := fs.Int("max", 50000, "maximum schedules")
 	bound := fs.Int("bound", -1, "preemption bound (-1 = unbounded)")
@@ -65,9 +58,7 @@ func command(fs *flag.FlagSet) (*searchcli.Flags, func() bool, searchcli.Search)
 	tbound := fs.Int("tbound", -1, "thread bound: distinct threads eligible for preemption (-1 = unbounded)")
 	sleepSets := fs.Bool("sleepsets", false, "enable sleep-set pruning")
 	por := fs.Bool("por", false, "enable dynamic partial-order reduction (implies -sleepsets)")
-	stateCache := fs.Bool("statecache", false, "enable canonical-state caching")
-	cacheSize := fs.Int("statecachesize", 0, "state-cache entries per worker (0 = default)")
-	snapshots := fs.Bool("snapshots", false, "position each schedule from the deepest branch snapshot instead of replaying from the root (needs -statecache)")
+	stateCache := fs.Bool("statecache", false, "enable canonical-state caching (and branch-snapshot positioning)")
 	timeouts := fs.Bool("timeouts", false, "explore timer expirations too")
 	workers := fs.Int("workers", 0, "parallel search workers (0 = all cores, 1 = deterministic serial)")
 	stats := fs.Bool("stats", false, "print reduction statistics (pruned options, backtracks, cache hits)")
@@ -78,8 +69,6 @@ func command(fs *flag.FlagSet) (*searchcli.Flags, func() bool, searchcli.Search)
 			SleepSets:       *sleepSets,
 			DPOR:            *por,
 			StateCache:      *stateCache,
-			StateCacheSize:  *cacheSize,
-			Snapshots:       *snapshots,
 			ExploreTimeouts: *timeouts,
 			StopAtFirstBug:  cli.First,
 			Workers:         *workers,
@@ -107,7 +96,7 @@ func command(fs *flag.FlagSet) (*searchcli.Flags, func() bool, searchcli.Search)
 		}
 		return cli.SaveScenario("explore-dfs", 0, res.Bugs[0].Schedule)
 	}
-	return cli, func() bool { return *snapshots && !*stateCache }, search
+	return cli, search
 }
 
 // report prints the search result as text or, under -json, as one

@@ -11,7 +11,6 @@
 package explore
 
 import (
-	"math/bits"
 	"sync"
 
 	"mtbench/internal/core"
@@ -31,6 +30,11 @@ type branchSnap struct {
 	hasher hasherSnap
 	sched  sched.Snapshot
 }
+
+// maxLiveSnaps caps the branch snapshots a shard holds at once, so
+// 10,000-step paths do not keep one per multi-option node; deeper
+// nodes position from the deepest snapshot above them.
+const maxLiveSnaps = 64
 
 // workerKit is the per-worker reusable execution state.
 type workerKit struct {
@@ -89,20 +93,14 @@ func (k *workerKit) release() {
 }
 
 // reductionFor prepares the kit's reduction bundle for one
-// exploration: reuse the hasher and (size permitting) the cache,
-// invalidating cached subtrees from whatever exploration used the kit
-// last.
+// exploration: reuse the hasher and the cache, invalidating cached
+// subtrees from whatever exploration used the kit last.
 func (k *workerKit) reductionFor(opts Options) *reduction {
 	if !opts.StateCache {
 		return nil
 	}
-	size := opts.StateCacheSize
-	if size <= 0 {
-		size = DefaultStateCacheSize
-	}
-	n := 1 << bits.Len(uint(size-1))
-	if k.cache == nil || len(k.cache.ents) != n {
-		k.cache = newStateCache(size)
+	if k.cache == nil {
+		k.cache = newStateCache()
 	} else {
 		k.cache.reset()
 	}

@@ -7,25 +7,27 @@ import (
 	"testing"
 	"time"
 
+	"mtbench/internal/core"
 	"mtbench/internal/repository"
+	"mtbench/internal/sched"
 )
 
 // TestCheckpointedEquivalence pins the frontier-positioning contract
 // over the whole program repository. Serially the contract is exact:
-// exploration with branch snapshots (DPOR + state cache + snapshots)
-// must visit exactly the tree the coast-mode reduced search visits —
-// same schedule count, same exhaustion, same deduplicated bug set,
-// same outcome histogram, same novel-step total — because positioning
-// only changes how a run reaches its decision point, never which
-// decisions the DFS enumerates or how a run ends. The one intended
-// serial difference is the replay tax: the snapshot search must never
-// replay more steps than coast mode, and on the benchmark gate program
-// it must replay strictly fewer while reporting snapshot fast-forwards
-// in the stats.
+// the default reduced search (DPOR + state cache, which positions runs
+// from branch snapshots) must visit exactly the tree the root-replay
+// reference visits — same schedule count, same exhaustion, same
+// deduplicated bug set, same outcome histogram, same novel-step total
+// — because positioning only changes how a run reaches its decision
+// point, never which decisions the DFS enumerates or how a run ends.
+// The one intended serial difference is the replay tax: the snapshot
+// search must never replay more steps than root replay, and on the
+// benchmark gate program it must replay strictly fewer while
+// reporting snapshot fast-forwards in the stats.
 //
 // With Workers: 8 the per-worker state caches see different state
 // sequences depending on shard-donation timing — which positioning
-// shifts, exactly as coast-mode donation timing already varies — so
+// shifts, exactly as root-replay donation timing already varies — so
 // schedule counts are not comparable across modes
 // (TestReducedEquivalence pins the parallel bound against the full
 // tree instead). The parallel snapshot contract is the soundness half:
@@ -46,7 +48,7 @@ func TestCheckpointedEquivalence(t *testing.T) {
 	}
 	for _, prog := range repository.All() {
 		body := prog.BodyWith(smallParams[prog.Name])
-		base := Explore(Options{
+		base := exploreRootReplay(Options{
 			MaxSchedules: budget, MaxSteps: maxSteps, Workers: 1,
 			DPOR: true, StateCache: true,
 		}, body)
@@ -57,7 +59,7 @@ func TestCheckpointedEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			ck := Explore(Options{
 				MaxSchedules: budget, MaxSteps: maxSteps, Workers: workers,
-				DPOR: true, StateCache: true, Snapshots: true,
+				DPOR: true, StateCache: true,
 			}, body)
 			label := fmt.Sprintf("%s/snapshots/workers=%d", prog.Name, workers)
 			if ck.Err != nil {
@@ -74,32 +76,32 @@ func TestCheckpointedEquivalence(t *testing.T) {
 			if workers > 1 {
 				if base.Exhausted && ck.Exhausted {
 					if got := bugKeys(ck); !reflect.DeepEqual(got, baseBugs) {
-						t.Errorf("%s: bug sets differ\n  coast:     %v\n  snapshots: %v", label, baseBugs, got)
+						t.Errorf("%s: bug sets differ\n  root replay: %v\n  snapshots:   %v", label, baseBugs, got)
 					}
 				}
 				continue
 			}
 			if ck.Schedules != base.Schedules || ck.Exhausted != base.Exhausted {
-				t.Errorf("%s: tree shape changed: %d schedules (exhausted=%v) vs coast %d (%v)",
+				t.Errorf("%s: tree shape changed: %d schedules (exhausted=%v) vs root replay %d (%v)",
 					label, ck.Schedules, ck.Exhausted, base.Schedules, base.Exhausted)
 			}
 			if got := bugKeys(ck); !reflect.DeepEqual(got, baseBugs) {
-				t.Errorf("%s: bug sets differ\n  coast:     %v\n  snapshots: %v", label, baseBugs, got)
+				t.Errorf("%s: bug sets differ\n  root replay: %v\n  snapshots:   %v", label, baseBugs, got)
 			}
 			if !reflect.DeepEqual(ck.Outcomes, base.Outcomes) {
-				t.Errorf("%s: outcome histograms differ\n  coast:     %v\n  snapshots: %v", label, base.Outcomes, ck.Outcomes)
+				t.Errorf("%s: outcome histograms differ\n  root replay: %v\n  snapshots:   %v", label, base.Outcomes, ck.Outcomes)
 			}
 			if ck.Stats.ReplayedSteps > base.Stats.ReplayedSteps {
-				t.Errorf("%s: snapshots raised the replay tax: %d vs coast %d",
+				t.Errorf("%s: snapshots raised the replay tax: %d vs root replay %d",
 					label, ck.Stats.ReplayedSteps, base.Stats.ReplayedSteps)
 			}
 			if ck.Stats.NovelSteps != base.Stats.NovelSteps {
-				t.Errorf("%s: novel steps differ: %d vs coast %d",
+				t.Errorf("%s: novel steps differ: %d vs root replay %d",
 					label, ck.Stats.NovelSteps, base.Stats.NovelSteps)
 			}
 			if prog.Name == "philosophers" {
 				if ck.Stats.ReplayedSteps >= base.Stats.ReplayedSteps {
-					t.Errorf("%s: expected strictly fewer replayed steps than coast mode: %d vs %d",
+					t.Errorf("%s: expected strictly fewer replayed steps than root replay: %d vs %d",
 						label, ck.Stats.ReplayedSteps, base.Stats.ReplayedSteps)
 				}
 				if ck.Stats.CheckpointHits == 0 {
@@ -107,7 +109,63 @@ func TestCheckpointedEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
 
+// exploreRootReplay runs the search with no branch snapshots, so every
+// schedule is positioned by replaying from the root: the reference
+// TestCheckpointedEquivalence compares the default search against.
+func exploreRootReplay(opts Options, body func(core.T)) *Result {
+	c := newCoordinator(opts, body)
+	c.snapCap = 0
+	return c.run()
+}
+
+// TestSnapshotCap pins the live-snapshot cap on 10,000-step paths: a
+// DPOR + state-cache search of adhocsync never holds more than
+// maxLiveSnaps branch snapshots, and still positions every run after
+// the first from one. A kit's pool allocates a snapshot only when none
+// is free, so the snapshots it ever allocated — the ones recycled into
+// the pool plus the ones still on the final path — are the high-water
+// mark of live snapshots.
+func TestSnapshotCap(t *testing.T) {
+	prog, err := repository.Get("adhocsync")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const schedules = 40
+	c := newCoordinator(Options{
+		MaxSchedules: schedules, MaxSteps: 10000, Workers: 1,
+		DPOR: true, StateCache: true,
+	}, prog.BodyWith(nil))
+	kit := &workerKit{runner: sched.NewRunner(), pool: newNodePool()}
+	defer kit.runner.Close()
+	e := c.exploreItem(kit, kit.reductionFor(c.opts), &workItem{})
+	if e.err != nil {
+		t.Fatal(e.err)
+	}
+	onPath := 0
+	for _, n := range e.path {
+		if n.snap != nil {
+			onPath++
+		}
+	}
+	if onPath != e.liveSnaps {
+		t.Errorf("live snapshot counter %d, but %d path nodes hold one", e.liveSnaps, onPath)
+	}
+	if peak := onPath + len(kit.pool.snaps); peak > maxLiveSnaps {
+		t.Errorf("%d branch snapshots allocated, cap %d", peak, maxLiveSnaps)
+	}
+	if onPath < maxLiveSnaps {
+		t.Errorf("final path holds %d snapshots; expected the cap %d to bind on a %d-node path",
+			onPath, maxLiveSnaps, len(e.path))
+	}
+	if got := int(c.executed.Load()); got != schedules {
+		t.Fatalf("%d schedules executed, want %d", got, schedules)
+	}
+	if e.stats.CheckpointHits != schedules-1 {
+		t.Errorf("checkpoint hits %d over %d schedules, want %d; stats: %+v",
+			e.stats.CheckpointHits, schedules, schedules-1, e.stats)
 	}
 }
 
@@ -129,7 +187,7 @@ func assertConservation(t *testing.T, label string, res *Result) {
 // TestCheckpointConservation pins the two conservation laws repo-wide
 // across every exploration mode, with snapshots or without: every
 // schedule is positioned exactly once (checkpoint_hits +
-// checkpoint_misses == schedules — all misses when positioning is off), and every scheduler
+// checkpoint_misses == schedules — all misses without the state cache), and every scheduler
 // step is attributed exactly once (replayed + novel + restored ==
 // total). The laws are what make the counters trustworthy: a counter
 // that can drift from the ground truth silently is worse than no
@@ -163,8 +221,8 @@ func TestCheckpointConservation(t *testing.T) {
 }
 
 // leakModes is the mode matrix the goroutine-leak sweep drives: every
-// reduction configuration, with and without branch snapshots where the
-// state cache permits them, at both worker counts.
+// reduction configuration, with branch snapshots wherever the state
+// cache is on, at both worker counts.
 var leakModes = []struct {
 	name string
 	set  func(*Options)
@@ -173,11 +231,9 @@ var leakModes = []struct {
 	{"dpor", func(o *Options) { o.DPOR = true }},
 	{"cache", func(o *Options) { o.StateCache = true }},
 	{"dpor+cache", func(o *Options) { o.DPOR = true; o.StateCache = true }},
-	{"dpor+cache+snap", func(o *Options) { o.DPOR = true; o.StateCache = true; o.Snapshots = true }},
-	{"timeouts+snap", func(o *Options) {
+	{"dpor+cache+timeouts", func(o *Options) {
 		o.DPOR = true
 		o.StateCache = true
-		o.Snapshots = true
 		o.ExploreTimeouts = true
 	}},
 }

@@ -98,23 +98,18 @@ type Options struct {
 	// are hashed (per-thread event chains in conflict order + runnable
 	// set + pending-operation handles) into a bounded per-worker
 	// direct-mapped cache, and a revisited state's subtree is cut.
-	StateCache bool
-	// StateCacheSize is the per-worker entry count of the state cache
-	// (0 = DefaultStateCacheSize). Collisions overwrite, so a small
-	// cache prunes less but is never unsound.
-	StateCacheSize int
-	// Snapshots turns on frontier positioning (only with StateCache):
-	// every multi-option path node carries a forkable branch snapshot
-	// (hasher state + sched position digest), and each schedule starts
-	// from the deepest one on the path — a pooled runner fast-forwards
-	// the branch's decision prefix at coast speed
+	//
+	// The state cache also turns on frontier positioning: multi-option
+	// path nodes carry forkable branch snapshots (hasher state + sched
+	// position digest), at most 64 live per shard, and each
+	// schedule starts from the deepest one on the path — a pooled
+	// runner fast-forwards the branch's decision prefix at coast speed
 	// (sched.Config.FastForward) and verifies the digest on arrival —
 	// instead of replaying from the root under full strategy control.
 	// Positioning changes how a run reaches its frontier, never which
-	// frontier it explores: serially, results are identical to a search
-	// without snapshots. The cost is memory: every snapshot on the DFS
-	// path stays live, which is why the switch is off by default.
-	Snapshots bool
+	// frontier it explores: serially, results are identical to a
+	// root-replay search except for the positioning counters in Stats.
+	StateCache bool
 	// ExploreTimeouts includes "let virtual time pass" (sched.IdleID)
 	// among the choices at points where a thread sleeps on a timer,
 	// extending the search to timing bugs (sleep-as-synchronization,
@@ -236,12 +231,13 @@ type node struct {
 	sub         []uint64
 	subOverflow bool
 
-	// snap is the node's forkable branch snapshot (nil unless
-	// Options.Snapshots and the node has siblings worth returning
-	// for): the hasher state and scheduler position digest frozen at
-	// this decision point, before any option was chosen. Later runs
-	// fast-forward here instead of replaying from the root. Freed when
-	// the node pops — the live snapshot set is exactly the DFS path.
+	// snap is the node's forkable branch snapshot (nil unless the
+	// state cache is on, the node has siblings worth returning for and
+	// the shard holds fewer than its cap): the hasher state and
+	// scheduler position digest frozen at this decision point, before
+	// any option was chosen. Later runs fast-forward here instead of
+	// replaying from the root. Freed when the node pops — the live
+	// snapshots all sit on the DFS path.
 	snap *branchSnap
 }
 
@@ -402,6 +398,9 @@ type explorer struct {
 	// cutDepth is the path index of the active cache cut (-1 when
 	// none): nodes created deeper only finish the in-flight run.
 	cutDepth int
+	// liveSnaps counts the branch snapshots held by path nodes; new
+	// nodes get none once it reaches snapCap.
+	liveSnaps, snapCap int
 	// Bound accounting accumulated along the replayed prefix is a pure
 	// function of the prefix, so it is captured once from the shard's
 	// first fully-replayed run and reinstated on fast-forwarded runs
@@ -664,12 +663,15 @@ func (e *explorer) newNode(c *sched.Choice, pd int, st *dfsStrategy) *node {
 	// decision is taken or folded — so a later run can fast-forward the
 	// decisions above this node and re-enter the DFS at the branch.
 	// Single-option nodes are popped straight through on backtrack and
-	// never returned to, so they carry no snapshot.
-	if e.opts.Snapshots && e.red != nil && !n.cut && len(n.options) > 1 && c.SnapshotTo != nil {
+	// never returned to, so they carry no snapshot. Past the cap a node
+	// gets none either: runs backtracking to it position from the
+	// deepest snapshot above and replay the rest under strategy control.
+	if e.red != nil && e.liveSnaps < e.snapCap && !n.cut && len(n.options) > 1 && c.SnapshotTo != nil {
 		bs := e.pool.getSnap()
 		e.red.hasher.snapshotInto(&bs.hasher)
 		c.SnapshotTo(&bs.sched)
 		n.snap = bs
+		e.liveSnaps++
 	}
 	return n
 }
@@ -734,6 +736,7 @@ func (e *explorer) popNode(n *node) {
 	if n.snap != nil {
 		e.pool.putSnap(n.snap)
 		n.snap = nil
+		e.liveSnaps--
 	}
 	if e.opts.DPOR && !n.cut {
 		for i, o := range n.options {
@@ -872,11 +875,5 @@ func (e *explorer) split() (*workItem, bool) {
 // search is serial for Options.Workers == 1 and sharded across a
 // worker pool otherwise; see parallel.go for the coordinator.
 func Explore(opts Options, body func(core.T)) *Result {
-	if opts.MaxSchedules <= 0 {
-		opts.MaxSchedules = 10000
-	}
-	if opts.DPOR {
-		opts.SleepSets = true
-	}
 	return newCoordinator(opts, body).run()
 }

@@ -45,6 +45,7 @@ type coordinator struct {
 	body    func(core.T)
 	workers int
 	labels  *phaseLabels
+	snapCap int // per-shard live snapshot cap; 0 = root replay only
 
 	// mu guards the queue/idle/closed scheduling state; cond signals
 	// queue pushes and shutdown.
@@ -76,6 +77,12 @@ type coordinator struct {
 }
 
 func newCoordinator(opts Options, body func(core.T)) *coordinator {
+	if opts.MaxSchedules <= 0 {
+		opts.MaxSchedules = 10000
+	}
+	if opts.DPOR {
+		opts.SleepSets = true
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -85,6 +92,7 @@ func newCoordinator(opts Options, body func(core.T)) *coordinator {
 		body:     body,
 		workers:  workers,
 		labels:   newPhaseLabels(opts.Context),
+		snapCap:  maxLiveSnaps,
 		seenBugs: map[string]bool{},
 		outcomes: map[string]int{},
 	}
@@ -143,17 +151,17 @@ func (c *coordinator) run() *Result {
 // starving workers and observing the global budgets. kit and red are
 // the calling worker's reusable execution state.
 //
-// Frontier positioning (Options.Snapshots): depth-first backtracking
-// visits branches consecutively, so before each run the worker looks
-// for the deepest live branch snapshot on the path and fast-forwards
-// to it, falling back to a from-the-root replay only when there is
-// none (the first run of a shard). The DFS itself is untouched:
-// positioning changes how a run reaches its frontier, never which
-// frontier it explores, so serial results are byte-identical to a
-// search without snapshots.
-func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem) {
+// Frontier positioning (with the state cache): depth-first
+// backtracking visits branches consecutively, so before each run the
+// worker looks for the deepest live branch snapshot on the path and
+// fast-forwards to it, falling back to a from-the-root replay only
+// when there is none (the first run of a shard). The DFS itself is
+// untouched: positioning changes how a run reaches its frontier, never
+// which frontier it explores, so serial results are byte-identical to
+// a search without snapshots. It returns the shard's explorer.
+func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem) *explorer {
 	kit.dep.reset()
-	e := &explorer{opts: c.opts, prefix: item.prefix, rootSleep: item.sleep, pool: kit.pool, red: red, dep: &kit.dep, cutDepth: -1}
+	e := &explorer{opts: c.opts, prefix: item.prefix, rootSleep: item.sleep, pool: kit.pool, red: red, dep: &kit.dep, cutDepth: -1, snapCap: c.snapCap}
 	defer func() {
 		c.resMu.Lock()
 		c.stats.add(e.stats)
@@ -175,11 +183,11 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 	}
 	for {
 		if c.stopping.Load() {
-			return
+			return e
 		}
 		if c.reserved.Add(1) > int64(c.opts.MaxSchedules) {
 			c.truncated.Store(true)
-			return
+			return e
 		}
 		st.depth, st.prefixPre = 0, 0
 		st.prefixTB, st.prefixVB = 0, st.prefixVB[:0]
@@ -191,7 +199,7 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 		// branch without a single strategy round trip or listener event
 		// for the decisions it shares with the previous run.
 		snapIdx := -1
-		if c.opts.Snapshots {
+		if e.liveSnaps > 0 {
 			for i := len(e.path) - 1; i >= 0; i-- {
 				if e.path[i].snap != nil {
 					snapIdx = i
@@ -250,7 +258,7 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 		c.record(kit, runRes, index, e.err)
 		c.labels.exit()
 		if c.stopping.Load() {
-			return
+			return e
 		}
 		for c.needWork() {
 			donated, ok := e.split()
@@ -260,7 +268,7 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 			c.push(donated)
 		}
 		if !e.backtrack() {
-			return // shard exhausted
+			return e // shard exhausted
 		}
 	}
 }

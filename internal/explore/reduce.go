@@ -66,8 +66,6 @@
 package explore
 
 import (
-	"math/bits"
-
 	"mtbench/internal/core"
 	"mtbench/internal/sched"
 )
@@ -100,15 +98,15 @@ type Stats struct {
 	// already-known state: schedule-prefix and path-replay decisions,
 	// plus the coasted tail steps below state-cache cuts. This is the
 	// replay tax DFS pays for statelessness — the quantity branch
-	// snapshots (Options.Snapshots) remove.
+	// snapshots (taken whenever Options.StateCache is on) remove.
 	ReplayedSteps int `json:"replayed_steps"`
 	// NovelSteps counts decisions taken at fresh frontier nodes — the
 	// steps that visit new state.
 	NovelSteps int `json:"novel_steps"`
 	// CheckpointHits counts schedules positioned by fast-forwarding to
-	// a branch snapshot (see Options.Snapshots) instead of replayed from
-	// the root under full strategy control; CheckpointMisses counts the
-	// rest. Every schedule is exactly one or the other, so hits +
+	// a branch snapshot (see Options.StateCache) instead of replayed
+	// from the root under full strategy control; CheckpointMisses counts
+	// the rest. Every schedule is exactly one or the other, so hits +
 	// misses == schedules executed.
 	CheckpointHits   int `json:"checkpoint_hits"`
 	CheckpointMisses int `json:"checkpoint_misses"`
@@ -348,16 +346,11 @@ type stateCache struct {
 	ents []cacheEnt
 }
 
-// DefaultStateCacheSize is the per-worker entry count when
-// Options.StateCacheSize is zero.
-const DefaultStateCacheSize = 1 << 15
+// stateCacheSize is the per-worker entry count (a power of two).
+const stateCacheSize = 1 << 15
 
-func newStateCache(size int) *stateCache {
-	if size <= 0 {
-		size = DefaultStateCacheSize
-	}
-	n := 1 << bits.Len(uint(size-1)) // round up to a power of two
-	return &stateCache{mask: uint64(n - 1), gen: 1, ents: make([]cacheEnt, n)}
+func newStateCache() *stateCache {
+	return &stateCache{mask: stateCacheSize - 1, gen: 1, ents: make([]cacheEnt, stateCacheSize)}
 }
 
 // reset invalidates every entry in O(1) by advancing the generation.

@@ -37,6 +37,10 @@ import (
 
 var binaryMagic = [4]byte{'M', 'T', 'B', 'T'}
 
+// maxBlob caps the header and string lengths a reader accepts, so a
+// corrupt length fails with an error instead of a huge allocation.
+const maxBlob = 1 << 20
+
 type binWriter struct {
 	bw      *bufio.Writer
 	scratch []byte
@@ -156,6 +160,9 @@ func NewBinaryReader(r io.Reader) (Reader, error) {
 	if err != nil {
 		return nil, err
 	}
+	if hlen > maxBlob {
+		return nil, fmt.Errorf("trace: header of %d bytes", hlen)
+	}
 	blob := make([]byte, hlen)
 	if _, err := io.ReadFull(br, blob); err != nil {
 		return nil, err
@@ -182,7 +189,7 @@ func (r *binReader) rstr() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if n > 1<<20 {
+		if n > maxBlob {
 			return "", fmt.Errorf("trace: string of %d bytes", n)
 		}
 		buf := make([]byte, n)

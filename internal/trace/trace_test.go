@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,8 @@ func sampleRecords() []Record {
 	}
 }
 
-func roundtrip(t *testing.T, mk func(w io.Writer) Writer, rd func(r io.Reader) (Reader, error)) {
+// roundtrip writes recs with mk and requires rd to read them back.
+func roundtrip(t *testing.T, mk func(w io.Writer) Writer, rd func(r io.Reader) (Reader, error), recs []Record) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := mk(&buf)
@@ -30,7 +32,6 @@ func roundtrip(t *testing.T, mk func(w io.Writer) Writer, rd func(r io.Reader) (
 	if err := w.WriteHeader(h); err != nil {
 		t.Fatal(err)
 	}
-	recs := sampleRecords()
 	for _, r := range recs {
 		if err := w.WriteRecord(r); err != nil {
 			t.Fatal(err)
@@ -57,8 +58,13 @@ func roundtrip(t *testing.T, mk func(w io.Writer) Writer, rd func(r io.Reader) (
 	}
 }
 
-func TestJSONLRoundtrip(t *testing.T)  { roundtrip(t, NewJSONLWriter, NewJSONLReader) }
-func TestBinaryRoundtrip(t *testing.T) { roundtrip(t, NewBinaryWriter, NewBinaryReader) }
+func TestJSONLRoundtrip(t *testing.T) {
+	roundtrip(t, NewJSONLWriter, NewJSONLReader, sampleRecords())
+}
+
+func TestBinaryRoundtrip(t *testing.T) {
+	roundtrip(t, NewBinaryWriter, NewBinaryReader, sampleRecords())
+}
 
 // TestBinarySmallerThanJSONL pins the E9 expectation: interning plus
 // varints must beat JSON text on a realistic trace.
@@ -194,6 +200,16 @@ func TestTruncatedBinaryTrace(t *testing.T) {
 	}
 	if _, err := r.Next(); err != io.ErrUnexpectedEOF {
 		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
+	}
+}
+
+// TestOversizedBinaryHeader checks that a header length past the cap
+// is refused with an error naming it, not allocated.
+func TestOversizedBinaryHeader(t *testing.T) {
+	in := []byte("MTBT\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f")
+	_, err := NewBinaryReader(bytes.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "9223372036854775807") {
+		t.Fatalf("err = %v, want a header-length error", err)
 	}
 }
 
