@@ -56,7 +56,7 @@ func TestLocationString(t *testing.T) {
 }
 
 func TestCallerLocation(t *testing.T) {
-	loc := CallerLocation(0)
+	loc, _ := CallerLocationID(0)
 	if !strings.HasSuffix(loc.File, "core/core_test.go") {
 		t.Fatalf("file = %q", loc.File)
 	}
@@ -64,7 +64,7 @@ func TestCallerLocation(t *testing.T) {
 		t.Fatalf("loc = %+v", loc)
 	}
 	// Cached second resolution must agree.
-	if loc2 := CallerLocation(0); loc2.File != loc.File {
+	if loc2, _ := CallerLocationID(0); loc2.File != loc.File {
 		t.Fatalf("cache mismatch: %v vs %v", loc, loc2)
 	}
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 )
 
 // ThreadID identifies a virtual thread within a single run. Thread 0 is
@@ -108,47 +106,6 @@ func (e *Event) String() string {
 		fmt.Fprintf(&b, " @ %s", e.Loc.Key())
 	}
 	return b.String()
-}
-
-// locCache caches PC-to-(Location, handle) resolution; probes resolve
-// their call site on every event and resolution via
-// runtime.CallersFrames is comparatively expensive.
-var locCache sync.Map // uintptr -> cachedLoc
-
-type cachedLoc struct {
-	loc Location
-	id  uint32
-}
-
-// CallerLocation resolves the source location skip+1 frames above the
-// caller. Runtimes use it at probe sites; the skip count hops over the
-// runtime's own wrapper frames so the reported location is inside the
-// benchmark program.
-func CallerLocation(skip int) Location {
-	loc, _ := CallerLocationID(skip + 1)
-	return loc
-}
-
-// CallerLocationID is CallerLocation plus the interned program-point
-// handle (InternLocKey of the location), resolved through the same
-// per-PC cache so the steady-state cost is one stack hop and one map
-// load.
-func CallerLocationID(skip int) (Location, uint32) {
-	var pcs [1]uintptr
-	if runtime.Callers(skip+2, pcs[:]) == 0 {
-		return Location{}, 0
-	}
-	pc := pcs[0]
-	if c, ok := locCache.Load(pc); ok {
-		cl := c.(cachedLoc)
-		return cl.loc, cl.id
-	}
-	frames := runtime.CallersFrames(pcs[:])
-	fr, _ := frames.Next()
-	loc := Location{File: trimPath(fr.File), Line: fr.Line, Fn: trimFn(fr.Function)}
-	cl := cachedLoc{loc: loc, id: InternLocKey(loc.File, loc.Line)}
-	locCache.Store(pc, cl)
-	return cl.loc, cl.id
 }
 
 // trimPath shortens an absolute file path to its last two path

@@ -1,0 +1,5 @@
+package core
+
+// SetLogicalOnly makes every CallerLocationID lookup use the logical
+// key (runtime.Callers) instead of the frame-pointer key.
+func SetLogicalOnly(on bool) { logicalOnly.Store(on) }

@@ -32,7 +32,10 @@ func (t *ntc) Name() string      { return t.name }
 
 // progLoc resolves the benchmark program's call site (program -> ntc
 // method -> here).
-func progLoc() core.Location { return core.CallerLocation(2) }
+func progLoc() core.Location {
+	loc, _ := core.CallerLocationID(2)
+	return loc
+}
 
 // before runs the pre-operation half of a probe: abort check, noise
 // injection, replay gating. It reports whether the probe is enabled so
@@ -132,11 +135,13 @@ func (t *ntc) Assert(cond bool, format string, args ...any) {
 	if cond {
 		return
 	}
-	t.failAt(core.CallerLocation(1), format, args...)
+	loc, _ := core.CallerLocationID(1)
+	t.failAt(loc, format, args...)
 }
 
 func (t *ntc) Failf(format string, args ...any) {
-	t.failAt(core.CallerLocation(1), format, args...)
+	loc, _ := core.CallerLocationID(1)
+	t.failAt(loc, format, args...)
 }
 
 func (t *ntc) failAt(loc core.Location, format string, args ...any) {

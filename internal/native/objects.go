@@ -377,12 +377,13 @@ type nwaitgroup struct {
 
 func (w *nwaitgroup) OID() core.ObjectID { return w.id }
 
-func (w *nwaitgroup) Add(t core.T, delta int) { w.add(t, delta) }
-func (w *nwaitgroup) Done(t core.T)           { w.add(t, -1) }
+func (w *nwaitgroup) Add(t core.T, delta int) { w.add(t, delta, progLoc()) }
+func (w *nwaitgroup) Done(t core.T)           { w.add(t, -1, progLoc()) }
 
-func (w *nwaitgroup) add(t core.T, delta int) {
+// add takes the location from its caller: progLoc here would resolve
+// to Add or Done instead of the program.
+func (w *nwaitgroup) add(t core.T, delta int, loc core.Location) {
 	nt := t.(*ntc)
-	loc := progLoc()
 	en := nt.before(core.OpWGAdd, w.name, loc)
 	w.mu.Lock()
 	was := w.count

@@ -56,7 +56,7 @@ type Point struct {
 // goroutines); the rng is owned by the calling thread. A heuristic
 // that never reads Point.Loc should implement core.LocationIndifferent
 // with NeedsLocations() false, so controlled runs skip the per-operation
-// stack walk that fills it in.
+// call-site lookup that fills it in.
 type Heuristic interface {
 	Name() string
 	Decide(p *Point, rng *rand.Rand) Decision

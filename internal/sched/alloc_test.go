@@ -65,6 +65,43 @@ func TestPooledRunAllocs(t *testing.T) {
 	}
 }
 
+// locReader is the cheapest listener that makes the runtime capture
+// locations: it reads every event's Loc and LocID and allocates
+// nothing itself.
+type locReader struct {
+	located int
+	ids     uint32
+}
+
+func (l *locReader) OnEvent(ev *core.Event) {
+	if ev.Loc.File != "" {
+		l.located++
+	}
+	l.ids ^= ev.LocID
+}
+
+// TestPooledRunAllocsWithLocations extends the gate to runs that
+// capture a location per probe (coverage, race detection): once each
+// call site has been resolved, a location lookup allocates nothing, so
+// such a run allocates no more than the listener-free run
+// TestPooledRunAllocs pins.
+func TestPooledRunAllocsWithLocations(t *testing.T) {
+	r := NewRunner()
+	defer r.Close()
+	lr := &locReader{}
+	located := Config{Listeners: []core.Listener{lr}}
+	r.Run(Config{}, allocBody)
+	r.Run(located, allocBody)
+	if lr.located == 0 {
+		t.Fatal("listener saw no located events: locations were not captured")
+	}
+	plain := testing.AllocsPerRun(200, func() { r.Run(Config{}, allocBody) })
+	withLocs := testing.AllocsPerRun(200, func() { r.Run(located, allocBody) })
+	if withLocs > plain {
+		t.Fatalf("location-capturing run allocates %.1f objects/run, listener-free %.1f", withLocs, plain)
+	}
+}
+
 // TestPooledRunReusesThreads pins the goroutine side of pooling: a
 // reused Runner must not grow the process's goroutine population run
 // over run (each virtual thread's goroutine parks in the pool between

@@ -55,11 +55,13 @@ func (c *tc) Assert(cond bool, format string, args ...any) {
 	if cond {
 		return
 	}
-	c.fail(core.CallerLocation(1), format, args...)
+	loc, _ := core.CallerLocationID(1)
+	c.fail(loc, format, args...)
 }
 
 func (c *tc) Failf(format string, args ...any) {
-	c.fail(core.CallerLocation(1), format, args...)
+	loc, _ := core.CallerLocationID(1)
+	c.fail(loc, format, args...)
 }
 
 // lazyFormat is the zero-allocation fast path for the verb-free

@@ -90,10 +90,10 @@ type Strategy interface {
 }
 
 // LocationAware is an optional Strategy extension. Capturing the
-// source location of every instrumented operation costs a stack walk
-// per probe — the single most expensive part of a listener-free run —
-// so the scheduler skips it when nothing observes locations: any
-// attached listener turns capture on, and a strategy that keys its
+// source location of every instrumented operation costs a call-site
+// lookup per probe (core.CallerLocationID), so the scheduler skips it
+// when nothing observes locations: any attached listener turns capture
+// on, and a strategy that keys its
 // decisions on Choice.Pending.Loc (noise with a location-keyed
 // heuristic does) must declare it by implementing LocationAware with
 // NeedsLocations() true.
