@@ -2,12 +2,13 @@
 //
 // A workerKit is the reusable per-worker execution state: the pooled
 // runner, the DFS node free list, the reduction structures (event
-// hasher, canonical-state cache, DPOR last-dependent index) and the
-// outcome-key intern table.
-// Kits are recycled through a package-level pool, so a campaign that
-// calls Explore thousands of times pays the runner/cache construction
-// cost once — the state cache is invalidated by generation bump on
-// checkout instead of being reallocated or zeroed.
+// hasher, DPOR last-dependent index) and the outcome-key intern table.
+// The canonical-state cache belongs to the search, not the worker: one
+// table per Explore call, shared by its workers.
+// Kits and caches are recycled through package-level free lists, so a
+// campaign that calls Explore thousands of times pays the runner/cache
+// construction cost once — the state cache is invalidated by
+// generation bump on checkout instead of being reallocated or zeroed.
 package explore
 
 import (
@@ -41,7 +42,6 @@ type workerKit struct {
 	runner *sched.Runner
 	pool   *nodePool
 	hasher *stateHasher
-	cache  *stateCache
 	// dep is the DPOR last-dependent index, reset per shard; pooled so
 	// its tables grow once per kit rather than once per Explore call.
 	dep depIndex
@@ -57,12 +57,15 @@ type workerKit struct {
 	planned []core.ThreadID
 }
 
-// kitPool recycles worker kits process-wide. Runners keep their
+// kitFree recycles worker kits process-wide. Runners keep their
 // virtual-thread goroutines parked between explorations — that is the
 // point — so the pool is bounded to keep the idle population small.
+// cacheFree recycles state caches (one per concurrent state-cache
+// search) under the same lock and bound.
 var (
-	kitMu   sync.Mutex
-	kitFree []*workerKit
+	kitMu     sync.Mutex
+	kitFree   []*workerKit
+	cacheFree []*stateCache
 )
 
 const maxPooledKits = 16
@@ -92,22 +95,42 @@ func (k *workerKit) release() {
 	k.runner.Close()
 }
 
+// getCache checks out an empty state cache for one search: a pooled
+// table invalidated by generation bump, or a fresh one.
+func getCache() *stateCache {
+	kitMu.Lock()
+	if n := len(cacheFree); n > 0 {
+		c := cacheFree[n-1]
+		cacheFree = cacheFree[:n-1]
+		kitMu.Unlock()
+		c.reset()
+		return c
+	}
+	kitMu.Unlock()
+	return newStateCache()
+}
+
+// putCache returns a search's cache once every worker has finished
+// with it, or drops it when the pool is full.
+func putCache(c *stateCache) {
+	kitMu.Lock()
+	if len(cacheFree) < maxPooledKits {
+		cacheFree = append(cacheFree, c)
+	}
+	kitMu.Unlock()
+}
+
 // reductionFor prepares the kit's reduction bundle for one
-// exploration: reuse the hasher and the cache, invalidating cached
-// subtrees from whatever exploration used the kit last.
-func (k *workerKit) reductionFor(opts Options) *reduction {
+// exploration: reuse the kit's hasher and read and write the search's
+// cache.
+func (k *workerKit) reductionFor(opts Options, cache *stateCache) *reduction {
 	if !opts.StateCache {
 		return nil
-	}
-	if k.cache == nil {
-		k.cache = newStateCache()
-	} else {
-		k.cache.reset()
 	}
 	if k.hasher == nil {
 		k.hasher = newStateHasher()
 	}
-	r := &reduction{hasher: k.hasher, cache: k.cache}
+	r := &reduction{hasher: k.hasher, cache: cache}
 	r.listeners = append(r.listeners, core.Listener(k.hasher))
 	r.listeners = append(r.listeners, opts.Listeners...)
 	return r

@@ -25,10 +25,10 @@ import (
 // benchmark gate program it must replay strictly fewer while
 // reporting snapshot fast-forwards in the stats.
 //
-// With Workers: 8 the per-worker state caches see different state
-// sequences depending on shard-donation timing — which positioning
-// shifts, exactly as root-replay donation timing already varies — so
-// schedule counts are not comparable across modes
+// With Workers: 8 the shared state cache sees states in an order that
+// depends on shard-donation timing and on which worker publishes first
+// — which positioning shifts, exactly as root-replay timing already
+// varies — so schedule counts are not comparable across modes
 // (TestReducedEquivalence pins the parallel bound against the full
 // tree instead). The parallel snapshot contract is the soundness half:
 // when the search exhausts, it finds exactly the serial bug set, and
@@ -140,7 +140,7 @@ func TestSnapshotCap(t *testing.T) {
 	}, prog.BodyWith(nil))
 	kit := &workerKit{runner: sched.NewRunner(), pool: newNodePool()}
 	defer kit.runner.Close()
-	e := c.exploreItem(kit, kit.reductionFor(c.opts), &workItem{})
+	e := c.exploreItem(kit, kit.reductionFor(c.opts, newStateCache()), &workItem{})
 	if e.err != nil {
 		t.Fatal(e.err)
 	}

@@ -96,8 +96,8 @@ type Options struct {
 	DPOR bool
 	// StateCache enables canonical-state memoization: scheduler states
 	// are hashed (per-thread event chains in conflict order + runnable
-	// set + pending-operation handles) into a bounded per-worker
-	// direct-mapped cache, and a revisited state's subtree is cut.
+	// set + pending-operation handles) into a bounded direct-mapped
+	// cache, and a revisited state's subtree is cut.
 	//
 	// The state cache also turns on frontier positioning: multi-option
 	// path nodes carry forkable branch snapshots (hasher state + sched
@@ -127,10 +127,16 @@ type Options struct {
 	// runtime.NumCPU()). Workers == 1 is the exact serial DFS: schedule
 	// order, bug indices and outcome counts are deterministic. With
 	// more workers the same decision tree is partitioned across
-	// goroutines: every schedule is still executed exactly once (sleep
-	// sets prune slightly less across shard boundaries), the
-	// deduplicated bug set is the same, but schedule numbering depends
-	// on worker interleaving.
+	// goroutines: the deduplicated bug set is the same, but schedule
+	// numbering depends on worker interleaving. Without reduction every
+	// schedule is still executed exactly once (sleep sets prune slightly
+	// less across shard boundaries). A reduced search executes more
+	// schedules than the serial one, because donation expands the
+	// donor's DPOR nodes and two workers can explore the same state
+	// before either has finished it: DPOR with the state cache measures
+	// about 1.4x the serial schedule count at 2 workers and 1.25x at 4
+	// on philosophers{3,1}, account{3,1}, account{2,2} and statmax{3}
+	// (TestParallelReducedRatio bounds it at 1.6x).
 	Workers int
 	// Listeners are attached to every run (cumulative tools such as
 	// coverage trackers and race detectors work as-is). With Workers >
@@ -638,7 +644,8 @@ func (e *explorer) newNode(c *sched.Choice, pd int, st *dfsStrategy) *node {
 		n.sleepMask, n.maskOK = sleepMask(n.sleep)
 		n.stateHash = e.hashState(c, n)
 		if n.maskOK {
-			if ent, ok := e.red.cache.lookup(n.stateHash, n.sleepMask); ok {
+			if e.red.cache.lookup(n.stateHash, n.sleepMask, &e.red.hit) {
+				ent := &e.red.hit
 				e.stats.StateHits++
 				if e.opts.DPOR {
 					e.applySummary(ent, pd)

@@ -107,21 +107,26 @@ func (c *coordinator) run() *Result {
 		defer unhook()
 	}
 	c.push(&workItem{}) // the root shard: the whole tree
+	var cache *stateCache
+	if c.opts.StateCache {
+		cache = getCache()
+		defer putCache(cache)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < c.workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			// Each worker checks out a kit — pooled runner, node free
-			// list and, when the state cache is on, the reduction
-			// structures (event hasher + canonical-state cache) — reused
-			// across every schedule, shard and Explore call (see
-			// checkpoint.go). The cache is per-worker: an entry only
-			// ever asserts "this worker fully explored an equivalent
-			// subtree", which needs no cross-worker locking.
+			// list and, when the state cache is on, its event hasher —
+			// reused across every schedule, shard and Explore call (see
+			// checkpoint.go). The canonical-state cache is the search's:
+			// every worker reads and writes the one table, so a subtree
+			// one worker finished cuts the equivalent subtree on every
+			// other (see stateCache for why that is sound).
 			kit := getKit()
 			defer kit.release()
-			red := kit.reductionFor(c.opts)
+			red := kit.reductionFor(c.opts, cache)
 			for {
 				item := c.take()
 				if item == nil {

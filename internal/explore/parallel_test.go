@@ -281,3 +281,77 @@ func TestExploreContextCancels(t *testing.T) {
 		t.Fatalf("cancelled search: exhausted=%v after %d schedules", res.Exhausted, res.Schedules)
 	}
 }
+
+// exhaustShort is the reduced-search worker-scaling set: the four
+// short-trace programs whose DPOR + state-cache exhaustion the
+// benchmark's exhaust-short workload times at 1 and 2 workers.
+var exhaustShort = []struct {
+	name   string
+	params repository.Params
+}{
+	{"philosophers", repository.Params{"philosophers": 3, "rounds": 1}},
+	{"account", repository.Params{"depositors": 3, "deposits": 1}},
+	{"account", repository.Params{"depositors": 2, "deposits": 2}},
+	{"statmax", repository.Params{"reporters": 3}},
+}
+
+// TestParallelReducedRatio pins how much extra work parallel reduced
+// search does. Donation expands the donor's path and two workers can
+// explore one state at the same time before either publishes it, so a
+// DPOR + state-cache search at 2 or 4 workers runs more schedules than
+// the serial one — but with one state cache per search, a subtree any
+// worker finished cuts its equivalents on every worker, and the summed
+// count over the exhaust-short programs stays within 1.6× serial (the
+// median of three runs; private per-worker caches, which the bound
+// rules out, read 1.8–1.9× at 2 workers and 3.0–3.6× at 4). Every run
+// must exhaust with the serial bug set.
+func TestParallelReducedRatio(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repeated reduced exhaustion in -short mode")
+	}
+	runs := 3
+	if raceEnabled {
+		runs = 1
+	}
+	exhaust := func(i, workers int) *Result {
+		p := exhaustShort[i]
+		prog, err := repository.Get(p.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := Explore(Options{
+			MaxSchedules: 200000, Workers: workers, DPOR: true, StateCache: true,
+		}, prog.BodyWith(p.params))
+		if res.Err != nil || !res.Exhausted {
+			t.Fatalf("%s%v workers=%d: err=%v exhausted=%v", p.name, p.params, workers, res.Err, res.Exhausted)
+		}
+		return res
+	}
+	serialBugs := make([][]string, len(exhaustShort))
+	serial := 0
+	for i := range exhaustShort {
+		res := exhaust(i, 1)
+		serialBugs[i] = bugKeys(res)
+		serial += res.Schedules
+	}
+	for _, workers := range []int{2, 4} {
+		sums := make([]int, runs)
+		for r := range sums {
+			for i, p := range exhaustShort {
+				res := exhaust(i, workers)
+				if got := bugKeys(res); !reflect.DeepEqual(got, serialBugs[i]) {
+					t.Errorf("%s%v workers=%d: bug sets differ\n  serial:   %v\n  parallel: %v",
+						p.name, p.params, workers, serialBugs[i], got)
+				}
+				sums[r] += res.Schedules
+			}
+		}
+		sort.Ints(sums)
+		median := sums[len(sums)/2]
+		t.Logf("workers=%d: %d schedules (runs %v) vs serial %d: %.2fx", workers, median, sums, serial, float64(median)/float64(serial))
+		if median*10 > serial*16 {
+			t.Errorf("workers=%d: reduced search ran %d schedules, %.2fx the serial %d (limit 1.6x)",
+				workers, median, float64(median)/float64(serial), serial)
+		}
+	}
+}

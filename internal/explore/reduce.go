@@ -61,11 +61,14 @@
 //     subtree must not also cut the race reversals it would have
 //     requested).
 //
-// The cache is a bounded direct-mapped table: collisions overwrite,
-// which forfeits pruning but never soundness.
+// The cache is a bounded direct-mapped table, one per search and
+// shared by its workers: collisions overwrite, which forfeits pruning
+// but never soundness.
 package explore
 
 import (
+	"sync"
+
 	"mtbench/internal/core"
 	"mtbench/internal/sched"
 )
@@ -326,9 +329,8 @@ func (sh *stateHasher) OnEvent(ev *core.Event) {
 // steady-state insertion allocates nothing. An entry is live only
 // when its gen matches the cache's current generation — bumping the
 // generation invalidates the whole table without touching its memory,
-// which is what lets a pooled worker kit reuse one multi-megabyte
-// table across explorations instead of zeroing (or reallocating) it
-// per Explore call.
+// which is what lets the pooled table be reused across explorations
+// instead of zeroing (or reallocating) it per Explore call.
 type cacheEnt struct {
 	hash  uint64
 	sleep uint64 // inherited sleep set at exploration, as a thread bitmask
@@ -337,17 +339,37 @@ type cacheEnt struct {
 	sum   [subCap]uint64
 }
 
-// stateCache is the bounded canonical-state table. One per worker:
-// entries only assert "this worker fully explored an equivalent
-// subtree", which is sound without any cross-worker coordination.
+// stateCache is the bounded canonical-state table. One per search,
+// read and written by every worker: an entry asserts only "an
+// equivalent subtree was fully explored under this sleep set", a claim
+// that does not depend on which worker or shard explored it — a
+// worker's hits already cross shards with different prefixes. Entries
+// are 216 bytes, too wide to publish atomically, so slots are guarded
+// by striped locks; a lookup copies a hit out under its lock, so
+// readers never see a slot another worker is overwriting.
 type stateCache struct {
 	mask uint64
 	gen  uint32
 	ents []cacheEnt
+	// locks[i%cacheStripes] guards ents[i].
+	locks [cacheStripes]stripeLock
 }
 
-// stateCacheSize is the per-worker entry count (a power of two).
+// stripeLock is a slot lock padded to its own cache line, so workers
+// taking different stripes do not contend on the line.
+type stripeLock struct {
+	sync.Mutex
+	_ [56]byte
+}
+
+// stateCacheSize is the entry count of a search's table (a power of
+// two, ~7 MB).
 const stateCacheSize = 1 << 15
+
+// cacheStripes is the number of slot locks. A lock is held for one
+// slot copy, so a few dozen stripes keep two workers from meeting on
+// a lock except by rare coincidence.
+const cacheStripes = 64
 
 func newStateCache() *stateCache {
 	return &stateCache{mask: stateCacheSize - 1, gen: 1, ents: make([]cacheEnt, stateCacheSize)}
@@ -355,7 +377,8 @@ func newStateCache() *stateCache {
 
 // reset invalidates every entry in O(1) by advancing the generation.
 // Cached subtree identities are only meaningful within one exploration
-// of one program, so a recycled cache must start empty.
+// of one program, so a recycled cache must start empty. It must not
+// run while a search is using the cache.
 func (c *stateCache) reset() {
 	c.gen++
 	if c.gen == 0 { // generation counter wrapped: invalidate the slow way once
@@ -364,38 +387,48 @@ func (c *stateCache) reset() {
 	}
 }
 
-// lookup reports a usable entry for the state: same hash, and explored
-// under a sleep set no larger than the current one.
-func (c *stateCache) lookup(hash, sleep uint64) (*cacheEnt, bool) {
-	e := &c.ents[hash&c.mask]
-	if e.gen != c.gen || e.hash != hash {
-		return nil, false
+// lookup reports whether the cache holds a usable entry for the state
+// — same hash, explored under a sleep set no larger than the current
+// one — and copies it into hit, which the caller owns.
+func (c *stateCache) lookup(hash, sleep uint64, hit *cacheEnt) bool {
+	i := hash & c.mask
+	mu := &c.locks[i%cacheStripes]
+	mu.Lock()
+	e := &c.ents[i]
+	// A cached run that slept more than we would explored less.
+	ok := e.gen == c.gen && e.hash == hash && e.sleep&^sleep == 0
+	if ok {
+		*hit = *e
 	}
-	if e.sleep&^sleep != 0 {
-		return nil, false // cached run slept more than we would: it explored less
-	}
-	return e, true
+	mu.Unlock()
+	return ok
 }
 
 // insert records a fully-explored subtree. Collisions overwrite: the
 // cache is an accelerator, not a ledger.
 func (c *stateCache) insert(hash, sleep uint64, sum []uint64) {
-	e := &c.ents[hash&c.mask]
+	i := hash & c.mask
+	mu := &c.locks[i%cacheStripes]
+	mu.Lock()
+	e := &c.ents[i]
 	e.hash, e.sleep, e.gen = hash, sleep, c.gen
 	e.nsum = uint8(len(sum))
 	copy(e.sum[:], sum)
+	mu.Unlock()
 }
 
-// reduction bundles the per-worker state of the reduction layer: the
-// event hasher, its listener slice (hasher first, then the user's
-// listeners), and the canonical-state cache. nil when Options.
-// StateCache is off; DPOR alone needs no per-worker state. The hasher
-// and cache are owned by the worker's kit and reused across
-// explorations; only this thin bundle (and its listener slice) is
-// rebuilt per Explore call.
+// reduction bundles a worker's view of the reduction layer: its event
+// hasher, its listener slice (hasher first, then the user's
+// listeners), the search's shared canonical-state cache, and hit, the
+// worker's copy of the entry its last cache hit returned. nil when
+// Options.StateCache is off; DPOR alone needs no per-worker state. The
+// hasher is owned by the worker's kit and the cache by the search;
+// only this thin bundle (and its listener slice) is rebuilt per
+// Explore call.
 type reduction struct {
 	hasher    *stateHasher
 	cache     *stateCache
+	hit       cacheEnt
 	listeners []core.Listener
 }
 

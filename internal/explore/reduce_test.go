@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"mtbench/internal/core"
@@ -376,4 +377,46 @@ func TestReducedDeterministicSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStateCacheConcurrent hammers one state cache from several
+// goroutines, as the workers of one search do: inserts of colliding
+// states overwrite the same slots while lookups copy hits out. Every
+// entry's summary is a function of its hash, so a hit copied while
+// another goroutine was overwriting the slot would show as a summary
+// that does not match the hash it came with (and -race reports the
+// unsynchronized access).
+func TestStateCacheConcurrent(t *testing.T) {
+	c := newStateCache()
+	const goroutines, ops, slots = 4, 20000, 64
+	entry := func(g, i int) (uint64, []uint64) {
+		// Distinct hashes that share slots: the slot is i%slots, the
+		// high bits tell the writers apart.
+		h := uint64(g)<<40 | uint64(i)<<20 | uint64(i%slots)
+		sum := make([]uint64, 1+int(h%subCap))
+		for k := range sum {
+			sum[k] = h*31 + uint64(k)
+		}
+		return h, sum
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var hit cacheEnt
+			for i := 0; i < ops; i++ {
+				h, sum := entry(g, i)
+				c.insert(h, 0, sum)
+				if !c.lookup(h, 0, &hit) {
+					continue // another goroutine already overwrote the slot
+				}
+				if hit.hash != h || int(hit.nsum) != len(sum) || !reflect.DeepEqual(hit.sum[:hit.nsum], sum) {
+					t.Errorf("goroutine %d: torn hit for %#x: hash %#x, summary %v", g, h, hit.hash, hit.sum[:hit.nsum])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
