@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"mtbench/internal/core"
 	"mtbench/internal/explore"
@@ -103,16 +102,11 @@ func command(fs *flag.FlagSet) (*searchcli.Flags, searchcli.Search) {
 // jsonResult document.
 func report(cli *searchcli.Flags, res *explore.Result, stats bool) error {
 	if cli.JSON {
-		sigs := make([]string, 0, len(res.Bugs))
-		for _, b := range res.Bugs {
-			sigs = append(sigs, core.BugSignature(b.Result))
-		}
-		sort.Strings(sigs)
 		out := jsonResult{
 			Program:   cli.Prog,
 			Schedules: res.Schedules,
 			Exhausted: res.Exhausted,
-			Bugs:      sigs,
+			Bugs:      res.Signatures(),
 			FirstBug:  res.FirstBugIndex(),
 			Stats:     res.Stats,
 		}

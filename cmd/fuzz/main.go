@@ -41,23 +41,16 @@ func main() {
 // step asserts on; field names are pinned independently of the fuzz
 // package's Go structs.
 type jsonReport struct {
-	Program      string         `json:"program"`
-	Seed         int64          `json:"seed"`
-	Runs         int            `json:"runs"`
-	FirstBug     *int           `json:"first_bug"` // null = no bug found
-	Bugs         []jsonBug      `json:"bugs"`
-	CorpusSize   int            `json:"corpus"`
-	Coverage     int            `json:"coverage"`
-	CoverageRuns int            `json:"coverage_runs"`
-	Repairs      int64          `json:"repairs"`
-	Ops          map[string]int `json:"ops"`
-}
-
-type jsonBug struct {
-	Index     int    `json:"index"`
-	Signature string `json:"signature"`
-	Verdict   string `json:"verdict"`
-	Decisions int    `json:"decisions"`
+	Program      string              `json:"program"`
+	Seed         int64               `json:"seed"`
+	Runs         int                 `json:"runs"`
+	FirstBug     *int                `json:"first_bug"` // null = no bug found
+	Bugs         []searchcli.JSONBug `json:"bugs"`
+	CorpusSize   int                 `json:"corpus"`
+	Coverage     int                 `json:"coverage"`
+	CoverageRuns int                 `json:"coverage_runs"`
+	Repairs      int64               `json:"repairs"`
+	Ops          map[string]int      `json:"ops"`
 }
 
 // command registers fuzz's flags on fs and returns the shared flags and
@@ -106,7 +99,7 @@ func report(cli *searchcli.Flags, seed int64, res *fuzz.Result) error {
 			Program:      cli.Prog,
 			Seed:         seed,
 			Runs:         res.Runs,
-			Bugs:         []jsonBug{},
+			Bugs:         searchcli.JSONBugs(&res.BugLog),
 			CorpusSize:   res.CorpusSize,
 			Coverage:     res.Coverage,
 			CoverageRuns: res.CoverageRuns,
@@ -115,14 +108,6 @@ func report(cli *searchcli.Flags, seed int64, res *fuzz.Result) error {
 		}
 		if first := res.FirstBugIndex(); first >= 1 {
 			rep.FirstBug = &first
-		}
-		for _, b := range res.Bugs {
-			rep.Bugs = append(rep.Bugs, jsonBug{
-				Index:     b.Index,
-				Signature: core.BugSignature(b.Result),
-				Verdict:   b.Result.Verdict.String(),
-				Decisions: len(b.Schedule),
-			})
 		}
 		return json.NewEncoder(os.Stdout).Encode(rep)
 	}

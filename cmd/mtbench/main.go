@@ -21,6 +21,7 @@ import (
 
 	"mtbench/internal/experiment"
 	"mtbench/internal/noise"
+	"mtbench/internal/pct"
 	"mtbench/internal/report"
 	"mtbench/internal/repository"
 	"mtbench/internal/sched"
@@ -120,7 +121,7 @@ func run(args []string) error {
 		case "random":
 			return sched.Random(seed), nil
 		case "pct":
-			return sched.PriorityRandom(seed, 3, 10000), nil
+			return pct.NewStrategy(seed, 3, 10000), nil
 		case "noise":
 			var k noise.Kind
 			switch *kind {

@@ -17,6 +17,7 @@ import (
 
 	"mtbench/internal/multiout"
 	"mtbench/internal/noise"
+	"mtbench/internal/pct"
 	"mtbench/internal/sched"
 )
 
@@ -41,7 +42,7 @@ func main() {
 		case "random":
 			st = sched.Random(seed)
 		case "pct":
-			st = sched.PriorityRandom(seed, 3, 5000)
+			st = pct.NewStrategy(seed, 3, 5000)
 		default:
 			fmt.Fprintf(os.Stderr, "multiout: unknown tool %q\n", *tool)
 			os.Exit(2)

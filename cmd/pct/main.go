@@ -39,21 +39,14 @@ func main() {
 // bounded-smoke step asserts on; field names are pinned independently
 // of the pct package's Go structs.
 type jsonReport struct {
-	Program        string    `json:"program"`
-	Seed           int64     `json:"seed"`
-	Depth          int       `json:"depth"`
-	Runs           int       `json:"runs"`
-	FirstBug       *int      `json:"first_bug"` // null = no bug found
-	Bugs           []jsonBug `json:"bugs"`
-	EstimatedSteps int64     `json:"estimated_steps"`
-	MaxThreads     int       `json:"max_threads"`
-}
-
-type jsonBug struct {
-	Index     int    `json:"index"`
-	Signature string `json:"signature"`
-	Verdict   string `json:"verdict"`
-	Decisions int    `json:"decisions"`
+	Program        string              `json:"program"`
+	Seed           int64               `json:"seed"`
+	Depth          int                 `json:"depth"`
+	Runs           int                 `json:"runs"`
+	FirstBug       *int                `json:"first_bug"` // null = no bug found
+	Bugs           []searchcli.JSONBug `json:"bugs"`
+	EstimatedSteps int64               `json:"estimated_steps"`
+	MaxThreads     int                 `json:"max_threads"`
 }
 
 // command registers pct's flags on fs and returns the shared flags and
@@ -98,20 +91,12 @@ func report(cli *searchcli.Flags, seed int64, depth int, res *pct.Result) error 
 			Seed:           seed,
 			Depth:          depth,
 			Runs:           res.Runs,
-			Bugs:           []jsonBug{},
+			Bugs:           searchcli.JSONBugs(&res.BugLog),
 			EstimatedSteps: res.EstimatedSteps,
 			MaxThreads:     res.MaxThreads,
 		}
 		if first := res.FirstBugIndex(); first >= 1 {
 			rep.FirstBug = &first
-		}
-		for _, b := range res.Bugs {
-			rep.Bugs = append(rep.Bugs, jsonBug{
-				Index:     b.Index,
-				Signature: core.BugSignature(b.Result),
-				Verdict:   b.Result.Verdict.String(),
-				Decisions: len(b.Schedule),
-			})
 		}
 		return json.NewEncoder(os.Stdout).Encode(rep)
 	}

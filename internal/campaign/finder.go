@@ -176,22 +176,6 @@ func RegisterFinder(name, doc string, fn func(ctx context.Context, in CellInput)
 // so the runs of one cell are decorrelated but reproducible.
 func mix(seed, stream int64) int64 { return core.MixSeed(seed, stream) }
 
-// bugSet accumulates deduplicated signatures in first-seen order.
-type bugSet struct {
-	seen map[string]bool
-	sigs []string
-}
-
-func (b *bugSet) add(sig string) {
-	if b.seen == nil {
-		b.seen = map[string]bool{}
-	}
-	if !b.seen[sig] {
-		b.seen[sig] = true
-		b.sigs = append(b.sigs, sig)
-	}
-}
-
 // Gate bounds for the bounded finders when the config leaves them
 // zero: both gate programs (and every repository program measured so
 // far) expose their full documented bug set at bound 2, pinned by
@@ -217,7 +201,7 @@ func runLoop(ctx context.Context, in CellInput, setup func(i int, cfg *sched.Con
 	runner := sched.NewRunner()
 	defer runner.Close()
 	cfg := sched.Config{Name: in.Program.Name, MaxSteps: in.MaxSteps, Plan: in.Program.Plan}
-	var bugs bugSet
+	var bugs core.BugLog
 	first := -1
 	for i := 0; i < in.Budget; i++ {
 		if err := ctx.Err(); err != nil {
@@ -226,7 +210,7 @@ func runLoop(ctx context.Context, in CellInput, setup func(i int, cfg *sched.Con
 		setup(i, &cfg)
 		res := runner.Run(cfg, in.Body)
 		if res.Verdict.Bug() {
-			bugs.add(core.BugSignature(res))
+			bugs.Add(res, i+1)
 			if first < 0 {
 				first = i + 1
 			}
@@ -235,7 +219,7 @@ func runLoop(ctx context.Context, in CellInput, setup func(i int, cfg *sched.Con
 			first = i + 1
 		}
 	}
-	return CellResult{Runs: in.Budget, Bugs: bugs.sigs, FirstBug: first}, nil
+	return CellResult{Runs: in.Budget, Bugs: bugs.Signatures(), FirstBug: first}, nil
 }
 
 // runNoiseFinder is the ConTest-style baseline: every budget unit is
@@ -300,11 +284,7 @@ func exploreFinder(name string, preset func(in CellInput, o *explore.Options)) f
 		if er.Err != nil {
 			return CellResult{}, fmt.Errorf("%s %s: %w", name, in.Program.Name, er.Err)
 		}
-		res := CellResult{Runs: er.Schedules, FirstBug: er.FirstBugIndex()}
-		for _, b := range er.Bugs {
-			res.Bugs = append(res.Bugs, core.BugSignature(b.Result))
-		}
-		return res, nil
+		return CellResult{Runs: er.Schedules, Bugs: er.Signatures(), FirstBug: er.FirstBugIndex()}, nil
 	}
 }
 
@@ -324,11 +304,7 @@ func runPCTFinder(ctx context.Context, in CellInput) (CellResult, error) {
 	if err := ctx.Err(); err != nil {
 		return CellResult{}, err
 	}
-	res := CellResult{Runs: pr.Runs, FirstBug: pr.FirstBugIndex()}
-	for _, b := range pr.Bugs {
-		res.Bugs = append(res.Bugs, core.BugSignature(b.Result))
-	}
-	return res, nil
+	return CellResult{Runs: pr.Runs, Bugs: pr.Signatures(), FirstBug: pr.FirstBugIndex()}, nil
 }
 
 // runFuzzFinder is the greybox middle ground: one deterministic fuzz
@@ -346,9 +322,5 @@ func runFuzzFinder(ctx context.Context, in CellInput) (CellResult, error) {
 	if err := ctx.Err(); err != nil {
 		return CellResult{}, err
 	}
-	res := CellResult{Runs: fr.Runs, FirstBug: fr.FirstBugIndex()}
-	for _, b := range fr.Bugs {
-		res.Bugs = append(res.Bugs, core.BugSignature(b.Result))
-	}
-	return res, nil
+	return CellResult{Runs: fr.Runs, Bugs: fr.Signatures(), FirstBug: fr.FirstBugIndex()}, nil
 }

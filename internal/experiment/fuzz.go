@@ -92,19 +92,15 @@ func Fuzz(cfg FuzzConfig) ([]*Table, error) {
 
 		// Noise baseline: one fresh-seeded noise run per budget unit.
 		start = time.Now()
-		seen := map[string]bool{}
-		noiseFirst := -1
+		var noiseBugs core.BugLog
 		for seed := int64(0); seed < int64(cfg.Budget); seed++ {
 			st := noise.NewStrategy(nil, noise.NewBernoulli(0.4, noise.KindYield), seed)
 			res := sched.Run(sched.Config{Strategy: st, Seed: seed, Name: name, MaxSteps: 200_000}, body)
 			if res.Verdict.Bug() {
-				seen[core.BugSignature(res)] = true
-				if noiseFirst < 0 {
-					noiseFirst = int(seed) + 1
-				}
+				noiseBugs.Add(res, int(seed)+1)
 			}
 		}
-		addE11Row(t, name, "noise", cfg.Budget, len(seen), noiseFirst, start)
+		addE11Row(t, name, "noise", cfg.Budget, len(noiseBugs.Bugs), noiseBugs.FirstBugIndex(), start)
 
 		// Systematic exploration under the same budget.
 		start = time.Now()

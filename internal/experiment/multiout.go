@@ -5,6 +5,7 @@ import (
 
 	"mtbench/internal/multiout"
 	"mtbench/internal/noise"
+	pctpkg "mtbench/internal/pct"
 	"mtbench/internal/sched"
 )
 
@@ -44,7 +45,7 @@ func Multiout(cfg MultioutConfig) ([]*Table, error) {
 			return noise.NewStrategy(nil, noise.NewBernoulli(0.4, noise.KindYield), seed)
 		}},
 		{"random", func(seed int64) sched.Strategy { return sched.Random(seed) }},
-		{"pct-d3", func(seed int64) sched.Strategy { return sched.PriorityRandom(seed, 3, 2000) }},
+		{"pct-d3", func(seed int64) sched.Strategy { return pctpkg.NewStrategy(seed, 3, 2000) }},
 	}
 
 	for _, tool := range tools {

@@ -152,16 +152,6 @@ type Options struct {
 	Plan *instrument.Plan
 }
 
-// Bug is one erroneous schedule found during exploration.
-type Bug struct {
-	// Schedule replays the bug through sched.FixedSchedule or the
-	// replay package.
-	Schedule []core.ThreadID
-	Result   *core.Result
-	// Index is the 1-based number of the schedule that exposed it.
-	Index int
-}
-
 // Result summarizes an exploration.
 type Result struct {
 	// Schedules is the number of executions performed.
@@ -169,9 +159,9 @@ type Result struct {
 	// Exhausted is true when the decision tree was fully explored
 	// (within the configured bounds).
 	Exhausted bool
-	// Bugs are the distinct failures found (deduplicated by verdict
-	// and failure message/deadlock), ordered by Index.
-	Bugs []Bug
+	// BugLog holds the distinct failures found, deduplicated by
+	// core.BugSignature and ordered by schedule number.
+	core.BugLog
 	// Outcomes histograms Result.Outcome strings over all schedules.
 	Outcomes map[string]int
 	// Stats reports what the reduction layer pruned (zero when neither
@@ -186,21 +176,18 @@ type Result struct {
 // (PreemptionBound, VariableBound, ThreadBound).
 func Bound(n int) *int { return &n }
 
-// FirstBugIndex returns the schedule number of the first bug, or -1
-// when no bug was found. (Schedule numbers are 1-based, so -1 is
-// unambiguous.)
-func (r *Result) FirstBugIndex() int {
-	if len(r.Bugs) == 0 {
-		return -1
-	}
-	return r.Bugs[0].Index
-}
-
 // node is one decision point along the current DFS path.
 type node struct {
 	options []core.ThreadID // runnable threads, exploration order
 	curIdx  int             // index into options currently explored
 	current core.ThreadID   // thread that was running at this point
+	// curRunnable records that current could run here, so choosing any
+	// other option preempts it; curObj is current's pending object
+	// (variable-bounding state, set only while VariableBound is). Both
+	// are fixed at creation: split may later remove current from
+	// options.
+	curRunnable bool
+	curObj      uint32
 	// preBefore is the number of preemptions used before this node.
 	preBefore int
 	// tbMask is the set of threads preempted before this node, as a
@@ -294,6 +281,7 @@ func (p *nodePool) get(current core.ThreadID) *node {
 		nd.options = nd.options[:0]
 		nd.curIdx = 0
 		nd.current = current
+		nd.curRunnable, nd.curObj = false, 0
 		nd.preBefore = 0
 		nd.tbMask = 0
 		nd.vbObjs = nd.vbObjs[:0]
@@ -363,16 +351,26 @@ func addVBObj(objs []uint32, obj uint32) []uint32 {
 	return slices.Insert(objs, i, obj)
 }
 
-// isPreemption reports whether this node's current choice switches
-// away from a runnable current thread.
-func (n *node) isPreemption() bool {
-	if n.current == core.NoThread {
-		return false
+// childBounds returns the bound accounting a child of n reached
+// through option t starts with: n's own, plus — when t preempts the
+// runnable current thread — one preemption, the current thread in the
+// preempted set and, under VariableBound, its pending object in the
+// charged set. vb is appended to and returned.
+func (e *explorer) childBounds(n *node, t core.ThreadID, vb []uint32) (pre int, tb uint64, _ []uint32) {
+	pre, tb = n.preBefore, n.tbMask
+	if e.opts.VariableBound != nil {
+		vb = append(vb, n.vbObjs...)
 	}
-	if slices.Contains(n.options, n.current) {
-		return n.chosen() != n.current
+	if n.curRunnable && t != n.current {
+		pre++
+		if cur := n.current; cur >= 0 && cur < 64 {
+			tb |= 1 << uint(cur)
+		}
+		if e.opts.VariableBound != nil {
+			vb = addVBObj(vb, n.curObj)
+		}
 	}
-	return false
+	return pre, tb, vb
 }
 
 // explorer owns one shard of the decision tree: the subtree hanging
@@ -384,12 +382,13 @@ type explorer struct {
 	// prefix is the inherited schedule this explorer's subtree hangs
 	// under (empty for the root shard).
 	prefix []core.ThreadID
-	// rootSleep seeds the sleep set of the first fresh node, inherited
-	// from the donor's branch node exactly as a child node inherits
-	// from its parent in the serial DFS.
-	rootSleep map[core.ThreadID]bool
-	path      []*node
-	err       error
+	// root is the shard's work item: its sleep set and bound
+	// accounting seed the first fresh node, inherited from the donor's
+	// branch node exactly as a child node inherits from its parent in
+	// the serial DFS.
+	root *workItem
+	path []*node
+	err  error
 	// pool recycles nodes across schedules and shards (owned by the
 	// worker driving this explorer).
 	pool *nodePool
@@ -407,14 +406,6 @@ type explorer struct {
 	// liveSnaps counts the branch snapshots held by path nodes; new
 	// nodes get none once it reaches snapCap.
 	liveSnaps, snapCap int
-	// Bound accounting accumulated along the replayed prefix is a pure
-	// function of the prefix, so it is captured once from the shard's
-	// first fully-replayed run and reinstated on fast-forwarded runs
-	// (which skip the prefix Picks that would recompute it).
-	prefixAccounted bool
-	basePre         int
-	baseTB          uint64
-	baseVB          []uint32
 }
 
 // dfsStrategy drives one run: replay the prefix and the path's
@@ -422,15 +413,6 @@ type explorer struct {
 type dfsStrategy struct {
 	e     *explorer
 	depth int
-	// prefixPre counts preemptions taken along the replayed prefix, so
-	// the subtree's context-bound accounting matches a serial descent
-	// through the same decisions.
-	prefixPre int
-	// prefixTB and prefixVB are the thread- and variable-bounding
-	// analogues of prefixPre: the preempted-thread bitmask and the
-	// charged-object set accumulated along the replayed prefix.
-	prefixTB uint64
-	prefixVB []uint32
 }
 
 // Name implements sched.Strategy.
@@ -446,47 +428,23 @@ func (st *dfsStrategy) Pick(c *sched.Choice) core.ThreadID {
 	e := st.e
 	d := st.depth
 
-	if d < len(e.prefix) {
+	// Replay: the shard's prefix, then the path's current choices.
+	pd := d - len(e.prefix)
+	if pd < len(e.path) {
 		st.depth++
 		e.stats.ReplayedSteps++
-		want := e.prefix[d]
+		var want core.ThreadID
+		if pd < 0 {
+			want = e.prefix[d]
+		} else {
+			want = e.path[pd].chosen()
+		}
 		if want == sched.IdleID {
 			if !c.CanIdle {
 				e.err = fmt.Errorf("explore: nondeterministic program: cannot idle at depth %d", d)
 				return core.NoThread
 			}
 		} else if !slices.Contains(c.Runnable, want) {
-			e.err = fmt.Errorf("explore: nondeterministic program: thread %d not runnable at depth %d", want, d)
-			return core.NoThread
-		}
-		if c.Current != core.NoThread && want != c.Current && slices.Contains(c.Runnable, c.Current) {
-			st.prefixPre++
-			if t := c.Current; t >= 0 && t < 64 {
-				st.prefixTB |= 1 << uint(t)
-			}
-			if e.opts.VariableBound != nil && c.FootprintOf != nil {
-				st.prefixVB = addVBObj(st.prefixVB, c.FootprintOf(c.Current).Obj)
-			}
-		}
-		e.notePick(c, want)
-		return want
-	}
-
-	pd := d - len(e.prefix)
-	if pd < len(e.path) {
-		st.depth++
-		e.stats.ReplayedSteps++
-		n := e.path[pd]
-		want := n.chosen()
-		if want == sched.IdleID {
-			if !c.CanIdle {
-				e.err = fmt.Errorf("explore: nondeterministic program: cannot idle at depth %d", d)
-				return core.NoThread
-			}
-			e.notePick(c, want)
-			return want
-		}
-		if !slices.Contains(c.Runnable, want) {
 			e.err = fmt.Errorf("explore: nondeterministic program: thread %d not runnable at depth %d", want, d)
 			return core.NoThread
 		}
@@ -505,7 +463,7 @@ func (st *dfsStrategy) Pick(c *sched.Choice) core.ThreadID {
 
 	st.depth++
 	e.stats.NovelSteps++
-	n := e.newNode(c, pd, st)
+	n := e.newNode(c, pd)
 	e.path = append(e.path, n)
 	e.notePick(c, n.chosen())
 	return n.chosen()
@@ -514,30 +472,19 @@ func (st *dfsStrategy) Pick(c *sched.Choice) core.ThreadID {
 // newNode builds the frontier node for choice point c at path index pd,
 // applying preemption/variable/thread bounding, sleep sets and the
 // exploration order (current thread first, so the first descent is the
-// cheap nonpreemptive schedule). st carries the bound accounting
-// accumulated along the replayed prefix, charged to the subtree's
-// first fresh node.
-func (e *explorer) newNode(c *sched.Choice, pd int, st *dfsStrategy) *node {
+// cheap nonpreemptive schedule).
+func (e *explorer) newNode(c *sched.Choice, pd int) *node {
 	n := e.pool.get(c.Current)
+	n.curRunnable = slices.Contains(c.Runnable, c.Current)
+	if n.curRunnable && e.opts.VariableBound != nil {
+		n.curObj = c.FootprintOf(c.Current).Obj
+	}
 
 	// Inherit bound accounting and sleep set from the parent node, or
 	// from the donated work item at the subtree root.
 	if pd > 0 {
 		parent := e.path[pd-1]
-		n.preBefore = parent.preBefore
-		n.tbMask = parent.tbMask
-		if e.opts.VariableBound != nil {
-			n.vbObjs = append(n.vbObjs, parent.vbObjs...)
-		}
-		if parent.isPreemption() {
-			n.preBefore++
-			if t := parent.current; t >= 0 && t < 64 {
-				n.tbMask |= 1 << uint(t)
-			}
-			if e.opts.VariableBound != nil {
-				n.vbObjs = addVBObj(n.vbObjs, parent.fpOf(parent.current).Obj)
-			}
-		}
+		n.preBefore, n.tbMask, n.vbObjs = e.childBounds(parent, parent.chosen(), n.vbObjs)
 		if e.opts.SleepSets {
 			chosenFP := parent.chosenFP()
 			for u := range parent.sleep {
@@ -547,21 +494,19 @@ func (e *explorer) newNode(c *sched.Choice, pd int, st *dfsStrategy) *node {
 			}
 		}
 	} else {
-		n.preBefore = st.prefixPre
-		n.tbMask = st.prefixTB
+		n.preBefore, n.tbMask = e.root.pre, e.root.tb
 		if e.opts.VariableBound != nil {
-			n.vbObjs = append(n.vbObjs, st.prefixVB...)
+			n.vbObjs = append(n.vbObjs, e.root.vb...)
 		}
 		if e.opts.SleepSets {
-			for u := range e.rootSleep {
+			for u := range e.root.sleep {
 				n.sleep[u] = true
 			}
 		}
 	}
 
 	// Option order: current first (if runnable), then ascending ids.
-	curRunnable := slices.Contains(c.Runnable, c.Current)
-	if curRunnable {
+	if n.curRunnable {
 		n.options = append(n.options, c.Current)
 	}
 	for _, id := range c.Runnable {
@@ -578,15 +523,14 @@ func (e *explorer) newNode(c *sched.Choice, pd int, st *dfsStrategy) *node {
 	// set; the variable bound cuts when the current thread's pending
 	// object is outside an already-full charged set.
 	cut := false
-	if curRunnable {
+	if n.curRunnable {
 		switch {
 		case e.opts.PreemptionBound != nil && n.preBefore >= *e.opts.PreemptionBound:
 			cut = true
 		case e.opts.ThreadBound != nil && !n.tbAllows(c.Current, *e.opts.ThreadBound):
 			e.stats.TBPruned += len(n.options) - 1
 			cut = true
-		case e.opts.VariableBound != nil && c.FootprintOf != nil &&
-			!n.vbAllows(c.FootprintOf(c.Current).Obj, *e.opts.VariableBound):
+		case e.opts.VariableBound != nil && !n.vbAllows(n.curObj, *e.opts.VariableBound):
 			e.stats.VBPruned += len(n.options) - 1
 			cut = true
 		}
@@ -855,6 +799,7 @@ func (e *explorer) split() (*workItem, bool) {
 			prefix = append(prefix, opt)
 
 			item := &workItem{prefix: prefix}
+			item.pre, item.tb, item.vb = e.childBounds(n, opt, nil)
 			if e.opts.SleepSets && hasFPs {
 				for u := range n.sleep {
 					if n.fpOf(u).Commutes(optFP) {

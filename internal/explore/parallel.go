@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,11 +30,16 @@ import (
 )
 
 // workItem is one shard of the decision tree: the subtree below a
-// schedule prefix, plus the sleep set the subtree root inherits from
-// the donor's branch node.
+// schedule prefix, plus the sleep set and bound accounting the subtree
+// root inherits from the donor's branch node (see explorer.childBounds).
 type workItem struct {
 	prefix []core.ThreadID
 	sleep  map[core.ThreadID]bool
+	// pre, tb and vb are the preemptions taken, the preempted-thread
+	// bitmask and the sorted charged-object set along prefix.
+	pre int
+	tb  uint64
+	vb  []uint32
 }
 
 // coordinator owns the work queue, the global budgets and the merged
@@ -60,7 +64,7 @@ type coordinator struct {
 	starving atomic.Int32
 
 	// reserved hands out schedule budget slots; executed counts runs
-	// actually performed (Result.Schedules and Bug.Index). truncated
+	// actually performed (Result.Schedules and core.Bug.Index). truncated
 	// records that the budget cut the search short.
 	reserved  atomic.Int64
 	executed  atomic.Int64
@@ -69,8 +73,7 @@ type coordinator struct {
 
 	// resMu guards the merged results.
 	resMu    sync.Mutex
-	seenBugs map[string]bool
-	bugs     []Bug
+	bugs     core.BugLog
 	outcomes map[string]int
 	stats    Stats
 	err      error
@@ -93,7 +96,6 @@ func newCoordinator(opts Options, body func(core.T)) *coordinator {
 		workers:  workers,
 		labels:   newPhaseLabels(opts.Context),
 		snapCap:  maxLiveSnaps,
-		seenBugs: map[string]bool{},
 		outcomes: map[string]int{},
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -140,7 +142,7 @@ func (c *coordinator) run() *Result {
 
 	res := &Result{
 		Schedules: int(c.executed.Load()),
-		Bugs:      c.bugs,
+		BugLog:    c.bugs,
 		Outcomes:  c.outcomes,
 		Stats:     c.stats,
 		Err:       c.err,
@@ -148,7 +150,6 @@ func (c *coordinator) run() *Result {
 	// The tree was fully explored iff no budget truncation and no
 	// early stop (first bug, replay divergence) occurred.
 	res.Exhausted = c.err == nil && !c.truncated.Load() && !c.stopping.Load()
-	slices.SortFunc(res.Bugs, func(a, b Bug) int { return a.Index - b.Index })
 	return res
 }
 
@@ -166,7 +167,7 @@ func (c *coordinator) run() *Result {
 // a search without snapshots. It returns the shard's explorer.
 func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem) *explorer {
 	kit.dep.reset()
-	e := &explorer{opts: c.opts, prefix: item.prefix, rootSleep: item.sleep, pool: kit.pool, red: red, dep: &kit.dep, cutDepth: -1, snapCap: c.snapCap}
+	e := &explorer{opts: c.opts, prefix: item.prefix, root: item, pool: kit.pool, red: red, dep: &kit.dep, cutDepth: -1, snapCap: c.snapCap}
 	defer func() {
 		c.resMu.Lock()
 		c.stats.add(e.stats)
@@ -194,8 +195,7 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 			c.truncated.Store(true)
 			return e
 		}
-		st.depth, st.prefixPre = 0, 0
-		st.prefixTB, st.prefixVB = 0, st.prefixVB[:0]
+		st.depth = 0
 		cfg.FastForward, cfg.FFCheck = nil, nil
 
 		c.labels.enter(phasePosition)
@@ -217,15 +217,12 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 			// decisions above it at coast speed (no Pick, no listener
 			// fan-out) and verify the position digest on arrival. The
 			// strategy's cursor starts at the branch; its first Pick is
-			// the phase-2 replay of the branch node's current choice.
+			// the replay of the branch node's current choice.
 			bs := e.path[snapIdx].snap
 			depth := len(e.prefix) + snapIdx
 			e.stats.CheckpointHits++
 			e.stats.RestoredSteps += depth
 			st.depth = depth
-			st.prefixPre = e.basePre
-			st.prefixTB = e.baseTB
-			st.prefixVB = append(st.prefixVB[:0], e.baseVB...)
 			red.hasher.restore(&bs.hasher)
 			cfg.FastForward = kit.plan(e)[:depth]
 			cfg.FFCheck = &bs.sched
@@ -240,14 +237,6 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 		}
 		c.labels.enter(phaseDrive)
 		runRes := kit.runner.Start(cfg, c.body)
-		if snapIdx < 0 && !e.prefixAccounted && e.err == nil {
-			// Prefix bound accounting is a pure function of the prefix;
-			// capture it from this full replay so fast-forwarded runs
-			// (which skip the prefix Picks) can reinstate it.
-			e.prefixAccounted = true
-			e.basePre, e.baseTB = st.prefixPre, st.prefixTB
-			e.baseVB = append(e.baseVB[:0], st.prefixVB...)
-		}
 		index := int(c.executed.Add(1))
 		// Any scheduler steps beyond the decisions this strategy
 		// consumed were coasted below a cut — replay tax, not novel
@@ -291,27 +280,9 @@ func (c *coordinator) record(kit *workerKit, runRes *core.Result, index int, run
 			c.err = runErr
 		}
 	case runRes.Verdict.Bug():
-		// Deduplicate by observable signature (shared with the fuzzer).
-		sig := core.BugSignature(runRes)
-		if !c.seenBugs[sig] {
-			c.seenBugs[sig] = true
-			// The run result and its slices live in the worker's pooled
-			// runner and are overwritten by its next run; deep-clone
-			// everything this bug retains.
-			keep := new(core.Result)
-			*keep = *runRes
-			keep.Schedule = slices.Clone(runRes.Schedule)
-			keep.FinishOrder = slices.Clone(runRes.FinishOrder)
-			if runRes.Failure != nil {
-				f := *runRes.Failure
-				keep.Failure = &f
-			}
-			c.bugs = append(c.bugs, Bug{
-				Schedule: keep.Schedule,
-				Result:   keep,
-				Index:    index,
-			})
-		}
+		// The run result lives in the worker's pooled runner and is
+		// overwritten by its next run; the log keeps a deep copy.
+		c.bugs.Add(runRes, index)
 		stopFirst = c.opts.StopAtFirstBug
 	}
 	c.resMu.Unlock()

@@ -160,24 +160,61 @@ func TestWorkersSleepSetsSameBugs(t *testing.T) {
 	}
 }
 
-// TestWorkersPreemptionBound: the preemption budget must be accounted
-// identically across shard boundaries (a donated prefix replays its
-// preemptions into the subtree root), so bounded trees partition
-// exactly too.
+// TestWorkersPreemptionBound: bound accounting must be identical across
+// shard boundaries (a donated work item carries its root's preemption
+// count, preempted-thread set and charged-object set), so bounded
+// trees partition exactly too — for the preemption bound and for
+// Bindal et al.'s variable and thread bounds alike.
 func TestWorkersPreemptionBound(t *testing.T) {
-	for _, bound := range []int{0, 1, 2} {
-		serial := Explore(Options{MaxSchedules: 200000, PreemptionBound: Bound(bound), Workers: 1}, lostUpdate)
-		parallel := Explore(Options{MaxSchedules: 200000, PreemptionBound: Bound(bound), Workers: 8}, lostUpdate)
-		if serial.Err != nil || parallel.Err != nil {
-			t.Fatalf("bound %d: serial err=%v parallel err=%v", bound, serial.Err, parallel.Err)
-		}
-		if serial.Schedules != parallel.Schedules {
-			t.Errorf("bound %d: schedules serial=%d parallel=%d", bound, serial.Schedules, parallel.Schedules)
-		}
-		if sk, pk := bugKeys(serial), bugKeys(parallel); !reflect.DeepEqual(sk, pk) {
-			t.Errorf("bound %d: bug sets differ: %v vs %v", bound, sk, pk)
+	type bounded struct {
+		name string
+		set  func(o *Options, bound int)
+	}
+	pre := bounded{"preemption", func(o *Options, b int) { o.PreemptionBound = Bound(b) }}
+	vb := bounded{"variable", func(o *Options, b int) { o.VariableBound = Bound(b) }}
+	tb := bounded{"thread", func(o *Options, b int) { o.ThreadBound = Bound(b) }}
+	cases := []struct {
+		prog  string
+		body  func(core.T)
+		kinds []bounded
+	}{
+		{"lostUpdate", lostUpdate, []bounded{pre}},
+		{"philosophers", smallBody(t, "philosophers"), []bounded{vb, tb}},
+		{"account", smallBody(t, "account"), []bounded{vb, tb}},
+	}
+	for _, tc := range cases {
+		for _, k := range tc.kinds {
+			for _, bound := range []int{0, 1, 2} {
+				opts := Options{MaxSchedules: 200000, Workers: 1}
+				k.set(&opts, bound)
+				serial := Explore(opts, tc.body)
+				opts.Workers = 8
+				parallel := Explore(opts, tc.body)
+				if serial.Err != nil || parallel.Err != nil {
+					t.Fatalf("%s %s bound %d: serial err=%v parallel err=%v", tc.prog, k.name, bound, serial.Err, parallel.Err)
+				}
+				if !serial.Exhausted || !parallel.Exhausted {
+					t.Errorf("%s %s bound %d: exhausted serial=%v parallel=%v", tc.prog, k.name, bound, serial.Exhausted, parallel.Exhausted)
+				}
+				if serial.Schedules != parallel.Schedules {
+					t.Errorf("%s %s bound %d: schedules serial=%d parallel=%d", tc.prog, k.name, bound, serial.Schedules, parallel.Schedules)
+				}
+				if sk, pk := bugKeys(serial), bugKeys(parallel); !reflect.DeepEqual(sk, pk) {
+					t.Errorf("%s %s bound %d: bug sets differ: %v vs %v", tc.prog, k.name, bound, sk, pk)
+				}
+			}
 		}
 	}
+}
+
+// smallBody returns a repository program's body at its smallParams.
+func smallBody(t *testing.T, name string) func(core.T) {
+	t.Helper()
+	prog, err := repository.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.BodyWith(smallParams[name])
 }
 
 // TestWorkersBudget: MaxSchedules is a hard global budget across

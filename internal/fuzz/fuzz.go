@@ -105,23 +105,14 @@ type Options struct {
 // Bound is a convenience for Options.PreemptionBound.
 func Bound(n int) *int { return &n }
 
-// Bug is one erroneous schedule found while fuzzing.
-type Bug struct {
-	// Schedule is the executed decision log that exposed the bug; it
-	// replays through sched.FixedSchedule or the replay package.
-	Schedule []core.ThreadID
-	Result   *core.Result
-	// Index is the 1-based number of the run that exposed it.
-	Index int
-}
-
 // Result summarizes a fuzzing campaign.
 type Result struct {
 	// Runs is the number of executions performed (seeding included).
 	Runs int
-	// Bugs are the distinct failures found, deduplicated by
-	// core.BugSignature and ordered by Index.
-	Bugs []Bug
+	// BugLog holds the distinct failures found, deduplicated by
+	// core.BugSignature and ordered by run number. A bug's Schedule is
+	// the executed decision log that exposed it.
+	core.BugLog
 	// CorpusSize is the number of interesting schedules retained.
 	CorpusSize int
 	// Coverage is the number of distinct coverage tasks (plus distinct
@@ -136,16 +127,6 @@ type Result struct {
 	// Ops histograms executed runs by the mutation operator that
 	// produced them ("seed" for the corpus-seeding runs).
 	Ops map[string]int
-}
-
-// FirstBugIndex returns the run number of the first bug, or -1 when no
-// bug was found (run numbers are 1-based, so -1 is unambiguous —
-// the same convention as explore.Result).
-func (r *Result) FirstBugIndex() int {
-	if len(r.Bugs) == 0 {
-		return -1
-	}
-	return r.Bugs[0].Index
 }
 
 // Fuzz runs a coverage-guided schedule-fuzzing campaign over body and

@@ -55,15 +55,14 @@ type coordinator struct {
 	ops          map[string]int
 
 	// reserved hands out run-budget slots; executed counts runs
-	// actually performed (Result.Runs and Bug.Index).
+	// actually performed (Result.Runs and core.Bug.Index).
 	reserved atomic.Int64
 	executed atomic.Int64
 	stopping atomic.Bool
 
 	// resMu guards the merged bug set.
-	resMu    sync.Mutex
-	seenBugs map[string]bool
-	bugs     []Bug
+	resMu sync.Mutex
+	bugs  core.BugLog
 }
 
 func newCoordinator(opts Options, body func(core.T)) *coordinator {
@@ -75,7 +74,6 @@ func newCoordinator(opts Options, body func(core.T)) *coordinator {
 		coveredTasks: map[coverage.TaskKey]bool{},
 		coveredOuts:  map[string]bool{},
 		ops:          map[string]int{},
-		seenBugs:     map[string]bool{},
 	}
 }
 
@@ -151,9 +149,8 @@ func (c *coordinator) run() *Result {
 	}
 	c.mu.Unlock()
 	c.resMu.Lock()
-	res.Bugs = c.bugs
+	res.BugLog = c.bugs
 	c.resMu.Unlock()
-	slices.SortFunc(res.Bugs, func(a, b Bug) int { return a.Index - b.Index })
 	return res
 }
 
@@ -293,21 +290,8 @@ func (c *coordinator) recordBug(res *core.Result, index int) bool {
 	if !res.Verdict.Bug() {
 		return false
 	}
-	key := core.BugSignature(res)
 	c.resMu.Lock()
-	fresh := !c.seenBugs[key]
-	if fresh {
-		c.seenBugs[key] = true
-		// The schedule aliases the worker's pooled runner buffer; clone
-		// before retaining, and point the retained Result at the clone.
-		sch := slices.Clone(res.Schedule)
-		res.Schedule = sch
-		c.bugs = append(c.bugs, Bug{
-			Schedule: sch,
-			Result:   res,
-			Index:    index,
-		})
-	}
+	fresh := c.bugs.Add(res, index)
 	c.resMu.Unlock()
 	if c.opts.StopAtFirstBug {
 		c.stopping.Store(true)

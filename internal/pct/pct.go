@@ -34,7 +34,6 @@ package pct
 import (
 	"context"
 	"math/rand"
-	"slices"
 	"sync/atomic"
 
 	"mtbench/internal/core"
@@ -77,23 +76,14 @@ type Options struct {
 	Plan *instrument.Plan
 }
 
-// Bug is one erroneous schedule found by PCT.
-type Bug struct {
-	// Schedule is the executed decision log that exposed the bug; it
-	// replays through sched.FixedSchedule or the replay package.
-	Schedule []core.ThreadID
-	Result   *core.Result
-	// Index is the 1-based number of the run that exposed it.
-	Index int
-}
-
 // Result summarizes a PCT campaign.
 type Result struct {
 	// Runs is the number of executions performed.
 	Runs int
-	// Bugs are the distinct failures found, deduplicated by
-	// core.BugSignature and ordered by Index.
-	Bugs []Bug
+	// BugLog holds the distinct failures found, deduplicated by
+	// core.BugSignature and ordered by run number. A bug's Schedule is
+	// the executed decision log that exposed it.
+	core.BugLog
 	// EstimatedSteps is the adaptive step-count estimate k the last
 	// run sampled its change points over (the longest observed run).
 	EstimatedSteps int64
@@ -102,16 +92,6 @@ type Result struct {
 	// each depth-d run hits a depth-d bug with probability at least
 	// 1/(MaxThreads · EstimatedSteps^(d−1)).
 	MaxThreads int
-}
-
-// FirstBugIndex returns the run number of the first bug, or -1 when no
-// bug was found (run numbers are 1-based, so -1 is unambiguous — the
-// same convention as explore.Result and fuzz.Result).
-func (r *Result) FirstBugIndex() int {
-	if len(r.Bugs) == 0 {
-		return -1
-	}
-	return r.Bugs[0].Index
 }
 
 // priorityBase is the band fresh-thread priorities are drawn from.
@@ -132,6 +112,19 @@ type strategy struct {
 	// demotions counts change points taken, giving later demotions
 	// strictly lower (more negative) priorities.
 	demotions int64
+}
+
+// NewStrategy returns one PCT run's scheduler, the strategy Run builds
+// for every run after the first: random thread priorities drawn from
+// seed and depth−1 priority-change points (depth ≤ 0 means
+// DefaultDepth) sampled uniformly over horizon steps. At each change
+// point the thread about to run is demoted below every other thread.
+// A strategy serves one run.
+func NewStrategy(seed int64, depth int, horizon int64) sched.Strategy {
+	if depth <= 0 {
+		depth = DefaultDepth
+	}
+	return newStrategy(core.NewRand(seed), depth-1, horizon)
 }
 
 // newStrategy samples changePoints distinct steps over horizon and
@@ -207,7 +200,6 @@ func Run(opts Options, body func(core.T)) *Result {
 		RecordSchedule: true,
 	}
 	res := &Result{}
-	seen := map[string]bool{}
 	var horizon int64
 	for i := 0; i < opts.MaxRuns && !stopping.Load(); i++ {
 		rng := core.NewRand(core.MixSeed(opts.Seed, int64(i)))
@@ -228,22 +220,9 @@ func Run(opts Options, body func(core.T)) *Result {
 			res.MaxThreads = n
 		}
 		if runRes.Verdict.Bug() {
-			sig := core.BugSignature(runRes)
-			if !seen[sig] {
-				seen[sig] = true
-				// The result and its slices live in the pooled runner
-				// and are overwritten by the next run; deep-clone what
-				// the bug retains.
-				keep := new(core.Result)
-				*keep = *runRes
-				keep.Schedule = slices.Clone(runRes.Schedule)
-				keep.FinishOrder = slices.Clone(runRes.FinishOrder)
-				if runRes.Failure != nil {
-					f := *runRes.Failure
-					keep.Failure = &f
-				}
-				res.Bugs = append(res.Bugs, Bug{Schedule: keep.Schedule, Result: keep, Index: i + 1})
-			}
+			// The result lives in the pooled runner and is overwritten
+			// by the next run; Add keeps a deep copy.
+			res.Add(runRes, i+1)
 			if opts.StopAtFirstBug {
 				break
 			}

@@ -6,6 +6,7 @@ import (
 
 	"mtbench/internal/core"
 	"mtbench/internal/repository"
+	"mtbench/internal/sched"
 )
 
 // smallParams shrinks the larger repository programs the same way the
@@ -161,5 +162,32 @@ func TestPCTGuarantee(t *testing.T) {
 		rate, hits, seeds, n, k, bound)
 	if rate < bound {
 		t.Errorf("empirical hit rate %.4f below the depth-2 guarantee %.4f", rate, bound)
+	}
+}
+
+// TestNewStrategyIsRunsStrategy: the exported per-run strategy is the
+// one Run builds. Replaying run k of a fixed-seed campaign through
+// NewStrategy — run k's derived seed, the default depth and the horizon
+// the first k−1 runs estimated — reproduces the bug run k found,
+// decision for decision.
+func TestNewStrategyIsRunsStrategy(t *testing.T) {
+	for _, g := range pctGolden {
+		body := bodyOf(t, g.program)
+		res := Run(Options{MaxRuns: 1000, Seed: 1, StopAtFirstBug: true}, body)
+		k := res.FirstBugIndex()
+		if k < 2 {
+			t.Fatalf("%s: first bug at run %d; the check needs a run with change points", g.program, k)
+		}
+		prev := Run(Options{MaxRuns: k - 1, Seed: 1}, body)
+		st := NewStrategy(core.MixSeed(1, int64(k-1)), 0, prev.EstimatedSteps)
+		got := sched.Run(sched.Config{Strategy: st, RecordSchedule: true}, body)
+		want := res.Bugs[0]
+		if core.BugSignature(got) != core.BugSignature(want.Result) {
+			t.Errorf("%s: NewStrategy run verdict %q, Run's run %d found %q",
+				g.program, core.BugSignature(got), k, core.BugSignature(want.Result))
+		}
+		if !reflect.DeepEqual(got.Schedule, want.Schedule) {
+			t.Errorf("%s: NewStrategy schedule differs from Run's run %d", g.program, k)
+		}
 	}
 }

@@ -1009,7 +1009,8 @@ func (s *scheduler) describeDeadlock() string {
 // if none). The result is canonical — starts are probed in ascending
 // id order and the cycle is rotated to begin at its smallest id — so
 // identical deadlocks always produce identical descriptions. Bug
-// deduplication (explore.bugKey) depends on this. The walk reuses
+// deduplication (core.BugSignature, keyed by every core.BugLog)
+// depends on this. The walk reuses
 // scheduler scratch buffers and allocates nothing in steady state.
 func (s *scheduler) findCycle(waits []core.ThreadID) []core.ThreadID {
 	if cap(s.dlSeen) < len(waits) {

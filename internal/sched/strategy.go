@@ -194,56 +194,6 @@ func (r *random) Pick(c *Choice) core.ThreadID {
 	return c.Runnable[r.rng.Intn(len(c.Runnable))]
 }
 
-// priorityRandom implements a PCT-like (probabilistic concurrency
-// testing) strategy: threads get random priorities at spawn; the
-// highest-priority runnable thread runs, and at d-1 randomly
-// pre-chosen steps the running thread's priority is demoted below all
-// others. With small switch budgets it provably hits bugs of low
-// "depth" with useful probability; it is included as an extension
-// strategy beyond the paper's random noise.
-type priorityRandom struct {
-	rng     *rand.Rand
-	prio    map[core.ThreadID]int64
-	changes map[int64]bool
-	next    int64
-}
-
-// PriorityRandom returns a PCT-like strategy with the given number of
-// priority change points scattered over horizon steps.
-func PriorityRandom(seed int64, changePoints int, horizon int64) Strategy {
-	rng := core.NewRand(seed)
-	changes := make(map[int64]bool, changePoints)
-	if horizon <= 0 {
-		horizon = 10_000
-	}
-	for i := 0; i < changePoints; i++ {
-		changes[rng.Int63n(horizon)] = true
-	}
-	return &priorityRandom{rng: rng, prio: map[core.ThreadID]int64{}, changes: changes}
-}
-
-func (*priorityRandom) Name() string { return "pct" }
-
-func (p *priorityRandom) Pick(c *Choice) core.ThreadID {
-	for _, id := range c.Runnable {
-		if _, ok := p.prio[id]; !ok {
-			// Fresh threads get a random high priority band.
-			p.prio[id] = 1_000_000 + p.rng.Int63n(1_000_000)
-		}
-	}
-	if p.changes[c.Step] && c.Current != core.NoThread {
-		p.next++
-		p.prio[c.Current] = p.next // demote below everything seen so far
-	}
-	best := c.Runnable[0]
-	for _, id := range c.Runnable[1:] {
-		if p.prio[id] > p.prio[best] {
-			best = id
-		}
-	}
-	return best
-}
-
 // FixedSchedule replays an explicit decision list and then falls back
 // to fallback (used by the exploration engine to force a prefix). It
 // returns divergence if a recorded decision is not runnable.

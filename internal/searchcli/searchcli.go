@@ -178,6 +178,31 @@ func (f *Flags) replay(body func(core.T)) error {
 	return json.NewEncoder(os.Stdout).Encode(out)
 }
 
+// JSONBug is the -json record of one found bug that cmd/fuzz and
+// cmd/pct print; its field names are pinned independently of the
+// engines' Go structs.
+type JSONBug struct {
+	Index     int    `json:"index"`
+	Signature string `json:"signature"`
+	Verdict   string `json:"verdict"`
+	Decisions int    `json:"decisions"`
+}
+
+// JSONBugs returns log's bugs as -json records, in Index order. The
+// slice is never nil, so an empty log serializes as [].
+func JSONBugs(log *core.BugLog) []JSONBug {
+	out := make([]JSONBug, 0, len(log.Bugs))
+	for _, b := range log.Bugs {
+		out = append(out, JSONBug{
+			Index:     b.Index,
+			Signature: core.BugSignature(b.Result),
+			Verdict:   b.Result.Verdict.String(),
+			Decisions: len(b.Schedule),
+		})
+	}
+	return out
+}
+
 // SaveScenario writes a failing schedule's decisions to -save as a
 // replayable scenario file; it does nothing when -save is unset. The
 // confirmation goes to stdout, or to stderr under -json so stdout

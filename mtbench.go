@@ -74,6 +74,12 @@ type (
 	ListenerFunc = core.ListenerFunc
 	// Result is a run's outcome.
 	Result = core.Result
+	// Bug is one erroneous schedule a search found (Explore, Fuzz or
+	// RunPCT), replayable through FixedSchedule or the replay package.
+	// ExploreResult, FuzzResult and PCTResult embed the same ledger, a
+	// core.BugLog: Bugs holds the distinct bugs, deduplicated by
+	// signature, in run order.
+	Bug = core.Bug
 	// Verdict classifies how a run ended.
 	Verdict = core.Verdict
 	// ThreadID and ObjectID identify threads and objects within a run.
@@ -129,8 +135,10 @@ var (
 	// RandomWhenBlocked runs to block with random dispatch (the live
 	// OS-scheduler model noise runs over).
 	RandomWhenBlocked = sched.RandomWhenBlocked
-	// PriorityRandom is a PCT-style priority scheduler.
-	PriorityRandom = sched.PriorityRandom
+	// PCTStrategy is one probabilistic-concurrency-testing run's
+	// scheduler (seed, bug depth d, step horizon): random priorities
+	// plus d−1 priority-change points, as RunPCT uses per run.
+	PCTStrategy = pct.NewStrategy
 )
 
 // Native runtime.
@@ -256,9 +264,6 @@ type (
 	ExploreOptions = explore.Options
 	// ExploreResult summarizes a search.
 	ExploreResult = explore.Result
-	// ExploreBug is one erroneous schedule found during exploration,
-	// replayable through FixedSchedule or the replay package.
-	ExploreBug = explore.Bug
 	// ExploreStats counts what the reduction layer pruned (sleep sets,
 	// DPOR backtrack sets, canonical-state cache) during a search.
 	ExploreStats = explore.Stats
@@ -289,9 +294,6 @@ type (
 	// PCTResult summarizes a campaign (runs, dedup'd bugs, and the
 	// adaptive step/thread estimates that instantiate the guarantee).
 	PCTResult = pct.Result
-	// PCTBug is one erroneous schedule found by PCT, replayable through
-	// FixedSchedule or the replay package.
-	PCTBug = pct.Bug
 )
 
 // RunPCT runs a probabilistic-concurrency-testing campaign — the
@@ -309,9 +311,6 @@ type (
 	// FuzzResult summarizes a campaign (runs, dedup'd bugs, corpus and
 	// coverage growth, runs per mutation operator).
 	FuzzResult = fuzz.Result
-	// FuzzBug is one erroneous schedule found while fuzzing, replayable
-	// through FixedSchedule or the replay package.
-	FuzzBug = fuzz.Bug
 )
 
 var (
