@@ -20,11 +20,10 @@ import (
 	"os"
 
 	"mtbench/internal/experiment"
-	"mtbench/internal/noise"
-	"mtbench/internal/pct"
 	"mtbench/internal/report"
 	"mtbench/internal/repository"
 	"mtbench/internal/sched"
+	"mtbench/internal/strategies"
 
 	// Generated instrumented packages register themselves on import.
 	_ "mtbench/internal/genprog"
@@ -98,7 +97,7 @@ func show(args []string) error {
 func run(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	name := fs.String("prog", "account", "program name")
-	strategy := fs.String("strategy", "noise", "baseline | roundrobin | random | noise | pct")
+	strategy := fs.String("strategy", "noise", strategies.Usage())
 	p := fs.Float64("p", 0.4, "noise probability (strategy=noise)")
 	kind := fs.String("kind", "yield", "noise kind: yield | sleep | mixed")
 	runs := fs.Int("runs", 50, "number of seeded runs")
@@ -112,42 +111,15 @@ func run(args []string) error {
 	}
 	body := prog.BodyWith(nil)
 
-	mk := func(seed int64) (sched.Strategy, error) {
-		switch *strategy {
-		case "baseline":
-			return sched.Nonpreemptive(), nil
-		case "roundrobin":
-			return sched.RoundRobin(), nil
-		case "random":
-			return sched.Random(seed), nil
-		case "pct":
-			return pct.NewStrategy(seed, 3, 10000), nil
-		case "noise":
-			var k noise.Kind
-			switch *kind {
-			case "yield":
-				k = noise.KindYield
-			case "sleep":
-				k = noise.KindSleep
-			case "mixed":
-				k = noise.KindMixed
-			default:
-				return nil, fmt.Errorf("unknown noise kind %q", *kind)
-			}
-			return noise.NewStrategy(nil, noise.NewBernoulli(*p, k), seed), nil
-		default:
-			return nil, fmt.Errorf("unknown strategy %q", *strategy)
-		}
+	tool, err := strategies.New(*strategy, strategies.Params{P: *p, Kind: *kind})
+	if err != nil {
+		return err
 	}
 
 	found := 0
 	verdicts := map[string]int{}
 	for seed := int64(0); seed < int64(*runs); seed++ {
-		st, err := mk(seed)
-		if err != nil {
-			return err
-		}
-		res := sched.Run(sched.Config{Strategy: st, Seed: seed, Name: prog.Name, MaxSteps: 1_000_000, Plan: prog.Plan}, body)
+		res := sched.Run(sched.Config{Strategy: tool(seed), Seed: seed, Name: prog.Name, MaxSteps: 1_000_000, Plan: prog.Plan}, body)
 		verdicts[res.Verdict.String()]++
 		if res.Verdict.Bug() {
 			found++

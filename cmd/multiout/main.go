@@ -16,38 +16,26 @@ import (
 	"sort"
 
 	"mtbench/internal/multiout"
-	"mtbench/internal/noise"
-	"mtbench/internal/pct"
 	"mtbench/internal/sched"
+	"mtbench/internal/strategies"
 )
 
 func main() {
 	runs := flag.Int("runs", 100, "number of runs")
-	tool := flag.String("tool", "noise", "baseline | dispatch | noise | random | pct")
+	tool := flag.String("tool", "noise", strategies.Usage())
 	p := flag.Float64("p", 0.4, "noise probability")
 	verbose := flag.Bool("v", false, "print every run's canonical outcome")
 	flag.Parse()
 
+	next, err := strategies.New(*tool, strategies.Params{P: *p})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "multiout:", err)
+		os.Exit(2)
+	}
 	body := multiout.Body()
 	dist := multiout.Distribution{}
 	for seed := int64(0); seed < int64(*runs); seed++ {
-		var st sched.Strategy
-		switch *tool {
-		case "baseline":
-			st = sched.Nonpreemptive()
-		case "dispatch":
-			st = sched.RandomWhenBlocked(seed)
-		case "noise":
-			st = noise.NewStrategy(nil, noise.NewBernoulli(*p, noise.KindYield), seed)
-		case "random":
-			st = sched.Random(seed)
-		case "pct":
-			st = pct.NewStrategy(seed, 3, 5000)
-		default:
-			fmt.Fprintf(os.Stderr, "multiout: unknown tool %q\n", *tool)
-			os.Exit(2)
-		}
-		res := sched.Run(sched.Config{Strategy: st, Seed: seed}, body)
+		res := sched.Run(sched.Config{Strategy: next(seed), Seed: seed}, body)
 		dist.Add(res)
 		if *verbose {
 			fmt.Println(multiout.Canonical(res))

@@ -20,16 +20,16 @@ import (
 
 	"mtbench/internal/core"
 	"mtbench/internal/instrument"
-	"mtbench/internal/noise"
 	"mtbench/internal/repository"
 	"mtbench/internal/sched"
+	"mtbench/internal/strategies"
 	"mtbench/internal/trace"
 )
 
 func main() {
 	prog := flag.String("prog", "account", "program to trace")
 	seeds := flag.Int("seeds", 1, "number of traces (one per seed)")
-	strategy := flag.String("strategy", "noise", "baseline | random | noise")
+	strategy := flag.String("strategy", "noise", strategies.Usage())
 	p := flag.Float64("p", 0.4, "noise probability")
 	format := flag.String("format", "jsonl", "jsonl | binary")
 	out := flag.String("out", "-", "output directory, or - for stdout (single seed)")
@@ -49,6 +49,10 @@ func run(progName string, seeds int, strategy string, p float64, format, out str
 	}
 	if out == "-" && seeds != 1 {
 		return fmt.Errorf("stdout output supports exactly one seed")
+	}
+	tool, err := strategies.New(strategy, strategies.Params{P: p})
+	if err != nil {
+		return err
 	}
 
 	var plan *instrument.Plan
@@ -90,18 +94,6 @@ func run(progName string, seeds int, strategy string, p float64, format, out str
 			return fmt.Errorf("unknown format %q", format)
 		}
 
-		var st sched.Strategy
-		switch strategy {
-		case "baseline":
-			st = sched.Nonpreemptive()
-		case "random":
-			st = sched.Random(seed)
-		case "noise":
-			st = noise.NewStrategy(nil, noise.NewBernoulli(p, noise.KindYield), seed)
-		default:
-			return fmt.Errorf("unknown strategy %q", strategy)
-		}
-
 		if err := tw.WriteHeader(trace.Header{
 			Program:  progName,
 			Mode:     "controlled",
@@ -113,7 +105,7 @@ func run(progName string, seeds int, strategy string, p float64, format, out str
 		}
 		col := trace.NewCollector(tw, prog.Annotator())
 		res := sched.Run(sched.Config{
-			Strategy:  st,
+			Strategy:  tool(seed),
 			Seed:      seed,
 			Plan:      plan,
 			MaxSteps:  1_000_000,

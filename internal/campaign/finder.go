@@ -15,11 +15,11 @@ import (
 	"mtbench/internal/core"
 	"mtbench/internal/explore"
 	"mtbench/internal/fuzz"
-	"mtbench/internal/noise"
 	"mtbench/internal/pct"
 	"mtbench/internal/race"
 	"mtbench/internal/repository"
 	"mtbench/internal/sched"
+	"mtbench/internal/strategies"
 )
 
 // Finder is one registered tool.
@@ -226,9 +226,10 @@ func runLoop(ctx context.Context, in CellInput, setup func(i int, cfg *sched.Con
 // one fresh-seeded noise run (Bernoulli yield noise over random
 // dispatch, the E11 configuration).
 func runNoiseFinder(ctx context.Context, in CellInput) (CellResult, error) {
+	tool, _ := strategies.New("noise", strategies.Params{P: 0.4}) // valid constant parameters
 	return runLoop(ctx, in, func(i int, cfg *sched.Config) {
 		cfg.Seed = mix(in.Seed, int64(i))
-		cfg.Strategy = noise.NewStrategy(nil, noise.NewBernoulli(0.4, noise.KindYield), cfg.Seed)
+		cfg.Strategy = tool(cfg.Seed)
 	}, nil)
 }
 

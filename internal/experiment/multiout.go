@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"mtbench/internal/multiout"
-	"mtbench/internal/noise"
-	pctpkg "mtbench/internal/pct"
 	"mtbench/internal/sched"
+	"mtbench/internal/strategies"
 )
 
 // E7 — the no-input, many-outcomes benchmark program (§4 component 4:
@@ -33,25 +32,22 @@ func Multiout(cfg MultioutConfig) ([]*Table, error) {
 	t.Note("higher entropy = the tool spreads executions over more interleaving classes")
 
 	tools := []struct {
-		name string
-		mk   func(seed int64) sched.Strategy
+		name, tool string
+		params     strategies.Params
 	}{
-		{"deterministic", func(seed int64) sched.Strategy { return sched.Nonpreemptive() }},
-		{"dispatch-random", func(seed int64) sched.Strategy { return sched.RandomWhenBlocked(seed) }},
-		{"noise-yield-0.1", func(seed int64) sched.Strategy {
-			return noise.NewStrategy(nil, noise.NewBernoulli(0.1, noise.KindYield), seed)
-		}},
-		{"noise-yield-0.4", func(seed int64) sched.Strategy {
-			return noise.NewStrategy(nil, noise.NewBernoulli(0.4, noise.KindYield), seed)
-		}},
-		{"random", func(seed int64) sched.Strategy { return sched.Random(seed) }},
-		{"pct-d3", func(seed int64) sched.Strategy { return pctpkg.NewStrategy(seed, 3, 2000) }},
+		{"deterministic", "baseline", strategies.Params{}},
+		{"dispatch-random", "dispatch", strategies.Params{}},
+		{"noise-yield-0.1", "noise", strategies.Params{P: 0.1}},
+		{"noise-yield-0.4", "noise", strategies.Params{P: 0.4}},
+		{"random", "random", strategies.Params{}},
+		{"pct-d3", "pct", strategies.Params{Depth: 3}},
 	}
 
-	for _, tool := range tools {
+	for _, row := range tools {
+		tool, _ := strategies.New(row.tool, row.params) // the rows are valid table entries
 		dist := multiout.Distribution{}
 		for seed := int64(0); seed < int64(cfg.Runs); seed++ {
-			dist.Add(sched.Run(sched.Config{Strategy: tool.mk(seed)}, body))
+			dist.Add(sched.Run(sched.Config{Strategy: tool(seed)}, body))
 		}
 		top := 0
 		for _, c := range dist {
@@ -59,7 +55,7 @@ func Multiout(cfg MultioutConfig) ([]*Table, error) {
 				top = c
 			}
 		}
-		t.AddRow(tool.name, itoa(cfg.Runs), itoa(dist.Distinct()),
+		t.AddRow(row.name, itoa(cfg.Runs), itoa(dist.Distinct()),
 			fmt.Sprintf("%.2f", dist.Entropy()), pct(top, cfg.Runs))
 	}
 	return []*Table{t}, nil

@@ -44,7 +44,7 @@ func TestCheckpointedEquivalence(t *testing.T) {
 	}
 	budget, maxSteps := 30000, int64(5000)
 	if raceEnabled {
-		budget = 3000
+		budget = 1000
 	}
 	for _, prog := range repository.All() {
 		body := prog.BodyWith(smallParams[prog.Name])
@@ -198,7 +198,7 @@ func TestCheckpointConservation(t *testing.T) {
 	}
 	budget := 2000
 	if raceEnabled {
-		budget = 300
+		budget = 100
 	}
 	for _, prog := range repository.All() {
 		body := prog.BodyWith(smallParams[prog.Name])
@@ -251,12 +251,16 @@ func TestExploreNoGoroutineLeak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-repository exploration sweep in -short mode")
 	}
+	budget := 300
+	if raceEnabled {
+		budget = 100
+	}
 	sweep := func() {
 		for _, prog := range repository.All() {
 			body := prog.BodyWith(smallParams[prog.Name])
 			for _, mode := range leakModes {
 				for _, workers := range []int{1, 4} {
-					opts := Options{MaxSchedules: 300, MaxSteps: 5000, Workers: workers}
+					opts := Options{MaxSchedules: budget, MaxSteps: 5000, Workers: workers}
 					mode.set(&opts)
 					if res := Explore(opts, body); res.Err != nil {
 						t.Fatalf("%s/%s/workers=%d: %v", prog.Name, mode.name, workers, res.Err)

@@ -44,7 +44,7 @@ func TestReducedEquivalence(t *testing.T) {
 		// Race-instrumented runs are ~20x slower; a smaller budget
 		// keeps the sweep meaningful (the parallel machinery and the
 		// small trees) without re-proving the largest trees.
-		budget = 3000
+		budget = 1000
 	}
 	for _, prog := range repository.All() {
 		body := prog.BodyWith(smallParams[prog.Name])

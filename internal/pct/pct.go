@@ -112,32 +112,40 @@ type strategy struct {
 	// demotions counts change points taken, giving later demotions
 	// strictly lower (more negative) priorities.
 	demotions int64
+	// steps is the length of the run so far.
+	steps int64
 }
 
-// NewStrategy returns one PCT run's scheduler, the strategy Run builds
-// for every run after the first: random thread priorities drawn from
-// seed and depth−1 priority-change points (depth ≤ 0 means
-// DefaultDepth) sampled uniformly over horizon steps. At each change
-// point the thread about to run is demoted below every other thread.
-// A strategy serves one run.
-func NewStrategy(seed int64, depth int, horizon int64) sched.Strategy {
+// NewFactory returns the per-run strategy source Run loops over, for
+// bug depth d (≤ 0 means DefaultDepth) and the adaptive horizon the
+// package comment describes. Build each after the previous run ended.
+func NewFactory(depth int) func(seed int64) sched.Strategy {
 	if depth <= 0 {
 		depth = DefaultDepth
 	}
-	return newStrategy(core.NewRand(seed), depth-1, horizon)
+	return (&factory{depth: depth}).next
 }
 
-// newStrategy samples changePoints distinct steps over horizon and
-// returns the run's scheduler.
-func newStrategy(rng *rand.Rand, changePoints int, horizon int64) *strategy {
-	if horizon < 1 {
-		horizon = 1
+type factory struct {
+	depth   int
+	last    *strategy
+	horizon int64
+}
+
+func (f *factory) next(seed int64) sched.Strategy {
+	changePoints := 0
+	if f.last != nil {
+		f.horizon = max(f.horizon, f.last.steps)
+		changePoints = f.depth - 1
 	}
+	rng := core.NewRand(seed)
+	horizon := max(f.horizon, 1)
 	changes := make(map[int64]bool, changePoints)
 	for int64(len(changes)) < int64(changePoints) && int64(len(changes)) < horizon {
 		changes[rng.Int63n(horizon)] = true
 	}
-	return &strategy{rng: rng, prio: map[core.ThreadID]int64{}, changes: changes}
+	f.last = &strategy{rng: rng, prio: map[core.ThreadID]int64{}, changes: changes}
+	return f.last
 }
 
 // Name implements sched.Strategy.
@@ -147,6 +155,7 @@ func (*strategy) Name() string { return "pct" }
 // thread, demoting the would-run thread first when this step is a
 // change point.
 func (s *strategy) Pick(c *sched.Choice) core.ThreadID {
+	s.steps = c.Step + 1
 	for _, id := range c.Runnable {
 		if _, ok := s.prio[id]; !ok {
 			s.prio[id] = priorityBase + s.rng.Int63n(priorityRange)
@@ -181,9 +190,6 @@ func Run(opts Options, body func(core.T)) *Result {
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = DefaultMaxRuns
 	}
-	if opts.Depth <= 0 {
-		opts.Depth = DefaultDepth
-	}
 	runner := sched.NewRunner()
 	defer runner.Close()
 	var stopping atomic.Bool
@@ -200,22 +206,13 @@ func Run(opts Options, body func(core.T)) *Result {
 		RecordSchedule: true,
 	}
 	res := &Result{}
-	var horizon int64
+	next := NewFactory(opts.Depth)
 	for i := 0; i < opts.MaxRuns && !stopping.Load(); i++ {
-		rng := core.NewRand(core.MixSeed(opts.Seed, int64(i)))
-		changePoints := 0
-		if i > 0 {
-			// Run 1 is the pure priority serialization that seeds the
-			// adaptive step estimate.
-			changePoints = opts.Depth - 1
-		}
-		st := newStrategy(rng, changePoints, horizon)
+		st := next(core.MixSeed(opts.Seed, int64(i))).(*strategy)
 		cfg.Strategy = st
 		runRes := runner.Run(cfg, body)
 		res.Runs++
-		if runRes.Steps > horizon {
-			horizon = runRes.Steps
-		}
+		res.EstimatedSteps = max(res.EstimatedSteps, runRes.Steps)
 		if n := len(st.prio); n > res.MaxThreads {
 			res.MaxThreads = n
 		}
@@ -228,6 +225,5 @@ func Run(opts Options, body func(core.T)) *Result {
 			}
 		}
 	}
-	res.EstimatedSteps = horizon
 	return res
 }

@@ -165,11 +165,10 @@ func TestPCTGuarantee(t *testing.T) {
 	}
 }
 
-// TestNewStrategyIsRunsStrategy: the exported per-run strategy is the
-// one Run builds. Replaying run k of a fixed-seed campaign through
-// NewStrategy — run k's derived seed, the default depth and the horizon
-// the first k−1 runs estimated — reproduces the bug run k found,
-// decision for decision.
+// TestNewStrategyIsRunsStrategy: the per-run strategies NewFactory
+// builds (the strategy table's pct entry) are the ones Run builds.
+// Driving a fresh factory over run i's derived seed core.MixSeed(1, i)
+// reproduces the bug Run found first, decision for decision.
 func TestNewStrategyIsRunsStrategy(t *testing.T) {
 	for _, g := range pctGolden {
 		body := bodyOf(t, g.program)
@@ -178,16 +177,18 @@ func TestNewStrategyIsRunsStrategy(t *testing.T) {
 		if k < 2 {
 			t.Fatalf("%s: first bug at run %d; the check needs a run with change points", g.program, k)
 		}
-		prev := Run(Options{MaxRuns: k - 1, Seed: 1}, body)
-		st := NewStrategy(core.MixSeed(1, int64(k-1)), 0, prev.EstimatedSteps)
-		got := sched.Run(sched.Config{Strategy: st, RecordSchedule: true}, body)
+		next := NewFactory(0)
+		var got *core.Result
+		for i := 0; i < k; i++ {
+			got = sched.Run(sched.Config{Strategy: next(core.MixSeed(1, int64(i))), RecordSchedule: true}, body)
+		}
 		want := res.Bugs[0]
 		if core.BugSignature(got) != core.BugSignature(want.Result) {
-			t.Errorf("%s: NewStrategy run verdict %q, Run's run %d found %q",
-				g.program, core.BugSignature(got), k, core.BugSignature(want.Result))
+			t.Errorf("%s: factory run %d verdict %q, Run found %q",
+				g.program, k, core.BugSignature(got), core.BugSignature(want.Result))
 		}
 		if !reflect.DeepEqual(got.Schedule, want.Schedule) {
-			t.Errorf("%s: NewStrategy schedule differs from Run's run %d", g.program, k)
+			t.Errorf("%s: factory schedule differs from Run's run %d", g.program, k)
 		}
 	}
 }

@@ -166,6 +166,9 @@ func (f *Flags) replay(body func(core.T)) error {
 	if err != nil {
 		return err
 	}
+	if s.Program != f.Prog || s.Mode != "controlled" {
+		return fmt.Errorf("scenario %s is a %q run of %q; -replay needs a \"controlled\" run of %q", f.Replay, s.Mode, s.Program, f.Prog)
+	}
 	res := replay.ReplayControlled(s, sched.Config{Name: f.Prog}, body)
 	if !f.JSON {
 		fmt.Printf("replayed scenario (%d decisions): %v\n", len(s.Decisions), res)

@@ -133,3 +133,44 @@ func TestSaveScenarioReplays(t *testing.T) {
 		t.Fatalf("replay = %v (diverged=%v), want %v", got, got.Diverged, bug.Result)
 	}
 }
+
+// TestReplayRejectsForeignScenario: -replay refuses a scenario recorded
+// for another program or in native mode, naming the scenario's value
+// and the expected one, instead of replaying it to a meaningless
+// verdict.
+func TestReplayRejectsForeignScenario(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name, prog string
+		s          replay.Schedule
+		want       []string
+	}{
+		{"program", "statmax", replay.Schedule{Program: "account", Mode: "controlled", Decisions: []core.ThreadID{0, 1}},
+			[]string{`"account"`, `"statmax"`}},
+		{"mode", "account", replay.Schedule{Program: "account", Mode: "native"},
+			[]string{`"native"`, `"controlled"`}},
+	}
+	for _, c := range cases {
+		path := filepath.Join(dir, c.name+".json")
+		if err := c.s.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := Register(fs, c.prog)
+		if err := fs.Parse([]string{"-json", "-replay", path}); err != nil {
+			t.Fatal(err)
+		}
+		err := f.Run(func(*repository.Program, func(core.T)) error {
+			t.Fatalf("%s: -replay ran the search", c.name)
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("%s: replay of a foreign scenario succeeded", c.name)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %s", c.name, err, w)
+			}
+		}
+	}
+}

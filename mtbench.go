@@ -50,6 +50,7 @@ import (
 	"mtbench/internal/repository"
 	"mtbench/internal/sched"
 	"mtbench/internal/staticinfo"
+	"mtbench/internal/strategies"
 	"mtbench/internal/trace"
 )
 
@@ -135,11 +136,14 @@ var (
 	// RandomWhenBlocked runs to block with random dispatch (the live
 	// OS-scheduler model noise runs over).
 	RandomWhenBlocked = sched.RandomWhenBlocked
-	// PCTStrategy is one probabilistic-concurrency-testing run's
-	// scheduler (seed, bug depth d, step horizon): random priorities
-	// plus d−1 priority-change points, as RunPCT uses per run.
-	PCTStrategy = pct.NewStrategy
+	// NewStrategyFactory looks a tool up by name (baseline, roundrobin,
+	// random, dispatch, noise or pct) in the table every command uses;
+	// its pct factory follows RunPCT's adaptive horizon.
+	NewStrategyFactory = strategies.New
 )
+
+// StrategyParams are the strategy table entries' typed parameters.
+type StrategyParams = strategies.Params
 
 // Native runtime.
 type (
