@@ -143,7 +143,7 @@ registered finders:
 // configFlags binds the campaign matrix flags onto fs and returns a
 // builder for the resulting config.
 func configFlags(fs *flag.FlagSet) func() (campaign.Config, error) {
-	finders := fs.String("finders", "", "comma-separated finders (empty = all registered)")
+	finders := fs.String("finders", "", "comma-separated finders (empty = DefaultFinders: "+strings.Join(campaign.DefaultFinders, ",")+")")
 	programs := fs.String("programs", "", `comma-separated programs, or "all" for the whole repository (empty = default gate set)`)
 	seeds := fs.String("seeds", "", "comma-separated master seeds (empty = 0)")
 	budget := fs.Int("budget", 0, "per-cell run/schedule budget (0 = default)")

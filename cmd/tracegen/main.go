@@ -42,7 +42,20 @@ func main() {
 	}
 }
 
+// formats maps each -format name to its file extension and writer.
+var formats = map[string]struct {
+	ext       string
+	newWriter func(io.Writer) trace.Writer
+}{
+	"jsonl":  {"jsonl", func(w io.Writer) trace.Writer { return trace.NewJSONLWriter(w) }},
+	"binary": {"mtbt", func(w io.Writer) trace.Writer { return trace.NewBinaryWriter(w) }},
+}
+
 func run(progName string, seeds int, strategy string, p float64, format, out string, onlySync bool) error {
+	codec, ok := formats[format]
+	if !ok {
+		return fmt.Errorf("unknown format %q (have jsonl, binary)", format)
+	}
 	prog, err := repository.Get(progName)
 	if err != nil {
 		return err
@@ -70,11 +83,7 @@ func run(progName string, seeds int, strategy string, p float64, format, out str
 			if err := os.MkdirAll(out, 0o755); err != nil {
 				return err
 			}
-			ext := "jsonl"
-			if format == "binary" {
-				ext = "mtbt"
-			}
-			path := filepath.Join(out, fmt.Sprintf("%s-%d.%s", progName, seed, ext))
+			path := filepath.Join(out, fmt.Sprintf("%s-%d.%s", progName, seed, codec.ext))
 			f, err := os.Create(path)
 			if err != nil {
 				return err
@@ -84,16 +93,7 @@ func run(progName string, seeds int, strategy string, p float64, format, out str
 			fmt.Fprintf(os.Stderr, "writing %s\n", path)
 		}
 
-		var tw trace.Writer
-		switch format {
-		case "jsonl":
-			tw = trace.NewJSONLWriter(w)
-		case "binary":
-			tw = trace.NewBinaryWriter(w)
-		default:
-			return fmt.Errorf("unknown format %q", format)
-		}
-
+		tw := codec.newWriter(w)
 		if err := tw.WriteHeader(trace.Header{
 			Program:  progName,
 			Mode:     "controlled",

@@ -16,12 +16,12 @@ import (
 	"mtbench"
 )
 
-func explore(progName string) {
+func explore(progName string, size mtbench.ProgramParams) {
 	prog, err := mtbench.GetProgram(progName)
 	if err != nil {
 		panic(err)
 	}
-	body := prog.BodyWith(mtbench.ProgramParams{"philosophers": 2, "rounds": 1})
+	body := prog.BodyWith(size)
 
 	res := mtbench.Explore(mtbench.ExploreOptions{
 		MaxSchedules:   200000,
@@ -53,6 +53,12 @@ func explore(progName string) {
 }
 
 func main() {
-	explore("philosophers")      // all left-handed: deadlock exists
-	explore("philosophersfixed") // ordered forks: provably clean
+	// Both programs at the philosophers' explorable size (two
+	// philosophers, one round).
+	phil, err := mtbench.GetProgram("philosophers")
+	if err != nil {
+		panic(err)
+	}
+	explore("philosophers", phil.Explorable)      // all left-handed: deadlock exists
+	explore("philosophersfixed", phil.Explorable) // ordered forks: provably clean
 }

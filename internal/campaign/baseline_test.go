@@ -28,3 +28,19 @@ func TestCheckedInBaseline(t *testing.T) {
 		t.Fatalf("current finders regress against campaign/baseline.jsonl:\n%v\n(if the change is intentional, regenerate the baseline)", err)
 	}
 }
+
+// TestDefaultConfigIsBaseline: the zero config is the matrix the
+// checked-in baseline pins, and registering another finder does not
+// change it (the default finder set is a fixed list).
+func TestDefaultConfigIsBaseline(t *testing.T) {
+	cfg, _, err := Load("../../campaign/baseline.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerTestFinder(t, "test-not-default", func(context.Context, CellInput) (CellResult, error) {
+		return CellResult{FirstBug: -1}, nil
+	})
+	if got, want := Default().Fingerprint(), cfg.Fingerprint(); got != want {
+		t.Fatalf("Default() is not the baseline's config:\n  default:  %s\n  baseline: %s", got, want)
+	}
+}

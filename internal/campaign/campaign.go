@@ -31,10 +31,13 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
+
+	"mtbench/internal/repository"
 )
 
 // Config declares a campaign matrix. The identity fields (everything
@@ -43,7 +46,7 @@ import (
 // its results.
 type Config struct {
 	// Finders names the tools to compare (see Finders for the
-	// registry). Empty = all registered finders.
+	// registry). Empty = DefaultFinders.
 	Finders []string `json:"finders"`
 	// Programs names the repository programs. Empty = DefaultPrograms.
 	Programs []string `json:"programs"`
@@ -78,10 +81,11 @@ type Config struct {
 	CellTimeout time.Duration `json:"cell_timeout_ns,omitempty"`
 	// Params overrides program parameters by program name, so large
 	// programs face the same shrunk instances for every finder.
-	// nil = DefaultParams; an explicitly empty map means "no
-	// overrides, full-size programs" and round-trips through the
-	// store's meta line as {} (hence no omitempty: collapsing it to
-	// nil on reload would silently resume with DefaultParams).
+	// nil = every registered program's Explorable size; an explicitly
+	// empty map means "no overrides, full-size programs" and
+	// round-trips through the store's meta line as {} (hence no
+	// omitempty: collapsing it to nil on reload would silently resume
+	// with the explorable sizes).
 	Params map[string]map[string]int `json:"params"`
 
 	// Workers sizes the cell worker pool (0 = 1). Cells are
@@ -100,21 +104,22 @@ const (
 	DefaultMaxSteps = 200_000
 )
 
-// DefaultPrograms is the gate matrix: the exploration classics (shrunk
-// exactly like E5/E11 so every finder faces identical instances), the
-// scenario-diversity programs the stock tools were not tuned on, and a
-// correct program as false-alarm bait for the race finder.
+// DefaultPrograms is the gate matrix's program axis: the exploration
+// classics (at their repository.Program.Explorable size, like every
+// experiment), the scenario-diversity programs the stock tools were not
+// tuned on, and a correct program as false-alarm bait for the race
+// finder.
 var DefaultPrograms = []string{
 	"abastack", "account", "bankwithdraw", "lockedcounter",
 	"philosophers", "semleak", "statmax",
 }
 
-// DefaultParams shrinks the larger default programs the same way E5
-// and E11 do.
-var DefaultParams = map[string]map[string]int{
-	"account":      {"depositors": 2, "deposits": 1},
-	"philosophers": {"philosophers": 2, "rounds": 1},
-	"statmax":      {"reporters": 2},
+// DefaultFinders is the gate matrix's finder axis. It is a fixed list,
+// not "whatever is registered", so registering a finder never changes
+// the default matrix or its fingerprint.
+var DefaultFinders = []string{
+	"explore", "explore-por", "explore-tb", "explore-vb",
+	"fuzz", "noise", "pct", "race",
 }
 
 // Default returns the standard fixed-seed gate campaign — the config
@@ -127,7 +132,7 @@ func Default() Config {
 // declare the same matrix have the same fingerprint.
 func (c Config) normalized() Config {
 	if len(c.Finders) == 0 {
-		c.Finders = Finders()
+		c.Finders = slices.Clone(DefaultFinders)
 	}
 	if len(c.Programs) == 0 {
 		c.Programs = slices.Clone(DefaultPrograms)
@@ -142,7 +147,7 @@ func (c Config) normalized() Config {
 		c.MaxSteps = DefaultMaxSteps
 	}
 	if c.Params == nil {
-		c.Params = DefaultParams
+		c.Params = explorableParams()
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
@@ -153,6 +158,18 @@ func (c Config) normalized() Config {
 	slices.Sort(seeds)
 	c.Seeds = slices.Compact(seeds)
 	return c
+}
+
+// explorableParams is the default Params: every registered program
+// that declares an explorable size, at that size.
+func explorableParams() map[string]map[string]int {
+	out := map[string]map[string]int{}
+	for _, p := range repository.All() {
+		if p.Explorable != nil {
+			out[p.Name] = maps.Clone(map[string]int(p.Explorable))
+		}
+	}
+	return out
 }
 
 func sortedUnique(in []string) []string {
@@ -224,6 +241,10 @@ type Record struct {
 	// WallMS is the cell's wall time in milliseconds; 0 unless the
 	// campaign ran with Config.Timing (see there for why).
 	WallMS int64 `json:"wall_ms"`
+	// Counters are the finder's named engine counters (see
+	// CellResult.Counters); omitted when the finder reports none.
+	// Compare and the gate ignore them.
+	Counters map[string]int64 `json:"counters,omitempty"`
 	// Outcome classifies abnormal cell completions; empty for a
 	// normally-executed cell, and omitted from the serialized record,
 	// so pre-existing stores and fixed-seed byte-identity are

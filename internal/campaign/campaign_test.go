@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ func TestCampaignDeterministic(t *testing.T) {
 	sumA := runToFile(t, cfg, a)
 	sumB := runToFile(t, cfg, b)
 
-	want := 3 * len(Finders()) // 3 programs x every registered finder
+	want := 3 * len(DefaultFinders) // 3 programs x every default finder
 	if sumA.Cells != want || sumA.Executed != want {
 		t.Fatalf("expected %d executed cells, got %+v", want, sumA)
 	}
@@ -438,5 +439,47 @@ func TestCompareOutcomeClassification(t *testing.T) {
 		[]Record{rec("account", "fuzz", 0, 100, nil, -1)}, 1.0)
 	if err := diff.Gate(); err != nil {
 		t.Fatalf("gate failed a recovery-only diff: %v", err)
+	}
+}
+
+// TestFinderCounters: every explore finder reports "exhausted", the
+// variable- and thread-bounded ones also "bound_pruned", and the other
+// finders report nothing, so their records serialize without the
+// field. Compare ignores counters.
+func TestFinderCounters(t *testing.T) {
+	cfg := Config{Programs: []string{"statmax"}, Budget: DefaultBudget}
+	// statmax{reporters=2}: the full DFS needs 515 schedules, every
+	// bounded or reduced tree fits the budget (E13's statmax rows).
+	want := map[string]map[string]int64{
+		"explore":     {"exhausted": 0},
+		"explore-pb":  {"exhausted": 1},
+		"explore-por": {"exhausted": 1},
+		"explore-tb":  {"exhausted": 1, "bound_pruned": 85},
+		"explore-vb":  {"exhausted": 1, "bound_pruned": 24},
+		"fuzz":        nil,
+		"noise":       nil,
+		"pct":         nil,
+		"race":        nil,
+	}
+	for finder, counters := range want {
+		rec, err := ExecCell(context.Background(), cfg, Cell{Program: "statmax", Finder: finder, Budget: cfg.Budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rec.Counters, counters) {
+			t.Errorf("%s: counters = %v, want %v", finder, rec.Counters, counters)
+		}
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if has := bytes.Contains(line, []byte(`"counters"`)); has != (counters != nil) {
+			t.Errorf("%s: record %s, counters field present = %v", finder, line, has)
+		}
+		bare := rec
+		bare.Counters = nil
+		if d := Compare([]Record{bare}, []Record{rec}, 1.0); len(d.Deltas) != 0 {
+			t.Errorf("%s: Compare sees counters: %v", finder, d.Deltas)
+		}
 	}
 }

@@ -136,6 +136,7 @@ func (bc boundCell) exec(ctx context.Context, cfg Config) (Record, error) {
 				rec.Bugs = bugs
 			}
 			rec.FirstBug = fr.out.FirstBug
+			rec.Counters = fr.out.Counters
 		}
 	case <-cellCtx.Done():
 		// The finder has not returned yet. Built-in finders stop within

@@ -13,8 +13,7 @@ import (
 )
 
 // registerTestFinder installs a finder for one test and removes it on
-// cleanup — testConfig() uses "all registered finders", so leaked test
-// finders would change every other test's matrix.
+// cleanup, so no test sees another's finders.
 func registerTestFinder(t *testing.T, name string, fn func(ctx context.Context, in CellInput) (CellResult, error)) {
 	t.Helper()
 	if err := RegisterFinder(name, "test finder", fn); err != nil {

@@ -46,6 +46,16 @@ var finderTable = map[string]*Finder{
 		Doc:  "systematic serial DFS over schedules (seed-invariant)",
 		run:  exploreFinder("explore", func(CellInput, *explore.Options) {}),
 	},
+	"explore-pb": {
+		Name: "explore-pb",
+		Doc:  "preemption-bounded serial DFS: at most 2 preemptions per schedule (seed-invariant; not in DefaultFinders)",
+		// E13's classic context-bounding row. It stays out of
+		// DefaultFinders, so the gate matrix and its baseline are
+		// unchanged by it.
+		run: exploreFinder("explore-pb", func(_ CellInput, o *explore.Options) {
+			o.PreemptionBound = explore.Bound(2)
+		}),
+	},
 	"explore-por": {
 		Name: "explore-por",
 		Doc:  "reduced serial DFS: dynamic partial-order reduction + state caching (seed-invariant)",
@@ -143,6 +153,10 @@ type CellResult struct {
 	// FirstBug is the 1-based index of the first bug-exposing run, or
 	// -1 when the cell found nothing.
 	FirstBug int
+	// Counters are named engine counters the report tables read: every
+	// explore finder sets "exhausted" (0 or 1), the variable- and
+	// thread-bounded ones also "bound_pruned". nil for the rest.
+	Counters map[string]int64
 }
 
 // RegisterFinder adds a finder to the campaign registry under name —
@@ -285,7 +299,14 @@ func exploreFinder(name string, preset func(in CellInput, o *explore.Options)) f
 		if er.Err != nil {
 			return CellResult{}, fmt.Errorf("%s %s: %w", name, in.Program.Name, er.Err)
 		}
-		return CellResult{Runs: er.Schedules, Bugs: er.Signatures(), FirstBug: er.FirstBugIndex()}, nil
+		counters := map[string]int64{"exhausted": 0}
+		if er.Exhausted {
+			counters["exhausted"] = 1
+		}
+		if opts.VariableBound != nil || opts.ThreadBound != nil {
+			counters["bound_pruned"] = int64(er.Stats.VBPruned + er.Stats.TBPruned)
+		}
+		return CellResult{Runs: er.Schedules, Bugs: er.Signatures(), FirstBug: er.FirstBugIndex(), Counters: counters}, nil
 	}
 }
 

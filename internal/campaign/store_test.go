@@ -174,8 +174,8 @@ func TestStoreTornTail(t *testing.T) {
 
 // TestEmptyParamsRoundTrip pins that an explicitly-empty Params map
 // (no overrides: full-size programs) survives the store meta line
-// instead of collapsing to nil and silently re-normalizing to
-// DefaultParams on resume.
+// instead of collapsing to nil and silently re-normalizing to the
+// explorable sizes on resume.
 func TestEmptyParamsRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.jsonl")
 	cfg := testConfig()

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -109,6 +110,30 @@ func TestHTTPFleetMatchesInProcessRun(t *testing.T) {
 	}
 	if !bytes.Equal(dist, local) {
 		t.Fatalf("distributed store differs from in-process run:\n--- distributed ---\n%s--- local ---\n%s", dist, local)
+	}
+}
+
+// TestHTTPFleetCarriesCounters: a finder's engine counters reach the
+// coordinator's store through the lease protocol unchanged.
+func TestHTTPFleetCarriesCounters(t *testing.T) {
+	cfg := campaign.Config{
+		Finders:  []string{"explore-vb"},
+		Programs: []string{"semleak"},
+		Seeds:    []int64{0},
+		Budget:   40,
+	}
+	path := filepath.Join(t.TempDir(), "dist.jsonl")
+	runFleet(t, cfg, path, 1)
+	_, recs, err := campaign.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := campaign.ExecCell(context.Background(), cfg, campaign.Cells(cfg)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || want.Counters["exhausted"] != 1 || !reflect.DeepEqual(recs[0].Counters, want.Counters) {
+		t.Fatalf("stored records %+v, want one with counters %v (exhausted)", recs, want.Counters)
 	}
 }
 

@@ -1,11 +1,6 @@
 package experiment
 
-import (
-	"mtbench/internal/explore"
-	"mtbench/internal/fuzz"
-	pctpkg "mtbench/internal/pct"
-	"mtbench/internal/repository"
-)
+import "mtbench/internal/campaign"
 
 // E13 — the bounding portfolio under one shared budget: bounded
 // systematic search (preemption / variable / thread bounding, after
@@ -16,13 +11,14 @@ import (
 
 // BoundingConfig parameterizes E13.
 type BoundingConfig struct {
-	// Programs and their small parameterizations (shared with the
-	// campaign gate set, so the regimes face identical instances).
+	// Programs run at their explorable size (repository.Program.
+	// Explorable), as in the campaign gate, so the regimes face
+	// identical instances.
 	Programs []string
 	// Budget is the shared per-(program, regime) effort: schedules for
 	// the explore variants, runs for fuzz and pct (0 = 2000).
 	Budget int
-	// MaxSteps bounds each run (0 = 200000).
+	// MaxSteps bounds each run (0 = campaign.DefaultMaxSteps).
 	MaxSteps int64
 	// Seed drives the randomized regimes (fuzz, pct); the systematic
 	// ones ignore it.
@@ -34,12 +30,8 @@ type BoundingConfig struct {
 	PCTDepth      int
 }
 
-// boundingParams shrinks each program exactly like the campaign gate.
-var boundingParams = map[string]repository.Params{
-	"account":      {"depositors": 2, "deposits": 1},
-	"philosophers": {"philosophers": 2, "rounds": 1},
-	"statmax":      {"reporters": 2},
-}
+// boundingFinders are E13's regimes, in row order.
+var boundingFinders = []string{"explore", "explore-pb", "explore-vb", "explore-tb", "explore-por", "fuzz", "pct"}
 
 // Bounding runs E13: first-bug indices, budget consumption and bug
 // counts for each regime of the portfolio under one shared budget.
@@ -50,102 +42,25 @@ func Bounding(cfg BoundingConfig) ([]*Table, error) {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 2000
 	}
-	if cfg.MaxSteps <= 0 {
-		cfg.MaxSteps = 200_000
-	}
-	if cfg.VariableBound <= 0 {
-		cfg.VariableBound = 2
-	}
-	if cfg.ThreadBound <= 0 {
-		cfg.ThreadBound = 2
-	}
 
 	t := &Table{
-		ID:      "E13",
-		Title:   "bounding portfolio: bounded vs reduced vs fuzzed regimes, one shared budget",
-		Columns: []string{"program", "regime", "first_bug", "runs", "exhausted", "bugs", "bound_pruned"},
+		ID:    "E13",
+		Title: "bounding portfolio: bounded vs reduced vs fuzzed regimes, one shared budget",
 	}
 	t.Note("every regime spends at most the same budget (schedules or runs); first_bug = 1-based index, '-' = not found")
-	t.Note("dfs-vb/dfs-tb cut context switches outside a small object/thread set (Bindal et al.); exhausted = the bounded tree was fully explored")
+	t.Note("explore-pb bounds preemptions at 2; explore-vb/explore-tb cut context switches outside a small object/thread set (Bindal et al.); exhausted = the bounded tree was fully explored")
 	t.Note("bound_pruned = options cut by the variable/thread bound (vb_pruned + tb_pruned); '-' for regimes without bound counters")
 	t.Note("fuzz and pct are randomized under the config seed; pct's per-run hit probability has the documented depth-d lower bound")
+	t.Note("computed from campaign records (campaign.Run, in-memory store, one cell at a time)")
 
-	for _, name := range cfg.Programs {
-		prog, err := repository.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		body := prog.BodyWith(boundingParams[name])
-
-		runExplore := func(regime string, opts explore.Options) error {
-			opts.MaxSchedules = cfg.Budget
-			opts.MaxSteps = cfg.MaxSteps
-			opts.Workers = 1
-			opts.Name = name
-			opts.Plan = prog.Plan
-			res := explore.Explore(opts, body)
-			if res.Err != nil {
-				return res.Err
-			}
-			first := "-"
-			if idx := res.FirstBugIndex(); idx >= 1 {
-				first = itoa(idx)
-			}
-			exhausted := "no"
-			if res.Exhausted {
-				exhausted = "yes"
-			}
-			pruned := "-"
-			if opts.VariableBound != nil || opts.ThreadBound != nil {
-				pruned = itoa(res.Stats.VBPruned + res.Stats.TBPruned)
-			}
-			t.AddRow(name, regime, first, itoa(res.Schedules), exhausted, itoa(len(res.Bugs)), pruned)
-			return nil
-		}
-
-		if err := runExplore("dfs", explore.Options{}); err != nil {
-			return nil, err
-		}
-		if err := runExplore("dfs-pbound2", explore.Options{PreemptionBound: explore.Bound(2)}); err != nil {
-			return nil, err
-		}
-		if err := runExplore("dfs-vb", explore.Options{VariableBound: explore.Bound(cfg.VariableBound)}); err != nil {
-			return nil, err
-		}
-		if err := runExplore("dfs-tb", explore.Options{ThreadBound: explore.Bound(cfg.ThreadBound)}); err != nil {
-			return nil, err
-		}
-		if err := runExplore("dfs-por-cache", explore.Options{DPOR: true, StateCache: true}); err != nil {
-			return nil, err
-		}
-
-		fr := fuzz.Fuzz(fuzz.Options{
-			MaxRuns:  cfg.Budget,
-			MaxSteps: cfg.MaxSteps,
-			Seed:     cfg.Seed,
-			Workers:  1,
-			Name:     name,
-			Plan:     prog.Plan,
-		}, body)
-		first := "-"
-		if idx := fr.FirstBugIndex(); idx >= 1 {
-			first = itoa(idx)
-		}
-		t.AddRow(name, "fuzz", first, itoa(fr.Runs), "-", itoa(len(fr.Bugs)), "-")
-
-		pr := pctpkg.Run(pctpkg.Options{
-			MaxRuns:  cfg.Budget,
-			MaxSteps: cfg.MaxSteps,
-			Seed:     cfg.Seed,
-			Depth:    cfg.PCTDepth,
-			Name:     name,
-			Plan:     prog.Plan,
-		}, body)
-		first = "-"
-		if idx := pr.FirstBugIndex(); idx >= 1 {
-			first = itoa(idx)
-		}
-		t.AddRow(name, "pct", first, itoa(pr.Runs), "-", itoa(len(pr.Bugs)), "-")
-	}
-	return []*Table{t}, nil
+	return finderTable(t, "regime", campaign.Config{
+		Finders:       boundingFinders,
+		Programs:      cfg.Programs,
+		Seeds:         []int64{cfg.Seed},
+		Budget:        cfg.Budget,
+		MaxSteps:      cfg.MaxSteps,
+		VariableBound: cfg.VariableBound,
+		ThreadBound:   cfg.ThreadBound,
+		PCTDepth:      cfg.PCTDepth,
+	}, firstBugCol, runsCol, counterCol("exhausted", yesNo), bugsCol, counterCol("bound_pruned", i64))
 }

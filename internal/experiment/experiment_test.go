@@ -397,9 +397,10 @@ func TestRegistryDispatch(t *testing.T) {
 	}
 }
 
-// TestBoundingShape pins E13 on one program: one row per regime, the
-// bounded regimes exhaust the account tree within the budget with the
-// same bug count as full DFS and report a nonzero pruned-option
+// TestBoundingShape pins E13 on one program: one row per regime
+// (labelled by finder name), the bounded regimes exhaust the account
+// tree within the budget with the same bug count as full DFS, the
+// variable- and thread-bounded ones report a nonzero pruned-option
 // count, and the randomized regimes land the bug too.
 func TestBoundingShape(t *testing.T) {
 	tables, err := Bounding(BoundingConfig{Programs: []string{"account"}, Budget: 3000, Seed: 1})
@@ -410,7 +411,7 @@ func TestBoundingShape(t *testing.T) {
 		t.Fatalf("E13 table shape wrong: %+v", tables)
 	}
 	tbl := tables[0]
-	regimes := []string{"dfs", "dfs-pbound2", "dfs-vb", "dfs-tb", "dfs-por-cache", "fuzz", "pct"}
+	regimes := []string{"explore", "explore-pb", "explore-vb", "explore-tb", "explore-por", "fuzz", "pct"}
 	if len(tbl.Rows) != len(regimes) {
 		t.Fatalf("E13 has %d rows, want one per regime (%d)", len(tbl.Rows), len(regimes))
 	}
@@ -425,12 +426,19 @@ func TestBoundingShape(t *testing.T) {
 			t.Errorf("%s: bugs = %d, want 1", regime, got)
 		}
 	}
-	for _, regime := range []string{"dfs-vb", "dfs-tb"} {
+	for _, regime := range []string{"explore-pb", "explore-vb", "explore-tb"} {
 		if got := get(regime, "exhausted"); got != "yes" {
 			t.Errorf("%s: bounded tree not exhausted", regime)
 		}
+	}
+	for _, regime := range []string{"explore-vb", "explore-tb"} {
 		if got := atoiCell(t, get(regime, "bound_pruned")); got <= 0 {
 			t.Errorf("%s: bound_pruned = %d, want > 0", regime, got)
+		}
+	}
+	for _, regime := range []string{"explore", "explore-pb", "fuzz", "pct"} {
+		if got := get(regime, "bound_pruned"); got != "-" {
+			t.Errorf("%s: bound_pruned = %q, want '-' (no bound counters)", regime, got)
 		}
 	}
 }

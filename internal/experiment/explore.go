@@ -12,8 +12,9 @@ import (
 
 // ExploreConfig parameterizes E5.
 type ExploreConfig struct {
-	// Programs and their small parameterizations (exploration needs
-	// small instances; that is its nature).
+	// Programs run at their explorable size (repository.Program.
+	// Explorable): exploration needs small instances; that is its
+	// nature.
 	Programs     []string
 	MaxSchedules int
 	RandomSeeds  int
@@ -22,15 +23,6 @@ type ExploreConfig struct {
 	// a single worker, so E5 defaults to serial; raise it to measure
 	// wall-clock speedups on large instances instead.
 	Workers int
-}
-
-// exploreParams shrinks each program to an explorable size.
-var exploreParams = map[string]repository.Params{
-	"account":      {"depositors": 2, "deposits": 1},
-	"statmax":      {"reporters": 2},
-	"inversion":    {},
-	"lostnotify":   {},
-	"philosophers": {"philosophers": 2, "rounds": 1},
 }
 
 // Explore runs E5: first-bug indices and explored-tree sizes for DFS
@@ -92,7 +84,7 @@ func Explore(cfg ExploreConfig) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		body := prog.BodyWith(exploreParams[name])
+		body := prog.BodyWith(prog.Explorable)
 
 		for _, m := range methods {
 			res := explore.Explore(m.opts(), body)

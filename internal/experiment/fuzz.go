@@ -1,15 +1,6 @@
 package experiment
 
-import (
-	"time"
-
-	"mtbench/internal/core"
-	"mtbench/internal/explore"
-	"mtbench/internal/fuzz"
-	"mtbench/internal/noise"
-	"mtbench/internal/repository"
-	"mtbench/internal/sched"
-)
+import "mtbench/internal/campaign"
 
 // E11 — coverage-guided schedule fuzzing versus the two search
 // extremes it interpolates between: blind noise injection and
@@ -21,16 +12,13 @@ import (
 
 // FuzzConfig parameterizes E11.
 type FuzzConfig struct {
-	// Programs and the budget each method gets per program.
+	// Programs run at their explorable size (repository.Program.
+	// Explorable), so all three methods face identical instances.
 	Programs []string
 	// Budget is the number of runs/schedules every method may spend per
 	// program (0 = 2000).
 	Budget int
-	// Workers is the fuzzing/exploration worker-pool size (0 = 1, the
-	// deterministic choice; the table reports runs-to-first-bug, which
-	// is only reproducible serially).
-	Workers int
-	// Seed is the fuzzer's master seed.
+	// Seed is the master seed of the fuzz and noise cells.
 	Seed int64
 }
 
@@ -40,14 +28,6 @@ type FuzzConfig struct {
 var DefaultFuzzPrograms = []string{
 	"account", "bankwithdraw", "statmax", "philosophers",
 	"abastack", "semleak", "rwupgrade", "waitholdinglock",
-}
-
-// fuzzParams shrinks the larger programs the same way E5 does, so all
-// three methods face identical instances.
-var fuzzParams = map[string]repository.Params{
-	"account":      {"depositors": 2, "deposits": 1},
-	"statmax":      {"reporters": 2},
-	"philosophers": {"philosophers": 2, "rounds": 1},
 }
 
 // Fuzz runs E11: per program, distinct bugs found and runs to first
@@ -60,67 +40,21 @@ func Fuzz(cfg FuzzConfig) ([]*Table, error) {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 2000
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 
 	t := &Table{
-		ID:      "E11",
-		Title:   "schedule fuzzing vs noise vs systematic exploration (shared run budget)",
-		Columns: []string{"program", "method", "runs", "bugs", "first_bug", "wall_ms"},
+		ID:    "E11",
+		Title: "schedule fuzzing vs noise vs systematic exploration (shared run budget)",
 	}
 	t.Note("every method spends at most %d runs per program; first_bug = 1-based run index, '-' = not found", cfg.Budget)
-	t.Note("fuzz = coverage-guided schedule mutation (internal/fuzz); noise = yield-noise over random dispatch, fresh seed per run; explore = serial DFS")
+	t.Note("fuzz = coverage-guided schedule mutation (internal/fuzz); noise = yield-noise over random dispatch, a fresh derived seed per run; explore = serial DFS")
 	t.Note("bugs = distinct failures by signature (core.BugSignature)")
+	t.Note("computed from campaign records (campaign.Run, in-memory store, one cell at a time); wall_ms = the cell's wall time")
 
-	for _, name := range cfg.Programs {
-		prog, err := repository.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		body := prog.BodyWith(fuzzParams[name])
-
-		// Coverage-guided schedule fuzzing.
-		start := time.Now()
-		fr := fuzz.Fuzz(fuzz.Options{
-			MaxRuns: cfg.Budget,
-			Seed:    cfg.Seed,
-			Workers: cfg.Workers,
-			Name:    name,
-		}, body)
-		addE11Row(t, name, "fuzz", fr.Runs, len(fr.Bugs), fr.FirstBugIndex(), start)
-
-		// Noise baseline: one fresh-seeded noise run per budget unit.
-		start = time.Now()
-		var noiseBugs core.BugLog
-		for seed := int64(0); seed < int64(cfg.Budget); seed++ {
-			st := noise.NewStrategy(nil, noise.NewBernoulli(0.4, noise.KindYield), seed)
-			res := sched.Run(sched.Config{Strategy: st, Seed: seed, Name: name, MaxSteps: 200_000}, body)
-			if res.Verdict.Bug() {
-				noiseBugs.Add(res, int(seed)+1)
-			}
-		}
-		addE11Row(t, name, "noise", cfg.Budget, len(noiseBugs.Bugs), noiseBugs.FirstBugIndex(), start)
-
-		// Systematic exploration under the same budget.
-		start = time.Now()
-		er := explore.Explore(explore.Options{
-			MaxSchedules: cfg.Budget,
-			Workers:      cfg.Workers,
-			Name:         name,
-		}, body)
-		if er.Err != nil {
-			return nil, er.Err
-		}
-		addE11Row(t, name, "explore", er.Schedules, len(er.Bugs), er.FirstBugIndex(), start)
-	}
-	return []*Table{t}, nil
-}
-
-func addE11Row(t *Table, prog, method string, runs, bugs, first int, start time.Time) {
-	firstCell := "-"
-	if first >= 1 {
-		firstCell = itoa(first)
-	}
-	t.AddRow(prog, method, itoa(runs), itoa(bugs), firstCell, i64(int64(time.Since(start)/time.Millisecond)))
+	return finderTable(t, "method", campaign.Config{
+		Finders:  []string{"fuzz", "noise", "explore"},
+		Programs: cfg.Programs,
+		Seeds:    []int64{cfg.Seed},
+		Budget:   cfg.Budget,
+		Timing:   true,
+	}, runsCol, bugsCol, firstBugCol, column{"wall_ms", func(r campaign.Record) string { return i64(r.WallMS) }})
 }

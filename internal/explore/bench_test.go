@@ -24,7 +24,7 @@ func benchmarkWorkers(b *testing.B, program string, workers, budget int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	body := prog.BodyWith(smallParams[program])
+	body := prog.BodyWith(prog.Explorable)
 	total := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,7 +60,7 @@ func BenchmarkExploreSleepSetsWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	body := prog.BodyWith(smallParams["philosophers"])
+	body := prog.BodyWith(prog.Explorable)
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			total := 0

@@ -51,7 +51,7 @@ func TestBoundedEquivalence(t *testing.T) {
 	}
 	for _, name := range []string{"philosophers", "account"} {
 		prog := mustProg(t, name)
-		body := prog.BodyWith(smallParams[name])
+		body := prog.BodyWith(prog.Explorable)
 		full := Explore(Options{MaxSchedules: 200_000, Workers: 1}, body)
 		if full.Err != nil {
 			t.Fatalf("%s: %v", name, full.Err)
@@ -101,7 +101,7 @@ func TestBoundedEquivalence(t *testing.T) {
 // reporting nonzero cuts would be a bookkeeping bug.
 func TestBoundStatsInert(t *testing.T) {
 	prog := mustProg(t, "account")
-	res := Explore(Options{MaxSchedules: 200_000, Workers: 1}, prog.BodyWith(smallParams["account"]))
+	res := Explore(Options{MaxSchedules: 200_000, Workers: 1}, prog.BodyWith(prog.Explorable))
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -47,7 +47,7 @@ func TestCheckpointedEquivalence(t *testing.T) {
 		budget = 1000
 	}
 	for _, prog := range repository.All() {
-		body := prog.BodyWith(smallParams[prog.Name])
+		body := prog.BodyWith(prog.Explorable)
 		base := exploreRootReplay(Options{
 			MaxSchedules: budget, MaxSteps: maxSteps, Workers: 1,
 			DPOR: true, StateCache: true,
@@ -201,7 +201,7 @@ func TestCheckpointConservation(t *testing.T) {
 		budget = 100
 	}
 	for _, prog := range repository.All() {
-		body := prog.BodyWith(smallParams[prog.Name])
+		body := prog.BodyWith(prog.Explorable)
 		for _, mode := range leakModes {
 			for _, workers := range []int{1, 8} {
 				opts := Options{MaxSchedules: budget, MaxSteps: 5000, Workers: workers}
@@ -257,7 +257,7 @@ func TestExploreNoGoroutineLeak(t *testing.T) {
 	}
 	sweep := func() {
 		for _, prog := range repository.All() {
-			body := prog.BodyWith(smallParams[prog.Name])
+			body := prog.BodyWith(prog.Explorable)
 			for _, mode := range leakModes {
 				for _, workers := range []int{1, 4} {
 					opts := Options{MaxSchedules: budget, MaxSteps: 5000, Workers: workers}
@@ -307,7 +307,7 @@ func TestReducedAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := body.BodyWith(smallParams["philosophers"])
+	prog := body.BodyWith(body.Explorable)
 	opts := Options{MaxSchedules: 30000, MaxSteps: 5000, Workers: 1, DPOR: true, StateCache: true}
 
 	// Warm the kit pool: the first exploration constructs the runner,

@@ -11,16 +11,6 @@ import (
 	"mtbench/internal/repository"
 )
 
-// smallParams shrinks each repository program to an explorable size
-// (mirrors experiment.exploreParams).
-var smallParams = map[string]repository.Params{
-	"account":      {"depositors": 2, "deposits": 1},
-	"statmax":      {"reporters": 2},
-	"inversion":    {},
-	"lostnotify":   {},
-	"philosophers": {"philosophers": 2, "rounds": 1},
-}
-
 var smallPrograms = []string{"account", "statmax", "inversion", "lostnotify", "philosophers"}
 
 // serialGolden pins the serial engine's exact behaviour as measured on
@@ -63,7 +53,7 @@ func TestSerialGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := prog.BodyWith(smallParams[g.program])
+		body := prog.BodyWith(prog.Explorable)
 		res := Explore(Options{MaxSchedules: 200000, SleepSets: g.sleepSets, Workers: 1}, body)
 		if res.Err != nil {
 			t.Fatalf("%s: %v", g.program, res.Err)
@@ -107,7 +97,7 @@ func TestWorkersFindSameBugs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := prog.BodyWith(smallParams[name])
+		body := prog.BodyWith(prog.Explorable)
 
 		serial := Explore(Options{MaxSchedules: 200000, Workers: 1}, body)
 		parallel := Explore(Options{MaxSchedules: 200000, Workers: 8}, body)
@@ -141,7 +131,7 @@ func TestWorkersSleepSetsSameBugs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := prog.BodyWith(smallParams[name])
+		body := prog.BodyWith(prog.Explorable)
 
 		serial := Explore(Options{MaxSchedules: 200000, SleepSets: true, Workers: 1}, body)
 		parallel := Explore(Options{MaxSchedules: 200000, SleepSets: true, Workers: 8}, body)
@@ -207,14 +197,14 @@ func TestWorkersPreemptionBound(t *testing.T) {
 	}
 }
 
-// smallBody returns a repository program's body at its smallParams.
+// smallBody returns a repository program's body at its explorable size.
 func smallBody(t *testing.T, name string) func(core.T) {
 	t.Helper()
 	prog, err := repository.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog.BodyWith(smallParams[name])
+	return prog.BodyWith(prog.Explorable)
 }
 
 // TestWorkersBudget: MaxSchedules is a hard global budget across
@@ -224,7 +214,7 @@ func TestWorkersBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := prog.BodyWith(smallParams["philosophers"])
+	body := prog.BodyWith(prog.Explorable)
 	res := Explore(Options{MaxSchedules: 100, Workers: 8}, body)
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -244,7 +234,7 @@ func TestWorkersStopAtFirstBug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := prog.BodyWith(smallParams["philosophers"])
+	body := prog.BodyWith(prog.Explorable)
 	res := Explore(Options{MaxSchedules: 200000, StopAtFirstBug: true, Workers: 8}, body)
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -268,7 +258,7 @@ func TestWorkersDeterministicSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := prog.BodyWith(smallParams[name])
+		body := prog.BodyWith(prog.Explorable)
 		a := Explore(Options{MaxSchedules: 200000, SleepSets: true, Workers: 1}, body)
 		b := Explore(Options{MaxSchedules: 200000, SleepSets: true, Workers: 1}, body)
 		if a.Err != nil || b.Err != nil {

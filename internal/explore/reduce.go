@@ -150,12 +150,6 @@ const fnvOffset = core.HashOffset
 
 func mix(h, v uint64) uint64 { return core.FoldHash(h, v) }
 
-// forkObj is the pseudo-object serializing forks in the hash: forks
-// assign thread ids in execution order, so their relative order is
-// observable even across unrelated parents and must never be hashed
-// away.
-const forkObj = uint64(1) << 40
-
 // stateHasher is the per-worker listener that folds the run's event
 // stream into per-thread hash chains. It is location-blind (it must
 // not reinstate the per-probe call-site lookup) and is reset at the start of
@@ -182,7 +176,10 @@ type stateHasher struct {
 	// dense); see objSlot for the generation scheme.
 	objs []objSlot
 	gen  uint32
-	// whFork serializes fork events (see forkObj).
+	// whFork chains fork events (the OpFork case in OnEvent): forks
+	// assign thread ids in execution order, so their relative order is
+	// observable even across unrelated parents and must never be
+	// hashed away.
 	whFork uint64
 	// timeH folds virtual-time-relevant decision positions: the step
 	// index of every sleep execution (a sleeper's wake deadline is a

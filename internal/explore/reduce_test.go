@@ -47,7 +47,7 @@ func TestReducedEquivalence(t *testing.T) {
 		budget = 1000
 	}
 	for _, prog := range repository.All() {
-		body := prog.BodyWith(smallParams[prog.Name])
+		body := prog.BodyWith(prog.Explorable)
 		full := Explore(Options{MaxSchedules: budget, MaxSteps: maxSteps, Workers: 1}, body)
 		if full.Err != nil {
 			t.Fatalf("%s: %v", prog.Name, full.Err)
@@ -123,7 +123,7 @@ func TestReducedEquivalenceTimeouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bodies[name] = prog.BodyWith(smallParams[name])
+		bodies[name] = prog.BodyWith(prog.Explorable)
 	}
 	for name, body := range bodies {
 		full := Explore(Options{MaxSchedules: 100000, MaxSteps: 5000, ExploreTimeouts: true, Workers: 1}, body)
@@ -327,7 +327,7 @@ func TestReductionStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := prog.BodyWith(smallParams["account"])
+	body := prog.BodyWith(prog.Explorable)
 
 	por := Explore(Options{MaxSchedules: 200000, DPOR: true, Workers: 1}, body)
 	if por.Err != nil || !por.Exhausted {
@@ -357,7 +357,7 @@ func TestReducedDeterministicSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := prog.BodyWith(smallParams[name])
+		body := prog.BodyWith(prog.Explorable)
 		opts := Options{MaxSchedules: 200000, DPOR: true, StateCache: true, Workers: 1}
 		a := Explore(opts, body)
 		b := Explore(opts, body)

@@ -11,21 +11,15 @@ import (
 	"mtbench/internal/sched"
 )
 
-// smallParams shrinks the larger repository programs the same way the
-// exploration tests do, so campaigns stay fast.
-var smallParams = map[string]repository.Params{
-	"account":      {"depositors": 2, "deposits": 1},
-	"statmax":      {"reporters": 2},
-	"philosophers": {"philosophers": 2, "rounds": 1},
-}
-
+// bodyOf returns a repository program's body at its explorable size,
+// so campaigns stay fast.
 func bodyOf(t testing.TB, name string) func(core.T) {
 	t.Helper()
 	prog, err := repository.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog.BodyWith(smallParams[name])
+	return prog.BodyWith(prog.Explorable)
 }
 
 // lostUpdate is the canonical 1-preemption bug (mirrors the explore

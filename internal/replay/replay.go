@@ -58,11 +58,18 @@ func (s *Schedule) Save(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// Load reads a schedule saved by Save.
+// Load reads a schedule saved by Save. Only whitespace may follow the
+// schedule's JSON value: anything else means a corrupt or concatenated
+// file, and is refused with the offset where the schedule ended.
 func Load(r io.Reader) (*Schedule, error) {
 	var s Schedule
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("replay: trailing data after the schedule, which ends at byte %d", end)
 	}
 	if s.Version != 1 {
 		return nil, fmt.Errorf("replay: schedule version %d unsupported", s.Version)

@@ -2,7 +2,9 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,6 +53,23 @@ func TestScheduleSaveLoad(t *testing.T) {
 	}
 	if got.Program != "p" || got.Seed != 7 || len(got.Decisions) != 5 || len(got.Order) != 1 {
 		t.Fatalf("loaded = %+v", got)
+	}
+}
+
+// TestLoadRejectsTrailingData: whitespace may follow a schedule, any
+// other data is refused with the byte offset where the schedule ended.
+func TestLoadRejectsTrailingData(t *testing.T) {
+	const sched = `{"version":1,"program":"account","mode":"controlled","decisions":[0]}`
+	for _, tail := range []string{"", "\n", " \r\n\t\n"} {
+		if _, err := Load(strings.NewReader(sched + tail)); err != nil {
+			t.Errorf("tail %q: %v", tail, err)
+		}
+	}
+	for _, tail := range []string{"\nnot a schedule\n", `{"version":1}`, "\n]", "\n0"} {
+		_, err := Load(strings.NewReader(sched + tail))
+		if want := fmt.Sprintf("ends at byte %d", len(sched)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("tail %q: err = %v, want one naming %q", tail, err, want)
+		}
 	}
 }
 

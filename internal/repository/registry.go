@@ -115,6 +115,12 @@ type Program struct {
 	Threads int
 	// Defaults are the default parameters.
 	Defaults Params
+	// Explorable, when non-nil, overrides Defaults down to the size a
+	// systematic search can exhaust: what the campaign's default
+	// matrix, the prepared experiments and the engine tests shrink the
+	// program by. Programs small enough as they are leave it nil. The
+	// sizes are set from one table, explorable.go.
+	Explorable Params
 	// Body is the test driver. It must use only the core.T API and
 	// carry its own oracle (Assert); deadlocks are detected by the
 	// runtimes.

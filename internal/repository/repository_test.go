@@ -229,6 +229,26 @@ func TestParamsOverride(t *testing.T) {
 	}
 }
 
+// TestExplorableKeysAreDefaults: BodyWith silently ignores unknown
+// keys, so a typo in an Explorable size would leave the program at
+// full size. Every Explorable key must be a Defaults key.
+func TestExplorableKeysAreDefaults(t *testing.T) {
+	declared := 0
+	for _, p := range All() {
+		for k := range p.Explorable {
+			if _, ok := p.Defaults[k]; !ok {
+				t.Errorf("%s: Explorable key %q is not a Defaults key (have %v)", p.Name, k, p.Defaults)
+			}
+		}
+		if p.Explorable != nil {
+			declared++
+		}
+	}
+	if declared == 0 {
+		t.Fatal("no program declares an explorable size")
+	}
+}
+
 // TestDocsMentionMechanism spot-checks that program docs explain the
 // interleaving, not just name the bug.
 func TestDocsMentionMechanism(t *testing.T) {
