@@ -52,7 +52,7 @@ func BenchmarkF1Pipeline(b *testing.B) {
 
 func BenchmarkE1Noise(b *testing.B) {
 	runExperiment(b, func() ([]*experiment.Table, error) {
-		return experiment.Noise(experiment.NoiseConfig{Runs: 40})
+		return experiment.Noise(experiment.NoiseConfig{Budget: 40})
 	})
 }
 
@@ -76,7 +76,7 @@ func BenchmarkE4Coverage(b *testing.B) {
 
 func BenchmarkE5Explore(b *testing.B) {
 	runExperiment(b, func() ([]*experiment.Table, error) {
-		return experiment.Explore(experiment.ExploreConfig{MaxSchedules: 20000, RandomSeeds: 20000})
+		return experiment.Explore(experiment.ExploreConfig{Budget: 20000})
 	})
 }
 

@@ -1,11 +1,13 @@
 // Package campaign turns the repository's ad-hoc experiments into the
 // paper's actual deliverable: a benchmark others can run, extend and
 // regress against. A campaign is a declarative matrix of finders
-// (noise / explore and its bounded or reduced variants / fuzz / pct /
-// race) × repository programs × seeds × budgets. A parallel worker pool executes the matrix cell by cell
-// (each cell runs its finder serially, so a fixed-seed campaign is
+// (noise and the other noise makers / explore and its bounded or
+// reduced variants / random / fuzz / pct / race) × repository programs
+// × seeds × budgets. A parallel worker pool executes the matrix cell by
+// cell (each cell runs its finder serially, so a fixed-seed campaign is
 // fully deterministic) and streams every completed cell as a JSONL
-// record into a persistent Store.
+// record into a persistent Store. The prepared experiments E1, E5, E11,
+// E12 and E13 are campaigns too (internal/experiment).
 //
 // The store is the campaign's first-class bookkeeping, after the
 // CK-framework lesson that large experimental comparisons need stored

@@ -355,8 +355,14 @@ func TestCampaignTablesRoundTrip(t *testing.T) {
 	if err := report.JSONAll(&buf, tables); err != nil {
 		t.Fatal(err)
 	}
-	back, err := report.ParseJSONAll(&buf)
-	if err != nil {
+	var back []struct {
+		ID      string     `json:"id"`
+		Title   string     `json:"title"`
+		Columns []string   `json:"columns"`
+		Rows    [][]string `json:"rows"`
+		Notes   []string   `json:"notes"`
+	}
+	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != len(tables) {
@@ -443,9 +449,10 @@ func TestCompareOutcomeClassification(t *testing.T) {
 }
 
 // TestFinderCounters: every explore finder reports "exhausted", the
-// variable- and thread-bounded ones also "bound_pruned", and the other
-// finders report nothing, so their records serialize without the
-// field. Compare ignores counters.
+// variable- and thread-bounded ones also "bound_pruned", the reduced
+// one "pruned" and "cache_hits"; the run-loop finders (noise, race)
+// report "detected" and "steps"; fuzz and pct report nothing, so their
+// records serialize without the field. Compare ignores counters.
 func TestFinderCounters(t *testing.T) {
 	cfg := Config{Programs: []string{"statmax"}, Budget: DefaultBudget}
 	// statmax{reporters=2}: the full DFS needs 515 schedules, every
@@ -453,13 +460,13 @@ func TestFinderCounters(t *testing.T) {
 	want := map[string]map[string]int64{
 		"explore":     {"exhausted": 0},
 		"explore-pb":  {"exhausted": 1},
-		"explore-por": {"exhausted": 1},
+		"explore-por": {"exhausted": 1, "pruned": 0, "cache_hits": 40},
 		"explore-tb":  {"exhausted": 1, "bound_pruned": 85},
 		"explore-vb":  {"exhausted": 1, "bound_pruned": 24},
 		"fuzz":        nil,
-		"noise":       nil,
+		"noise":       {"detected": 49, "steps": 5111},
 		"pct":         nil,
-		"race":        nil,
+		"race":        {"detected": 70, "steps": 5138},
 	}
 	for finder, counters := range want {
 		rec, err := ExecCell(context.Background(), cfg, Cell{Program: "statmax", Finder: finder, Budget: cfg.Budget})
@@ -480,6 +487,45 @@ func TestFinderCounters(t *testing.T) {
 		bare.Counters = nil
 		if d := Compare([]Record{bare}, []Record{rec}, 1.0); len(d.Deltas) != 0 {
 			t.Errorf("%s: Compare sees counters: %v", finder, d.Deltas)
+		}
+	}
+}
+
+// TestEveryFinderRuns: every registered finder completes a small cell
+// on account at its explorable size with a well-formed, repeatable
+// record.
+func TestEveryFinderRuns(t *testing.T) {
+	cfg := Config{Programs: []string{"account"}, Budget: 20}
+	for _, finder := range Finders() {
+		cell := Cell{Program: "account", Finder: finder, Budget: cfg.Budget}
+		rec, err := ExecCell(context.Background(), cfg, cell)
+		if err != nil {
+			t.Fatalf("%s: %v", finder, err)
+		}
+		if rec.Failed() {
+			t.Errorf("%s: outcome %q", finder, rec.Outcome)
+		}
+		if rec.Runs > rec.Budget {
+			t.Errorf("%s: %d runs over a budget of %d", finder, rec.Runs, rec.Budget)
+		}
+		if rec.FirstBug != -1 && (rec.FirstBug < 1 || rec.FirstBug > rec.Runs) {
+			t.Errorf("%s: first bug %d outside [1, %d]", finder, rec.FirstBug, rec.Runs)
+		}
+		for i := 1; i < len(rec.Bugs); i++ {
+			if rec.Bugs[i-1] >= rec.Bugs[i] {
+				t.Errorf("%s: bugs not sorted and distinct: %q", finder, rec.Bugs)
+				break
+			}
+		}
+		if FinderDoc(finder) == "" {
+			t.Errorf("%s: no doc", finder)
+		}
+		again, err := ExecCell(context.Background(), cfg, cell)
+		if err != nil {
+			t.Fatalf("%s: %v", finder, err)
+		}
+		if !reflect.DeepEqual(rec, again) {
+			t.Errorf("%s: two runs of one cell differ:\n%v\n%v", finder, rec, again)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"mtbench/internal/core"
 	"mtbench/internal/explore"
 	"mtbench/internal/fuzz"
+	"mtbench/internal/noise"
 	"mtbench/internal/pct"
 	"mtbench/internal/race"
 	"mtbench/internal/repository"
@@ -34,12 +35,14 @@ type Finder struct {
 }
 
 // finderTable is the registry, keyed by name: the one place a tool
-// name turns into an engine call.
+// name turns into an engine call. Only DefaultFinders make up the gate
+// matrix; the rest are the prepared experiments' rows (E1's noise
+// makers, E5's exploration ablations, E13's explore-pb).
 var finderTable = map[string]*Finder{
 	"noise": {
 		Name: "noise",
 		Doc:  "yield-noise over random dispatch, one fresh derived seed per run",
-		run:  runNoiseFinder,
+		run:  loopFinder(fromTable("noise", strategies.Params{P: 0.4})),
 	},
 	"explore": {
 		Name: "explore",
@@ -99,6 +102,39 @@ var finderTable = map[string]*Finder{
 		Doc:  "hybrid race detector over round-robin and random schedules; warnings count as race:<var> bugs",
 		run:  runRaceFinder,
 	},
+
+	// E5's exploration ablations and its random-search extreme.
+	"explore-pb1": {Name: "explore-pb1", Doc: "serial DFS with at most 1 preemption per schedule (seed-invariant; not in DefaultFinders)",
+		run: exploreFinder("explore-pb1", func(_ CellInput, o *explore.Options) { o.PreemptionBound = explore.Bound(1) })},
+	"explore-sleep": {Name: "explore-sleep", Doc: "serial DFS with sleep sets (seed-invariant; not in DefaultFinders)",
+		run: exploreFinder("explore-sleep", func(_ CellInput, o *explore.Options) { o.SleepSets = true })},
+	"explore-dpor": {Name: "explore-dpor", Doc: "serial DFS with dynamic partial-order reduction, no state cache (seed-invariant; not in DefaultFinders)",
+		run: exploreFinder("explore-dpor", func(_ CellInput, o *explore.Options) { o.DPOR = true })},
+	"explore-timeouts": {Name: "explore-timeouts", Doc: "serial DFS that also explores timed-wait expiries, at most 2 preemptions (seed-invariant; not in DefaultFinders)",
+		run: exploreFinder("explore-timeouts", func(_ CellInput, o *explore.Options) {
+			o.ExploreTimeouts, o.PreemptionBound = true, explore.Bound(2)
+		})},
+	"random": {Name: "random", Doc: "a fresh seeded random scheduler per run (not in DefaultFinders)",
+		run: loopFinder(fromTable("random", strategies.Params{}))},
+
+	// E1's noise makers (§2.2). All but baseline run over random
+	// dispatch; noise itself is E1's yield-0.4 row.
+	"baseline": {Name: "baseline", Doc: "the deterministic run-to-block scheduler, no noise (not in DefaultFinders)",
+		run: loopFinder(fromTable("baseline", strategies.Params{}))},
+	"noise-none": {Name: "noise-none", Doc: "random dispatch with no injected noise (not in DefaultFinders)",
+		run: loopFinder(heuristic(noise.None))},
+	"noise-yield-0.1": {Name: "noise-yield-0.1", Doc: "yield-noise at p=0.1 over random dispatch (not in DefaultFinders)",
+		run: loopFinder(fromTable("noise", strategies.Params{P: 0.1}))},
+	"noise-sleep-0.4": {Name: "noise-sleep-0.4", Doc: "sleep-noise at p=0.4 over random dispatch (not in DefaultFinders)",
+		run: loopFinder(fromTable("noise", strategies.Params{P: 0.4, Kind: "sleep"}))},
+	"noise-sharedvar": {Name: "noise-sharedvar", Doc: "yield-noise at p=0.4 on shared-variable accesses only (not in DefaultFinders)",
+		run: loopFinder(heuristic(func() noise.Heuristic { return noise.SharedVarNoise(0.4) }))},
+	"noise-sync": {Name: "noise-sync", Doc: "yield-noise at p=0.4 on synchronization operations only (not in DefaultFinders)",
+		run: loopFinder(heuristic(func() noise.Heuristic { return noise.SyncNoise(0.4) }))},
+	"noise-statistical": {Name: "noise-statistical", Doc: "noise that favours rarely perturbed locations, learning across the cell's runs (not in DefaultFinders)",
+		run: loopFinder(heuristic(func() noise.Heuristic { return noise.NewStatistical(0.6, 0.7) }))},
+	"noise-covdirected": {Name: "noise-covdirected", Doc: "noise that favours rarely exercised (object, location) pairs, learning across the cell's runs (not in DefaultFinders)",
+		run: loopFinder(heuristic(func() noise.Heuristic { return noise.NewCoverageDirected(0.8) }))},
 }
 
 // Finders returns the registered finder names, sorted.
@@ -155,7 +191,9 @@ type CellResult struct {
 	FirstBug int
 	// Counters are named engine counters the report tables read: every
 	// explore finder sets "exhausted" (0 or 1), the variable- and
-	// thread-bounded ones also "bound_pruned". nil for the rest.
+	// thread-bounded ones also "bound_pruned", the sleep-set and DPOR
+	// ones "pruned", the state-caching ones "cache_hits"; the run-loop
+	// finders set "detected" and "steps". nil for fuzz and pct.
 	Counters map[string]int64
 }
 
@@ -206,16 +244,18 @@ func orDefault(v, def int) int {
 	return v
 }
 
-// runLoop is the per-run finder shape noise and race share: the cell's
-// budget of fresh runs through one pooled runner, ctx checked between
-// runs, verdict bugs deduplicated by signature. setup fills run i's
-// strategy and seed (and any listeners); warned, when non-nil, reports
-// non-verdict findings that also count as run i's first bug.
+// runLoop is the per-run finder shape: the cell's budget of fresh
+// runs through one pooled runner, ctx checked between runs, verdict
+// bugs deduplicated by signature. setup fills run i's strategy and seed
+// (and any listeners); warned, when non-nil, reports non-verdict
+// findings that also count as run i's first bug. It counts "detected"
+// (runs with a bug verdict) and "steps" (summed over the runs).
 func runLoop(ctx context.Context, in CellInput, setup func(i int, cfg *sched.Config), warned func() bool) (CellResult, error) {
 	runner := sched.NewRunner()
 	defer runner.Close()
 	cfg := sched.Config{Name: in.Program.Name, MaxSteps: in.MaxSteps, Plan: in.Program.Plan}
 	var bugs core.BugLog
+	var detected, steps int64
 	first := -1
 	for i := 0; i < in.Budget; i++ {
 		if err := ctx.Err(); err != nil {
@@ -223,7 +263,9 @@ func runLoop(ctx context.Context, in CellInput, setup func(i int, cfg *sched.Con
 		}
 		setup(i, &cfg)
 		res := runner.Run(cfg, in.Body)
+		steps += res.Steps
 		if res.Verdict.Bug() {
+			detected++
 			bugs.Add(res, i+1)
 			if first < 0 {
 				first = i + 1
@@ -233,18 +275,42 @@ func runLoop(ctx context.Context, in CellInput, setup func(i int, cfg *sched.Con
 			first = i + 1
 		}
 	}
-	return CellResult{Runs: in.Budget, Bugs: bugs.Signatures(), FirstBug: first}, nil
+	return CellResult{Runs: in.Budget, Bugs: bugs.Signatures(), FirstBug: first,
+		Counters: map[string]int64{"detected": detected, "steps": steps}}, nil
 }
 
-// runNoiseFinder is the ConTest-style baseline: every budget unit is
-// one fresh-seeded noise run (Bernoulli yield noise over random
-// dispatch, the E11 configuration).
-func runNoiseFinder(ctx context.Context, in CellInput) (CellResult, error) {
-	tool, _ := strategies.New("noise", strategies.Params{P: 0.4}) // valid constant parameters
-	return runLoop(ctx, in, func(i int, cfg *sched.Config) {
-		cfg.Seed = mix(in.Seed, int64(i))
-		cfg.Strategy = tool(cfg.Seed)
-	}, nil)
+// loopFinder spends the cell's budget on fresh runs of one tool, run i
+// seeded mix(seed, i). newTool builds the tool once per cell, so an
+// adaptive noise heuristic learns across the cell's runs.
+func loopFinder(newTool func() strategies.Factory) func(context.Context, CellInput) (CellResult, error) {
+	return func(ctx context.Context, in CellInput) (CellResult, error) {
+		tool := newTool()
+		return runLoop(ctx, in, func(i int, cfg *sched.Config) {
+			cfg.Seed = mix(in.Seed, int64(i))
+			cfg.Strategy = tool(cfg.Seed)
+		}, nil)
+	}
+}
+
+// fromTable is the strategies table's name entry; the registry passes
+// only valid constant parameters.
+func fromTable(name string, p strategies.Params) func() strategies.Factory {
+	return func() strategies.Factory {
+		f, err := strategies.New(name, p)
+		if err != nil {
+			panic(err)
+		}
+		return f
+	}
+}
+
+// heuristic runs one noise heuristic instance per cell over random
+// dispatch.
+func heuristic(newH func() noise.Heuristic) func() strategies.Factory {
+	return func() strategies.Factory {
+		h := newH()
+		return func(seed int64) sched.Strategy { return noise.NewStrategy(nil, h, seed) }
+	}
 }
 
 // runRaceFinder attaches the hybrid race detector to one round-robin
@@ -305,6 +371,12 @@ func exploreFinder(name string, preset func(in CellInput, o *explore.Options)) f
 		}
 		if opts.VariableBound != nil || opts.ThreadBound != nil {
 			counters["bound_pruned"] = int64(er.Stats.VBPruned + er.Stats.TBPruned)
+		}
+		if opts.SleepSets || opts.DPOR {
+			counters["pruned"] = int64(er.Stats.SleepPruned + er.Stats.PORPruned)
+		}
+		if opts.StateCache {
+			counters["cache_hits"] = int64(er.Stats.StateHits)
 		}
 		return CellResult{Runs: er.Schedules, Bugs: er.Signatures(), FirstBug: er.FirstBugIndex(), Counters: counters}, nil
 	}

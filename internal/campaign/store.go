@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -102,19 +103,27 @@ func Load(path string) (Config, []Record, error) {
 	return cfg, recs, err
 }
 
-// loadFile parses a store file and additionally reports the byte
-// length of its valid prefix. Every newline-terminated line must
-// parse — a bad line in the middle is corruption and errors — but a
-// final unterminated chunk is tolerated as the torn tail of an append
-// that a crash (SIGKILL, OOM, power loss) cut short: it is excluded from
-// the records and from the valid length, so Open can truncate it and
-// the interrupted cell simply re-runs on resume.
+// loadFile reads and parses a store file (see parseStore).
 func loadFile(path string) (Config, []Record, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, nil, 0, fmt.Errorf("campaign: load store: %w", err)
 	}
+	cfg, recs, validLen, err := parseStore(data)
+	if err != nil {
+		return Config{}, nil, 0, fmt.Errorf("campaign: store %s %w", path, err)
+	}
+	return cfg, recs, validLen, nil
+}
 
+// parseStore parses store bytes and additionally reports the byte
+// length of their valid prefix. Every newline-terminated line must
+// parse — a bad line in the middle is corruption and errors — but a
+// final unterminated chunk is tolerated as the torn tail of an append
+// that a crash (SIGKILL, OOM, power loss) cut short: it is excluded from
+// the records and from the valid length, so Open can truncate it and
+// the interrupted cell simply re-runs on resume.
+func parseStore(data []byte) (Config, []Record, int64, error) {
 	var meta metaLine
 	byKey := map[string]Record{}
 	var validLen int64
@@ -128,7 +137,7 @@ func loadFile(path string) (Config, []Record, int64, error) {
 			// no completed cells to salvage, so a torn line 1 is still an
 			// invalid store.
 			if lineNo == 1 {
-				return Config{}, nil, 0, fmt.Errorf("campaign: store %s has no valid meta line", path)
+				return Config{}, nil, 0, errors.New("has no valid meta line")
 			}
 			break
 		}
@@ -137,22 +146,22 @@ func loadFile(path string) (Config, []Record, int64, error) {
 		switch {
 		case lineNo == 1:
 			if err := json.Unmarshal(line, &meta); err != nil || meta.Campaign == 0 {
-				return Config{}, nil, 0, fmt.Errorf("campaign: store %s has no valid meta line", path)
+				return Config{}, nil, 0, errors.New("has no valid meta line")
 			}
 			if meta.Campaign != storeVersion {
-				return Config{}, nil, 0, fmt.Errorf("campaign: store %s has format version %d, want %d", path, meta.Campaign, storeVersion)
+				return Config{}, nil, 0, fmt.Errorf("has format version %d, want %d", meta.Campaign, storeVersion)
 			}
 		case len(line) > 0:
 			var rec Record
 			if err := json.Unmarshal(line, &rec); err != nil {
-				return Config{}, nil, 0, fmt.Errorf("campaign: store %s line %d: %w", path, lineNo, err)
+				return Config{}, nil, 0, fmt.Errorf("line %d: %w", lineNo, err)
 			}
 			byKey[rec.Key()] = rec
 		}
 		validLen += int64(nl + 1)
 	}
 	if lineNo == 0 {
-		return Config{}, nil, 0, fmt.Errorf("campaign: store %s is empty (no meta line)", path)
+		return Config{}, nil, 0, errors.New("is empty (no meta line)")
 	}
 
 	recs := make([]Record, 0, len(byKey))

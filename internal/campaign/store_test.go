@@ -3,6 +3,7 @@ package campaign
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -283,4 +284,26 @@ func TestStoreSync(t *testing.T) {
 	if err := mem.Append(rec("account", "fuzz", 0, 60, nil, -1)); err != nil {
 		t.Fatalf("mem synced append: %v", err)
 	}
+}
+
+// FuzzStoreLoad: parsing store bytes never panics, and what it accepts
+// has a valid prefix that re-parses to the same config and records —
+// the prefix Open truncates a torn store to.
+func FuzzStoreLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, recs, validLen, err := parseStore(data)
+		if err != nil {
+			return
+		}
+		if validLen > int64(len(data)) {
+			t.Fatalf("valid length %d past the %d input bytes", validLen, len(data))
+		}
+		cfg2, recs2, validLen2, err := parseStore(data[:validLen])
+		if err != nil {
+			t.Fatalf("valid prefix rejected: %v", err)
+		}
+		if validLen2 != validLen || !reflect.DeepEqual(cfg2, cfg) || !reflect.DeepEqual(recs2, recs) {
+			t.Fatalf("valid prefix re-parses differently:\n%d %+v %+v\n%d %+v %+v", validLen, cfg, recs, validLen2, cfg2, recs2)
+		}
+	})
 }

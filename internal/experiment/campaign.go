@@ -10,9 +10,9 @@ import (
 // E12 — the campaign summary: every default finder
 // (campaign.DefaultFinders) over the benchmark matrix under one shared
 // per-cell budget, the report the whole campaign layer exists to
-// produce at the push of a button. E11 and E13 compare a few finders
-// on one axis each; E12 is the full tool×program matrix view. All
-// three are computed through the same persistent machinery
+// produce at the push of a button. E1, E5, E11 and E13 compare a few
+// finders on one axis each; E12 is the full tool×program matrix view.
+// All five are computed through the same persistent machinery
 // `cmd/campaign` stores and gates on (here with an in-memory store,
 // since the prepared experiment is about the report, not the file).
 

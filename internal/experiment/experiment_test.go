@@ -132,32 +132,27 @@ func TestFuzzShape(t *testing.T) {
 
 // TestNoiseShape pins E1's qualitative result: on the account program
 // the deterministic baseline finds nothing and strong yield noise
-// finds the bug often.
+// finds the bug often; no noise maker "finds" a bug in the correct
+// program.
 func TestNoiseShape(t *testing.T) {
-	tables, err := Noise(NoiseConfig{
-		Programs: []string{"account", "lockedcounter"},
-		Runs:     30,
-		Heuristics: []NamedHeuristic{
-			StockHeuristics()[0], // none
-			StockHeuristics()[2], // yield-p0.4
-		},
-	})
+	tables, err := Noise(NoiseConfig{Programs: []string{"account", "lockedcounter"}, Budget: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbl := tables[0]
-	isRow := func(prog, heur string) func([]string) bool {
-		return func(row []string) bool { return row[0] == prog && row[1] == heur }
+	detected := func(prog, finder string) int {
+		return atoiCell(t, cell(t, tbl, func(row []string) bool { return row[0] == prog && row[1] == finder }, "detected"))
 	}
-	if got := atoiCell(t, cell(t, tbl, isRow("account", "baseline"), "detected")); got != 0 {
+	if got := detected("account", "baseline"); got != 0 {
 		t.Fatalf("baseline detected %d on account, want 0", got)
 	}
-	noisy := atoiCell(t, cell(t, tbl, isRow("account", "yield-p0.4"), "detected"))
-	if noisy == 0 {
+	if detected("account", "noise") == 0 {
 		t.Fatal("yield noise never found the account bug")
 	}
-	if got := atoiCell(t, cell(t, tbl, isRow("lockedcounter", "yield-p0.4"), "detected")); got != 0 {
-		t.Fatalf("noise 'found' %d bugs in the correct program", got)
+	for _, finder := range noiseFinders {
+		if got := detected("lockedcounter", finder); got != 0 {
+			t.Fatalf("%s 'found' %d bugs in the correct program", finder, got)
+		}
 	}
 }
 
@@ -244,9 +239,9 @@ func TestCoverageShape(t *testing.T) {
 }
 
 // TestExploreShape pins E5 on the smallest program: DFS finds the bug
-// and bounded DFS needs no more schedules than unbounded.
+// and bounded or reduced DFS needs no more schedules than unbounded.
 func TestExploreShape(t *testing.T) {
-	tables, err := Explore(ExploreConfig{Programs: []string{"statmax"}, MaxSchedules: 30000, RandomSeeds: 2000})
+	tables, err := Explore(ExploreConfig{Programs: []string{"statmax"}, Budget: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,26 +249,29 @@ func TestExploreShape(t *testing.T) {
 	get := func(method, col string) string {
 		return cell(t, tbl, func(r []string) bool { return r[0] == "statmax" && r[1] == method }, col)
 	}
-	if got := get("dfs", "first_bug"); got == "-" {
-		t.Fatal("dfs missed the statmax bug")
+	if got := get("explore", "first_bug"); got == "-" {
+		t.Fatal("explore missed the statmax bug")
 	}
-	if got := get("dfs-bound1", "first_bug"); got == "-" {
-		t.Fatal("bound-1 dfs missed the 1-preemption statmax bug")
+	if got := get("explore-pb1", "first_bug"); got == "-" {
+		t.Fatal("explore-pb1 missed the 1-preemption statmax bug")
 	}
-	b1 := atoiCell(t, get("dfs-bound1", "schedules"))
-	full := atoiCell(t, get("dfs", "schedules"))
+	b1 := atoiCell(t, get("explore-pb1", "runs"))
+	full := atoiCell(t, get("explore", "runs"))
 	if b1 > full {
 		t.Fatalf("bound-1 used more schedules (%d) than unbounded (%d)", b1, full)
 	}
-	if got := get("dfs-por-cache", "first_bug"); got == "-" {
-		t.Fatal("reduced dfs missed the statmax bug")
+	if got := get("explore-por", "first_bug"); got == "-" {
+		t.Fatal("reduced explore missed the statmax bug")
 	}
-	reduced := atoiCell(t, get("dfs-por-cache", "schedules"))
+	reduced := atoiCell(t, get("explore-por", "runs"))
 	if reduced > full {
 		t.Fatalf("reduced search used more schedules (%d) than unbounded (%d)", reduced, full)
 	}
-	if pruned := atoiCell(t, get("dfs-por", "pruned")); pruned == 0 {
-		t.Fatal("dfs-por reports zero pruned options")
+	if pruned := atoiCell(t, get("explore-dpor", "pruned")); pruned == 0 {
+		t.Fatal("explore-dpor reports zero pruned options")
+	}
+	if got := get("random", "first_bug"); got == "-" {
+		t.Fatal("random search missed the statmax bug")
 	}
 }
 

@@ -1,45 +1,17 @@
 package experiment
 
-import (
-	"time"
-
-	"mtbench/internal/core"
-	"mtbench/internal/noise"
-	"mtbench/internal/repository"
-	"mtbench/internal/sched"
-)
+import "mtbench/internal/campaign"
 
 // E1 — noise-maker comparison (§2.2: "Two noise makers can be compared
 // to each other with regard to the performance overhead and the
 // likelihood of uncovering bugs").
 
-// NamedHeuristic pairs a display name with a fresh-heuristic factory
-// (adaptive heuristics carry cross-run state, so each campaign gets
-// its own instance).
-type NamedHeuristic struct {
-	Name string
-	New  func() noise.Heuristic
-}
-
-// StockHeuristics returns the standard comparison set.
-func StockHeuristics() []NamedHeuristic {
-	return []NamedHeuristic{
-		{Name: "none", New: func() noise.Heuristic { return noise.None() }},
-		{Name: "yield-p0.1", New: func() noise.Heuristic { return noise.NewBernoulli(0.1, noise.KindYield) }},
-		{Name: "yield-p0.4", New: func() noise.Heuristic { return noise.NewBernoulli(0.4, noise.KindYield) }},
-		{Name: "sleep-p0.4", New: func() noise.Heuristic { return noise.NewBernoulli(0.4, noise.KindSleep) }},
-		{Name: "sharedvar", New: func() noise.Heuristic { return noise.SharedVarNoise(0.4) }},
-		{Name: "sync", New: func() noise.Heuristic { return noise.SyncNoise(0.4) }},
-		{Name: "statistical", New: func() noise.Heuristic { return noise.NewStatistical(0.6, 0.7) }},
-		{Name: "covdirected", New: func() noise.Heuristic { return noise.NewCoverageDirected(0.8) }},
-	}
-}
-
 // NoiseConfig parameterizes E1.
 type NoiseConfig struct {
-	Programs   []string // default: a representative spread
-	Heuristics []NamedHeuristic
-	Runs       int // seeds per (program, heuristic) cell
+	Programs []string // default: DefaultNoisePrograms
+	// Budget is the number of runs per (program, noise maker) cell
+	// (0 = campaign.DefaultBudget).
+	Budget int
 }
 
 // DefaultNoisePrograms is the E1 program spread: races, atomicity,
@@ -49,69 +21,45 @@ var DefaultNoisePrograms = []string{
 	"sleepsync", "lostnotify", "lockedcounter",
 }
 
-// Noise runs E1 and returns its table: per program × heuristic, the
-// bug-detection probability, mean schedule length, and mean run time.
-// The "baseline" row per program is the deterministic run-to-block
+// noiseFinders are E1's noise makers, in row order: the deterministic
+// baseline, random dispatch alone, then the heuristics (noise is the
+// yield-0.4 one).
+var noiseFinders = []string{
+	"baseline", "noise-none", "noise-yield-0.1", "noise", "noise-sleep-0.4",
+	"noise-sharedvar", "noise-sync", "noise-statistical", "noise-covdirected",
+}
+
+// Noise runs E1 and returns its table: per program × noise maker, the
+// bug-detection rate, mean schedule length and mean run time. The
+// baseline row per program is the deterministic run-to-block
 // scheduler — the paper's unit-test scheduler that misses everything.
 func Noise(cfg NoiseConfig) ([]*Table, error) {
 	if len(cfg.Programs) == 0 {
 		cfg.Programs = DefaultNoisePrograms
 	}
-	if len(cfg.Heuristics) == 0 {
-		cfg.Heuristics = StockHeuristics()
-	}
-	if cfg.Runs <= 0 {
-		cfg.Runs = 50
-	}
 
 	t := &Table{
-		ID:      "E1",
-		Title:   "noise makers: detection probability and overhead",
-		Columns: []string{"program", "heuristic", "runs", "detected", "rate", "avg_steps", "avg_us"},
+		ID:    "E1",
+		Title: "noise makers: detection probability and overhead",
 	}
 	t.Note("baseline = deterministic run-to-block scheduler (no noise, no dispatch randomness)")
-	t.Note("all heuristics run over random-dispatch run-to-block (the live-scheduler model)")
+	t.Note("every noise-* maker and noise (yield, p=0.4) runs over random-dispatch run-to-block (the live-scheduler model); full-size programs")
+	t.Note("detected = runs with a bug verdict; us_per_run = the cell's wall time over its runs")
+	t.Note("computed from campaign records (campaign.Run, in-memory store, one cell at a time)")
 
-	for _, name := range cfg.Programs {
-		prog, err := repository.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		body := prog.BodyWith(nil)
-
-		// Deterministic baseline.
-		det, steps, dur := runNoiseCampaign(cfg.Runs, body, func(seed int64) sched.Strategy {
-			return sched.Nonpreemptive()
-		})
-		t.AddRow(name, "baseline", itoa(cfg.Runs), itoa(det), pct(det, cfg.Runs), i64(steps), i64(dur))
-
-		for _, h := range cfg.Heuristics {
-			heur := h.New() // one instance per campaign: adaptive state accumulates
-			det, steps, dur := runNoiseCampaign(cfg.Runs, body, func(seed int64) sched.Strategy {
-				return noise.NewStrategy(nil, heur, seed)
-			})
-			t.AddRow(name, h.Name, itoa(cfg.Runs), itoa(det), pct(det, cfg.Runs), i64(steps), i64(dur))
-		}
+	perRun := func(name string, v func(campaign.Record) int64) column {
+		return column{name, func(r campaign.Record) string { return i64(v(r) / int64(r.Runs)) }}
 	}
-	return []*Table{t}, nil
-}
-
-// runNoiseCampaign runs the body under per-seed strategies and aggregates
-// detection count, mean steps, and mean wall time in microseconds.
-func runNoiseCampaign(runs int, body func(core.T), mk func(seed int64) sched.Strategy) (detected int, avgSteps, avgUs int64) {
-	var steps, dur int64
-	for seed := int64(0); seed < int64(runs); seed++ {
-		res := sched.Run(sched.Config{
-			Strategy: mk(seed),
-			Seed:     seed,
-			MaxSteps: 500_000,
-		}, body)
-		if res.Verdict.Bug() {
-			detected++
-		}
-		steps += res.Steps
-		dur += int64(res.Elapsed / time.Microsecond)
-	}
-	n := int64(runs)
-	return detected, steps / n, dur / n
+	return finderTable(t, "finder", campaign.Config{
+		Finders:  noiseFinders,
+		Programs: cfg.Programs,
+		Budget:   cfg.Budget,
+		Params:   map[string]map[string]int{},
+		Timing:   true,
+	},
+		counterCol("detected", i64),
+		column{"rate", func(r campaign.Record) string { return pct(int(r.Counters["detected"]), r.Runs) }},
+		perRun("avg_steps", func(r campaign.Record) int64 { return r.Counters["steps"] }),
+		perRun("us_per_run", func(r campaign.Record) int64 { return r.WallMS * 1000 }),
+	)
 }

@@ -8,8 +8,8 @@
 //
 // Each experiment function runs a tool matrix over the repository and
 // returns Tables; cmd/mtbench renders them as text, CSV or JSON. The
-// experiment IDs (E1..E13, F1) are indexed in DESIGN.md and their
-// measured results recorded in EXPERIMENTS.md.
+// experiment IDs (E1..E13, F1) are indexed in DESIGN.md and described
+// in README.md's "Prepared experiments" section.
 package experiment
 
 import (

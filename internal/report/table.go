@@ -139,34 +139,6 @@ func (t *Table) jsonForm() tableJSON {
 	return tableJSON{ID: t.ID, Title: t.Title, Columns: t.Columns, Rows: rows, Notes: t.Notes}
 }
 
-// ParseJSON reads one table previously written with JSON — the other
-// half of the round trip campaign tooling relies on when it collects
-// reports from workflow artifacts.
-func ParseJSON(r io.Reader) (*Table, error) {
-	var form tableJSON
-	if err := json.NewDecoder(r).Decode(&form); err != nil {
-		return nil, err
-	}
-	return form.table(), nil
-}
-
-// ParseJSONAll reads a table array previously written with JSONAll.
-func ParseJSONAll(r io.Reader) ([]*Table, error) {
-	var forms []tableJSON
-	if err := json.NewDecoder(r).Decode(&forms); err != nil {
-		return nil, err
-	}
-	out := make([]*Table, len(forms))
-	for i, f := range forms {
-		out[i] = f.table()
-	}
-	return out, nil
-}
-
-func (f tableJSON) table() *Table {
-	return &Table{ID: f.ID, Title: f.Title, Columns: f.Columns, Rows: f.Rows, Notes: f.Notes}
-}
-
 // RenderAll renders several tables as text.
 func RenderAll(w io.Writer, tables []*Table) error {
 	for _, t := range tables {
