@@ -122,9 +122,12 @@ func loadFile(path string) (Config, []Record, int64, error) {
 // final unterminated chunk is tolerated as the torn tail of an append
 // that a crash (SIGKILL, OOM, power loss) cut short: it is excluded from
 // the records and from the valid length, so Open can truncate it and
-// the interrupted cell simply re-runs on resume.
+// the interrupted cell simply re-runs on resume. A line that parses
+// but cannot be a result of the pinned config (see checkRecord) is
+// corruption too.
 func parseStore(data []byte) (Config, []Record, int64, error) {
 	var meta metaLine
+	var cells map[string]bool
 	byKey := map[string]Record{}
 	var validLen int64
 	rest := data
@@ -151,9 +154,16 @@ func parseStore(data []byte) (Config, []Record, int64, error) {
 			if meta.Campaign != storeVersion {
 				return Config{}, nil, 0, fmt.Errorf("has format version %d, want %d", meta.Campaign, storeVersion)
 			}
+			cells = map[string]bool{}
+			for _, c := range Cells(meta.Config) {
+				cells[c.Key()] = true
+			}
 		case len(line) > 0:
 			var rec Record
 			if err := json.Unmarshal(line, &rec); err != nil {
+				return Config{}, nil, 0, fmt.Errorf("line %d: %w", lineNo, err)
+			}
+			if err := checkRecord(rec, cells); err != nil {
 				return Config{}, nil, 0, fmt.Errorf("line %d: %w", lineNo, err)
 			}
 			byKey[rec.Key()] = rec
@@ -170,6 +180,24 @@ func parseStore(data []byte) (Config, []Record, int64, error) {
 	}
 	sortRecords(recs)
 	return meta.Config.normalized(), recs, validLen, nil
+}
+
+// checkRecord refuses a parsed cell line that no run of the store's
+// config can have written: a cell outside its matrix (which is also
+// what an empty object or null parses to), more runs than the budget,
+// or a first bug that is neither -1 nor one of the runs.
+func checkRecord(rec Record, cells map[string]bool) error {
+	if !cells[rec.Key()] {
+		return fmt.Errorf("cell %s/%s seed=%d budget=%d is not in the store's matrix",
+			rec.Program, rec.Finder, rec.Seed, rec.Budget)
+	}
+	if rec.Runs < 0 || rec.Runs > rec.Budget {
+		return fmt.Errorf("runs %d outside 0..budget %d", rec.Runs, rec.Budget)
+	}
+	if rec.FirstBug != -1 && (rec.FirstBug < 1 || rec.FirstBug > rec.Runs) {
+		return fmt.Errorf("first_bug %d is neither -1 nor in 1..runs %d", rec.FirstBug, rec.Runs)
+	}
+	return nil
 }
 
 // Config returns the campaign config pinned in the store.

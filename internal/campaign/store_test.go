@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,7 +17,7 @@ func TestStoreAppendLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Append out of canonical order; bugs nil normalizes to [].
-	r2 := rec("zzz", "noise", 0, 60, nil, -1)
+	r2 := rec("semleak", "noise", 0, 60, nil, -1)
 	r1 := rec("account", "fuzz", 0, 60, []string{"fail:x"}, 3)
 	if err := store.Append(r2); err != nil {
 		t.Fatal(err)
@@ -38,7 +39,7 @@ func TestStoreAppendLoad(t *testing.T) {
 	if gotCfg.Fingerprint() != cfg.Fingerprint() {
 		t.Fatal("loaded config does not match the created one")
 	}
-	if len(recs) != 2 || recs[0].Program != "account" || recs[1].Program != "zzz" {
+	if len(recs) != 2 || recs[0].Program != "account" || recs[1].Program != "semleak" {
 		t.Fatalf("loaded records not in canonical order: %v", recs)
 	}
 	if recs[1].Bugs == nil || len(recs[1].Bugs) != 0 {
@@ -53,7 +54,7 @@ func TestStoreCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	store.Append(rec("zzz", "noise", 0, 60, nil, -1))
+	store.Append(rec("semleak", "noise", 0, 60, nil, -1))
 	store.Append(rec("account", "fuzz", 0, 60, []string{"fail:x"}, 3))
 	if err := store.Compact(); err != nil {
 		t.Fatal(err)
@@ -67,12 +68,12 @@ func TestStoreCompact(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("compacted store has %d lines, want meta + 2 cells", len(lines))
 	}
-	if !strings.Contains(lines[1], `"program":"account"`) || !strings.Contains(lines[2], `"program":"zzz"`) {
+	if !strings.Contains(lines[1], `"program":"account"`) || !strings.Contains(lines[2], `"program":"semleak"`) {
 		t.Fatalf("compacted store not in canonical order:\n%s", raw)
 	}
 
 	// The append handle survives compaction.
-	if err := store.Append(rec("mmm", "race", 0, 60, nil, -1)); err != nil {
+	if err := store.Append(rec("lockedcounter", "race", 0, 60, nil, -1)); err != nil {
 		t.Fatal(err)
 	}
 	store.Close()
@@ -114,6 +115,47 @@ func TestLoadRejectsBadStores(t *testing.T) {
 
 	if _, _, err := Load(filepath.Join(dir, "missing.jsonl")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestLoadRejectsImpossibleCells: a cell line that parses as JSON but
+// that no run of the store's config can have written is refused with
+// its line number, whether it sits in the middle of the store or ends
+// it.
+func TestLoadRejectsImpossibleCells(t *testing.T) {
+	const meta = `{"campaign":1,"config":{"finders":["fuzz","noise"],"programs":["account","semleak"],"seeds":[0],"budget":60,"max_steps":200000,"params":{}}}`
+	const good = `{"program":"account","finder":"fuzz","seed":0,"budget":60,"runs":60,"bugs":["fail:x"],"first_bug":3,"wall_ms":0}`
+	for _, tc := range []struct{ name, line string }{
+		{"empty-object", `{}`},
+		{"null", `null`},
+		{"unknown-program", `{"program":"zzz","finder":"fuzz","seed":0,"budget":60,"runs":9999,"bugs":[],"first_bug":-1,"wall_ms":0}`},
+		{"unknown-finder", `{"program":"account","finder":"zzz","seed":0,"budget":60,"runs":60,"bugs":[],"first_bug":-1,"wall_ms":0}`},
+		{"foreign-seed", `{"program":"account","finder":"fuzz","seed":7,"budget":60,"runs":60,"bugs":[],"first_bug":-1,"wall_ms":0}`},
+		{"foreign-budget", `{"program":"account","finder":"fuzz","seed":0,"budget":9999,"runs":60,"bugs":[],"first_bug":-1,"wall_ms":0}`},
+		{"runs-over-budget", `{"program":"account","finder":"noise","seed":0,"budget":60,"runs":61,"bugs":[],"first_bug":-1,"wall_ms":0}`},
+		{"negative-runs", `{"program":"account","finder":"noise","seed":0,"budget":60,"runs":-1,"bugs":[],"first_bug":-1,"wall_ms":0}`},
+		{"first-bug-zero", `{"program":"semleak","finder":"fuzz","seed":0,"budget":60,"runs":60,"bugs":["fail:x"],"first_bug":0,"wall_ms":0}`},
+		{"first-bug-past-runs", `{"program":"semleak","finder":"fuzz","seed":0,"budget":60,"runs":10,"bugs":["fail:x"],"first_bug":11,"wall_ms":0}`},
+		{"first-bug-below-minus-one", `{"program":"semleak","finder":"fuzz","seed":0,"budget":60,"runs":60,"bugs":[],"first_bug":-2,"wall_ms":0}`},
+	} {
+		for _, at := range []struct {
+			line int
+			data string
+		}{
+			{2, meta + "\n" + tc.line + "\n" + good + "\n"},
+			{3, meta + "\n" + good + "\n" + tc.line + "\n"},
+		} {
+			_, _, _, err := parseStore([]byte(at.data))
+			if err == nil {
+				t.Fatalf("%s at line %d: store accepted", tc.name, at.line)
+			}
+			if want := fmt.Sprintf("line %d:", at.line); !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s at line %d: error %q does not name the line", tc.name, at.line, err)
+			}
+		}
+	}
+	if _, recs, _, err := parseStore([]byte(meta + "\n" + good + "\n")); err != nil || len(recs) != 1 {
+		t.Fatalf("valid store: %d records, error %v", len(recs), err)
 	}
 }
 

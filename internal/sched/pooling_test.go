@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"encoding/json"
 	"runtime"
 	"slices"
 	"testing"
@@ -67,6 +68,62 @@ func TestRunnerPoolingDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunnerAcrossGoroutines pins that a Runner may move between
+// goroutines between runs, as exploration's worker-kit pool moves it
+// between worker goroutines: goroutine A runs every repository program
+// on one Runner, hands it over a channel to goroutine B, which runs
+// every program again. Every result is byte-identical to a fresh
+// runner's. Under -race it also checks that the hand-over orders the
+// Runner's memory.
+func TestRunnerAcrossGoroutines(t *testing.T) {
+	progs := repository.All()
+	cfg := func(name string) sched.Config {
+		return sched.Config{Strategy: sched.Random(7), Seed: 7, Name: name, MaxSteps: 300_000,
+			RecordSchedule: true, SkipTiming: true}
+	}
+	render := func(res *core.Result) string {
+		b, err := json.Marshal(res)
+		if err != nil {
+			panic(err)
+		}
+		return string(b)
+	}
+	want := make([]string, len(progs))
+	for i, p := range progs {
+		want[i] = render(sched.Run(cfg(p.Name), p.BodyWith(nil)))
+	}
+	runAll := func(r *sched.Runner) []string {
+		out := make([]string, len(progs))
+		for i, p := range progs {
+			out[i] = render(r.Run(cfg(p.Name), p.BodyWith(nil)))
+		}
+		return out
+	}
+
+	handA, handB := make(chan *sched.Runner), make(chan *sched.Runner)
+	gotA, gotB := make(chan []string, 1), make(chan []string, 1)
+	go func() {
+		r := sched.NewRunner()
+		gotA <- runAll(r)
+		handB <- r
+	}()
+	go func() {
+		r := <-handB
+		gotB <- runAll(r)
+		handA <- r
+	}()
+	a, b := <-gotA, <-gotB
+	(<-handA).Close()
+	for i, p := range progs {
+		if a[i] != want[i] {
+			t.Errorf("%s on goroutine A:\n%s\nfresh runner:\n%s", p.Name, a[i], want[i])
+		}
+		if b[i] != want[i] {
+			t.Errorf("%s on goroutine B:\n%s\nfresh runner:\n%s", p.Name, b[i], want[i])
+		}
 	}
 }
 

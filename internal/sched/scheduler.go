@@ -6,9 +6,13 @@
 // substrate (§2.2 of the paper: replay and VeriSoft-style exploration
 // both need to "force interleavings").
 //
-// Exactly one virtual thread runs at a time; the driver (the goroutine
-// that called Run) and the virtual threads hand control back and forth
-// over channels. Because only the running thread touches shared state,
+// Exactly one virtual thread runs at a time. Each virtual thread is a
+// coroutine (iter.Pull): the driver (the goroutine that called Run)
+// resumes the current thread, and a thread that hands control to
+// another yields back to the driver, which resumes the successor. A
+// resume is a direct goroutine switch, with no channel and no trip
+// through the Go scheduler's run queues. Because only the running
+// thread touches shared state,
 // the scheduler, the program's emulated variables, and all listeners
 // execute race-free without locking, and a run is a pure function of
 // (program, strategy decisions) — the property replay and exploration
@@ -18,8 +22,8 @@
 // framework (noise, exploration, fuzzing, the campaign matrix) is
 // bounded by how many short runs per second this package executes, so
 // the run hot path is built for reuse. A Runner keeps its virtual
-// threads' goroutines, resume channels and per-run buffers alive
-// across runs (back-to-back runs pay no goroutine spawn/teardown and
+// threads' coroutines and per-run buffers alive across runs
+// (back-to-back runs pay no coroutine spawn/teardown and
 // near-zero allocation), source locations are captured only when
 // something subscribed can observe them, and listener fan-out is
 // skipped for event classes no listener wants. Reuse never changes
@@ -105,7 +109,7 @@ type Config struct {
 // Run constructs a fresh Runner per call and tears it down afterwards;
 // code that executes many runs back to back (search loops, worker
 // pools) should hold a Runner and call its Run method instead, which
-// reuses the goroutines and buffers across runs.
+// reuses the coroutines and buffers across runs.
 func Run(cfg Config, body func(t core.T)) *core.Result {
 	r := NewRunner()
 	defer r.Close()
@@ -113,12 +117,13 @@ func Run(cfg Config, body func(t core.T)) *core.Result {
 }
 
 // Runner executes controlled runs back to back, reusing the expensive
-// parts between them: virtual-thread goroutines and their resume
-// channels stay parked in a free pool instead of being respawned,
+// parts between them: virtual-thread coroutines stay suspended in a
+// free pool instead of being respawned,
 // and the per-run slices (runnable sets, recorded schedule, outcome
 // and finish-order accumulators) keep their backing arrays. A Runner
-// is single-threaded — one run at a time — and a run through a reused
-// Runner is byte-identical to one through a fresh scheduler.
+// is single-threaded — one run at a time — but successive runs may
+// come from different goroutines, and a run through a reused Runner is
+// byte-identical to one through a fresh scheduler.
 //
 // Ownership caveat: when Config.RecordSchedule is set, the returned
 // Result.Schedule aliases the Runner's internal buffer and is only
@@ -132,13 +137,10 @@ type Runner struct {
 }
 
 // NewRunner returns an empty Runner. The pool warms up on first use;
-// call Close when done to release the pooled goroutines (a dropped
-// Runner's goroutines are not otherwise reclaimed).
+// call Close when done to release the pooled coroutines (a dropped
+// Runner's coroutines are not otherwise reclaimed).
 func NewRunner() *Runner {
-	return &Runner{s: &scheduler{
-		parked:  make(chan *thread),
-		runDone: make(chan struct{}),
-	}}
+	return &Runner{s: &scheduler{}}
 }
 
 // Run executes body under cfg to completion, reusing the Runner's
@@ -182,9 +184,9 @@ func (r *Runner) Start(cfg Config, body func(t core.T)) *core.Result {
 	return s.drive()
 }
 
-// Close releases the Runner's pooled goroutines. It is a no-op on a
+// Close releases the Runner's pooled coroutines. It is a no-op on a
 // Runner whose last run panicked mid-flight (the pool is
-// unrecoverable then; the goroutines are leaked exactly as a
+// unrecoverable then; the coroutines are leaked exactly as a
 // fresh-scheduler panic leaked them).
 func (r *Runner) Close() {
 	s := r.s
@@ -196,9 +198,16 @@ func (r *Runner) Close() {
 		return
 	}
 	for _, th := range s.free {
-		th.ready <- resumeMsg{quit: true}
+		th.stop()
 	}
 	s.free = nil
+	for _, th := range s.exited {
+		// Stopping a thread whose body called runtime.Goexit finishes
+		// that Goexit, and stop re-raises it in its caller: give it a
+		// goroutine of its own to end.
+		go th.stop()
+	}
+	s.exited = nil
 }
 
 type tstate uint8
@@ -251,13 +260,8 @@ type blockReason struct {
 	tid core.ThreadID
 }
 
-type resumeMsg struct {
-	abort bool
-	quit  bool
-}
-
 // stepStatus classifies a scheduling decision's outcome for the
-// goroutine that took it: hand control to the returned thread
+// thread (or driver) that took it: hand control to the returned thread
 // (stepGo), or the run is finished (stepOver).
 type stepStatus uint8
 
@@ -268,12 +272,12 @@ const (
 
 // engineBug is the panic payload for scheduler-internal invariant
 // violations (a strategy picking a non-runnable thread, idling with no
-// sleeper). Scheduling decisions execute on virtual-thread goroutines
-// now, under the same recover that converts program panics into failed
-// runs — engine bugs must NOT take that path (they would silently skew
+// sleeper). Scheduling decisions execute on the virtual threads, under
+// the same recover that converts program panics into failed runs —
+// engine bugs must NOT take that path (they would silently skew
 // statistics as ordinary VerdictFail results), so runBody intercepts
-// this type and ferries it back to the driver, which re-panics on the
-// Run caller's goroutine exactly as the old driver loop did.
+// this type and ferries it back to the driver, which re-panics it on
+// the Run caller's goroutine.
 type engineBug struct{ msg string }
 
 // Error makes an escaped engineBug panic print its message.
@@ -305,9 +309,19 @@ type thread struct {
 	block  blockReason
 	// wakeAt is the virtual deadline for sleeping threads.
 	wakeAt int64
-	// ready resumes the thread; every resume is answered by exactly one
-	// park on the scheduler's parked channel.
-	ready chan resumeMsg
+	// next resumes the thread's coroutine and returns when the thread
+	// yields control back to the driver; stop ends a pooled coroutine
+	// (Close). yield is the coroutine's side of the switch, bound when
+	// the coroutine first runs.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// abort is set by teardown before it resumes a live thread: the
+	// thread unwinds its body instead of going on.
+	abort bool
+	// exited marks a thread whose body called runtime.Goexit; its
+	// coroutine is held inside that Goexit and never rejoins the pool.
+	exited bool
 	// locksHeld is the ordered multiset of mutexes the thread holds;
 	// listeners and deadlock reporting read it.
 	locksHeld []core.ObjectID
@@ -364,16 +378,17 @@ type scheduler struct {
 	sleepers int
 
 	threads []*thread
-	// free holds pooled threads whose goroutines are parked waiting for
-	// their next assignment.
-	free []*thread
-	// parked carries the abort handshake during teardown; runDone is
-	// the one signal per run that control has left the virtual threads
-	// for good (clean completion, failure, deadlock, step limit,
-	// divergence).
-	parked  chan *thread
-	runDone chan struct{}
-	cur     *thread
+	// free holds pooled threads whose coroutines are suspended waiting
+	// for their next assignment; exited holds threads whose body called
+	// runtime.Goexit, until Close releases them.
+	free   []*thread
+	exited []*thread
+	// cur is the thread the driver resumes next. over is set by the
+	// thread that takes the run-ending decision (clean completion,
+	// failure, deadlock, step limit, divergence): control has left the
+	// virtual threads for good.
+	cur  *thread
+	over bool
 
 	seq     int64
 	steps   int64
@@ -509,6 +524,7 @@ func (s *scheduler) reset(cfg Config) {
 	}
 
 	s.cur = nil
+	s.over = false
 	s.seq = 0
 	s.steps = 0
 	s.objSeq = 0
@@ -563,10 +579,10 @@ func (s *scheduler) progLoc() (core.Location, uint32) {
 }
 
 // drive takes the run's first scheduling decision on the driver
-// goroutine, hands control to the picked thread, and sleeps until the
-// virtual threads report the run over. From the handoff on, control
-// moves directly from thread to thread; the driver wakes only to
-// finish the run.
+// goroutine, then resumes the current thread until the virtual threads
+// report the run over. A thread takes every later decision itself and
+// yields back here only to switch: it names its successor in s.cur,
+// and the driver resumes that one.
 func (s *scheduler) drive() *core.Result {
 	next, st, bug := s.stepSafe()
 	switch {
@@ -574,8 +590,9 @@ func (s *scheduler) drive() *core.Result {
 		s.bug = bug
 	case st == stepGo:
 		s.cur = next
-		next.ready <- resumeMsg{}
-		<-s.runDone
+		for !s.over {
+			s.cur.next()
+		}
 	}
 	return s.finish()
 }
@@ -592,9 +609,7 @@ func (s *scheduler) finish() *core.Result {
 		// already unwound the other threads, so the pool is
 		// intact — now fail as loudly as the old driver loop did.
 		msg := s.bug.msg
-		s.free = append(s.free, s.threads...)
-		s.threads = s.threads[:0]
-		s.running = false
+		s.recycle()
 		panic(msg)
 	}
 
@@ -630,11 +645,22 @@ func (s *scheduler) finish() *core.Result {
 	}
 	s.listeners.EndRun(res)
 
-	// Every thread is done; return them to the pool for the next run.
-	s.free = append(s.free, s.threads...)
+	s.recycle()
+	return res
+}
+
+// recycle returns the finished run's threads to the pool for the next
+// run, except those whose body called runtime.Goexit.
+func (s *scheduler) recycle() {
+	for _, th := range s.threads {
+		if th.exited {
+			s.exited = append(s.exited, th)
+		} else {
+			s.free = append(s.free, th)
+		}
+	}
 	s.threads = s.threads[:0]
 	s.running = false
-	return res
 }
 
 // internOutcome returns the run's outcome accumulator as an interned
@@ -657,13 +683,12 @@ func (s *scheduler) internOutcome() string {
 	return v
 }
 
-// step is one scheduling decision, executed inline by whichever
-// goroutine currently holds control (the driver at kickoff, the
-// yielding virtual thread everywhere else — the overhaul that
-// removed the per-step round trip through a driver goroutine). It
-// returns the thread control should pass to, or stepOver when the run
-// is finished (clean completion, failure, deadlock, step limit, or
-// strategy divergence).
+// step is one scheduling decision, executed inline by whoever holds
+// control (the driver at kickoff, the yielding virtual thread
+// everywhere else, so a decision that keeps the current thread
+// switches nothing). It returns the thread control should pass to, or
+// stepOver when the run is finished (clean completion, failure,
+// deadlock, step limit, or strategy divergence).
 func (s *scheduler) step() (next *thread, st stepStatus) {
 	if s.ffPos < len(s.ffDec) {
 		return s.ffStep()
@@ -769,7 +794,7 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 // would have produced. When the current thread merely yielded at a
 // scheduling point (tReady) nothing else can have changed state, so
 // the fast path skips even the runnable scan and hands control
-// straight back — no channel operation, no goroutine switch.
+// straight back — no coroutine switch.
 func (s *scheduler) coastStep() (next *thread, st stepStatus) {
 	if s.failure != nil {
 		return nil, stepOver
@@ -1062,37 +1087,31 @@ func (s *scheduler) canonicalCycle(cyc []core.ThreadID) []core.ThreadID {
 	return out
 }
 
-// abortAll unwinds every live thread so no goroutines outlive the run.
+// abortAll unwinds every live thread, so that every coroutine is back
+// in the pool's suspension point when the run returns.
 func (s *scheduler) abortAll() {
 	for _, th := range s.threads {
 		if th.state == tDone {
 			continue
 		}
-		th.ready <- resumeMsg{abort: true}
-		<-s.parked
+		th.abort = true
+		th.next()
 	}
 }
 
 // spawn creates a virtual thread, reusing a pooled one (and its
-// goroutine and resume channel) when available. The new thread does
-// not run until the driver picks it.
+// coroutine) when available. The new thread does not run until some
+// decision picks it.
 func (s *scheduler) spawn(name string, body func(core.T)) *thread {
 	var th *thread
 	if n := len(s.free); n > 0 {
 		th = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		th = &thread{ready: make(chan resumeMsg), sc: s}
+		th = &thread{sc: s}
 		th.tcv.th = th
 		th.hv.child = th
-		go func() {
-			// Labels are inherited from the spawner at go-statement
-			// time; set the vthread label inside the goroutine so a
-			// pooled thread never carries whatever driver-phase label
-			// happened to be active when it was first created.
-			pprof.SetGoroutineLabels(vthreadLabels)
-			th.loop()
-		}()
+		th.newCoroutine()
 	}
 	th.id = core.ThreadID(len(s.threads))
 	// Pooled threads usually get the same name run after run (the
@@ -1104,6 +1123,7 @@ func (s *scheduler) spawn(name string, body func(core.T)) *thread {
 		th.nameID = core.InternName(name)
 	}
 	th.state = tReady
+	th.abort = false
 	th.block = blockReason{}
 	th.wakeAt = 0
 	th.locksHeld = th.locksHeld[:0]
@@ -1113,51 +1133,56 @@ func (s *scheduler) spawn(name string, body func(core.T)) *thread {
 	return th
 }
 
-// loop is the persistent goroutine body of a pooled thread: each
-// iteration serves one assignment of the thread to a run. The
-// happens-before chain for the cross-run field writes in spawn runs
-// through the ready channel: spawn's writes precede the spawning
-// thread's park, which precedes the driver's resume send, which
-// precedes this goroutine's receive.
-func (th *thread) loop() {
+// serve is the coroutine body of a pooled thread: each pass of the
+// loop serves one assignment of the thread to a run, and the yield at
+// its end suspends the coroutine in the free pool until a later run
+// resumes it (or Close stops it, when yield reports false). Coroutine
+// switches order memory like channel operations, so spawn's writes to
+// a pooled thread happen before the thread's next resume reads them.
+func (th *thread) serve(yield func(struct{}) bool) {
+	// The coroutine's goroutine inherits its creator's labels; set the
+	// vthread label here so a pooled thread never carries whatever
+	// driver-phase label happened to be active when it was created.
+	pprof.SetGoroutineLabels(vthreadLabels)
+	th.yield = yield
 	for {
-		msg := <-th.ready
-		switch {
-		case msg.quit:
-			return
-		case msg.abort:
-			// Aborted before ever running (run torn down first).
-			th.state = tDone
-			th.sc.parked <- th
-		default:
+		if th.abort {
+			th.state = tDone // torn down before it ever ran
+		} else {
 			th.state = tRunning
 			th.runBody()
+		}
+		if !yield(struct{}{}) {
+			return
 		}
 	}
 }
 
 // runBody executes one assignment of the thread's body, converting
 // oracle failures and teardown aborts (both delivered as panics) into
-// scheduler state.
+// scheduler state. It returns to serve, which yields to the driver.
 func (th *thread) runBody() {
+	returned := false
 	defer func() {
 		rec := recover()
 		s := th.sc
+		if rec == nil && !returned {
+			th.goexited()
+			return
+		}
 		if eb, ok := rec.(engineBug); ok {
 			// Scheduler invariant violation: hand it to the driver to
-			// re-panic on the Run caller's goroutine; this goroutine
+			// re-panic on the Run caller's goroutine; this thread
 			// returns to the pool.
 			th.state = tDone
 			s.bug = &eb
-			s.runDone <- struct{}{}
+			s.over = true
 			return
 		}
 		fail, aborted := core.RecoverThread(rec, th.id)
 		if aborted {
-			// Teardown handshake: the driver is sweeping threads down
-			// and waits for each on the parked channel.
+			// Teardown: the driver is sweeping threads down.
 			th.state = tDone
-			s.parked <- th
 			return
 		}
 		if fail != nil {
@@ -1172,13 +1197,31 @@ func (th *thread) runBody() {
 		th.finishHandoff()
 	}()
 	th.body(&th.tcv)
+	returned = true
+}
+
+// goexited handles a body that called runtime.Goexit, from runBody's
+// deferred function. No recover stops a Goexit: left to unwind, it
+// would end the coroutine, and iter.Pull would re-raise it on the
+// driver. Instead the run fails, and the thread yields to the driver
+// from inside the unwinding and stays there: it never rejoins the
+// pool, and Close lets the Goexit finish.
+func (th *thread) goexited() {
+	s := th.sc
+	if s.failure == nil {
+		s.failure = &core.Failure{Msg: "thread " + th.name + " called runtime.Goexit", Thread: th.id}
+	}
+	th.state = tDone
+	th.exited = true
+	s.over = true
+	th.yield(struct{}{})
 }
 
 // finishHandoff passes control on after this thread's body ended
-// (normally or by a failed oracle): pick the next thread inline and
-// wake it, or report the run over. The dying thread stays s.cur, so
-// the next decision's Choice.Current names it exactly as it did when a
-// driver goroutine drove the loop.
+// (normally or by a failed oracle): take the next decision inline and
+// name the thread the driver resumes, or report the run over. The
+// dying thread stays s.cur during the decision, so Choice.Current
+// names it.
 func (th *thread) finishHandoff() {
 	s := th.sc
 	next, st, bug := s.stepSafe()
@@ -1186,32 +1229,32 @@ func (th *thread) finishHandoff() {
 		s.bug = bug // stepSafe reports stepOver with it
 	}
 	if st == stepOver {
-		s.runDone <- struct{}{}
+		s.over = true
 		return
 	}
 	s.cur = next
-	next.ready <- resumeMsg{}
 }
 
 // park takes one scheduling decision on behalf of the scheduler and
 // yields accordingly: if the strategy keeps this thread, park returns
-// without any goroutine switch at all; if it picks another thread,
-// control is handed to it directly and park sleeps until some later
-// decision picks this thread again; if the decision ends the run, the
-// driver is woken and this thread waits for the teardown abort. The
+// without any switch at all; if it picks another thread, park names
+// it in s.cur and yields to the driver, which resumes it, and returns
+// when some later decision picks this thread again; if the decision
+// ends the run, park reports it and yields for good — the only resume
+// left is the teardown abort, which unwinds the thread's body. The
 // caller must have set th.state (and th.block for blocked parks).
 func (th *thread) park() {
 	s := th.sc
 	next, st := s.step()
 	if st == stepOver {
-		s.runDone <- struct{}{}
-		th.awaitAbort()
+		s.over = true
+		th.yield(struct{}{})
+		core.AbortNow()
 	}
 	if next != th {
 		s.cur = next
-		next.ready <- resumeMsg{}
-		msg := <-th.ready
-		if msg.abort {
+		th.yield(struct{}{})
+		if th.abort {
 			core.AbortNow()
 		}
 	}
@@ -1220,14 +1263,6 @@ func (th *thread) park() {
 	}
 	th.state = tRunning
 	th.block = blockReason{}
-}
-
-// awaitAbort parks a thread that has reported the run over; the only
-// message that can arrive is the teardown abort (Close's quit is only
-// ever sent to pooled threads), which unwinds the thread's body.
-func (th *thread) awaitAbort() {
-	<-th.ready
-	core.AbortNow()
 }
 
 // point is a scheduling point: the running thread offers the strategy a

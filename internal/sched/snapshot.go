@@ -232,8 +232,8 @@ func (s *scheduler) ffRunnable(th *thread) bool {
 // vthreadLabels is the pprof label set every virtual-thread goroutine
 // carries, so CPU profiles split program execution (replayed, novel
 // and coasted operations all run here) from the driver-side phases
-// labelled by the exploration engine. Labels are inherited at go-
-// statement time, so spawn sets them inside the new goroutine — a
-// pooled thread spawned while a driver-phase label is active must not
+// labelled by the exploration engine. A coroutine's goroutine inherits
+// its creator's labels, so serve sets them inside the coroutine — a
+// pooled thread created while a driver-phase label is active must not
 // keep that label for its whole pooled life.
 var vthreadLabels = pprof.WithLabels(context.Background(), pprof.Labels("mtbench", "vthread"))
