@@ -47,7 +47,7 @@ func main() {
 	args, cpuProfile, memProfile := extractProfileFlags(os.Args[2:])
 	stopProf, perr := profiling.Start(cpuProfile, memProfile)
 	if perr != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", perr)
+		fmt.Fprintln(os.Stderr, errorLine(perr))
 		os.Exit(1)
 	}
 	var err error
@@ -77,9 +77,19 @@ func main() {
 	}
 	stopProf()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine renders a failed command's error for stderr under a single
+// "campaign: " prefix: errors from internal/campaign already carry it.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "campaign: ") {
+		return msg
+	}
+	return "campaign: " + msg
 }
 
 // extractProfileFlags strips -cpuprofile/-memprofile (with = or

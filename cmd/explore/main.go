@@ -57,7 +57,7 @@ func command(fs *flag.FlagSet) (*searchcli.Flags, searchcli.Search) {
 	tbound := fs.Int("tbound", -1, "thread bound: distinct threads eligible for preemption (-1 = unbounded)")
 	sleepSets := fs.Bool("sleepsets", false, "enable sleep-set pruning")
 	por := fs.Bool("por", false, "enable dynamic partial-order reduction (implies -sleepsets)")
-	stateCache := fs.Bool("statecache", false, "enable canonical-state caching (and branch-snapshot positioning)")
+	stateCache := fs.Bool("statecache", false, "enable canonical-state caching (positioned runs then also restore hasher snapshots)")
 	timeouts := fs.Bool("timeouts", false, "explore timer expirations too")
 	workers := fs.Int("workers", 0, "parallel search workers (0 = all cores, 1 = deterministic serial)")
 	stats := fs.Bool("stats", false, "print reduction statistics (pruned options, backtracks, cache hits)")

@@ -1,4 +1,4 @@
-// Worker kits and branch snapshots.
+// Worker kits.
 //
 // A workerKit is the reusable per-worker execution state: the pooled
 // runner, the DFS node free list, the reduction structures (event
@@ -18,23 +18,10 @@ import (
 	"mtbench/internal/sched"
 )
 
-// branchSnap is a forkable branch snapshot, owned by a live DFS path
-// node (node.snap): the state hasher and the scheduler's position
-// digest frozen at a multi-option decision point, before the node's
-// own decision. A later run positions itself at the branch by
-// restoring the hasher and fast-forwarding the decisions above the
-// node (sched.Config.FastForward), with the digest verified on arrival
-// (Config.FFCheck). The snapshot is valid for every sibling the node
-// still has — it predates the choice — and is recycled through the
-// worker's nodePool when the node pops.
-type branchSnap struct {
-	hasher hasherSnap
-	sched  sched.Snapshot
-}
-
-// maxLiveSnaps caps the branch snapshots a shard holds at once, so
-// 10,000-step paths do not keep one per multi-option node; deeper
-// nodes position from the deepest snapshot above them.
+// maxLiveSnaps caps the hasher snapshots a shard holds at once, so
+// 10,000-step paths do not keep one per multi-option node. The deepest
+// ones are kept: a run backtracking above them positions from the
+// deepest snapshot above its branch.
 const maxLiveSnaps = 64
 
 // workerKit is the per-worker reusable execution state.
@@ -52,9 +39,9 @@ type workerKit struct {
 	// making the inner map lookups cheap and stable.
 	outKeys [8]map[string]string
 
-	// planned is the scratch buffer plan builds the next run's replay
-	// sequence into.
-	planned []core.ThreadID
+	// decisions lends its backing array to each shard's
+	// explorer.decisions, so it grows once per kit.
+	decisions []core.ThreadID
 }
 
 // kitFree recycles worker kits process-wide. Runners keep their
@@ -155,17 +142,4 @@ func (k *workerKit) outKey(v core.Verdict, outcome string) string {
 		}
 	}
 	return key
-}
-
-// plan rebuilds the kit's scratch copy of the next run's replay
-// sequence — the shard prefix plus the path's current choices — and
-// returns it. The returned slice aliases the kit's buffer and is valid
-// until the next plan call.
-func (k *workerKit) plan(e *explorer) []core.ThreadID {
-	k.planned = k.planned[:0]
-	k.planned = append(k.planned, e.prefix...)
-	for _, n := range e.path {
-		k.planned = append(k.planned, n.chosen())
-	}
-	return k.planned
 }

@@ -99,16 +99,20 @@ type Options struct {
 	// set + pending-operation handles) into a bounded direct-mapped
 	// cache, and a revisited state's subtree is cut.
 	//
-	// The state cache also turns on frontier positioning: multi-option
-	// path nodes carry forkable branch snapshots (hasher state + sched
-	// position digest), at most 64 live per shard, and each
-	// schedule starts from the deepest one on the path — a pooled
-	// runner fast-forwards the branch's decision prefix at coast speed
-	// (sched.Config.FastForward) and verifies the digest on arrival —
-	// instead of replaying from the root under full strategy control.
-	// Positioning changes how a run reaches its frontier, never which
-	// frontier it explores: serially, results are identical to a
+	// Every search, with the state cache or without, positions each run
+	// after a shard's first at its frontier: a pooled runner
+	// fast-forwards the decisions above the branch at coast speed
+	// (sched.Config.FastForward) and verifies the scheduler's position
+	// digest on arrival, instead of replaying them from the root under
+	// full strategy control. Without the state cache the branch is the
+	// node backtracking just advanced; with it, the run must also
+	// restore the event hasher, so it goes to the deepest path node
+	// still holding a hasher snapshot (the deepest 64 are kept per
+	// shard). Positioning changes how a run reaches its frontier, never
+	// which frontier it explores: serially, results are identical to a
 	// root-replay search except for the positioning counters in Stats.
+	// A search with Listeners positions by root replay, since
+	// fast-forwarded decisions reach no listener.
 	StateCache bool
 	// ExploreTimeouts includes "let virtual time pass" (sched.IdleID)
 	// among the choices at points where a thread sleeps on a timer,
@@ -138,10 +142,12 @@ type Options struct {
 	// on philosophers{3,1}, account{3,1}, account{2,2} and statmax{3}
 	// (TestParallelReducedRatio bounds it at 1.6x).
 	Workers int
-	// Listeners are attached to every run (cumulative tools such as
-	// coverage trackers and race detectors work as-is). With Workers >
-	// 1, runs execute concurrently, so listeners must be safe for
-	// concurrent use.
+	// Listeners are attached to every run and see all of it: a search
+	// with listeners replays each run from the root rather than
+	// fast-forwarding its prefix (cumulative tools such as coverage
+	// trackers and race detectors work as-is). With Workers > 1, runs
+	// execute concurrently, so listeners must be safe for concurrent
+	// use.
 	Listeners []core.Listener
 	// Name labels runs for RunObserver listeners.
 	Name string
@@ -224,14 +230,16 @@ type node struct {
 	sub         []uint64
 	subOverflow bool
 
-	// snap is the node's forkable branch snapshot (nil unless the
-	// state cache is on, the node has siblings worth returning for and
-	// the shard holds fewer than its cap): the hasher state and
-	// scheduler position digest frozen at this decision point, before
-	// any option was chosen. Later runs fast-forward here instead of
-	// replaying from the root. Freed when the node pops — the live
-	// snapshots all sit on the DFS path.
-	snap *branchSnap
+	// pos is the scheduler's position digest at this decision point,
+	// before any option was chosen, captured when a multi-option node is
+	// created (positioning on): a later run fast-forwards the decisions
+	// above the node and verifies it on arrival. hsnap is the event
+	// hasher frozen at the same point (state cache only; nil once
+	// evicted by deeper nodes, see explorer.holders), which a run
+	// positioned here restores. Both predate the choice, so they serve
+	// every sibling the node still has.
+	pos   sched.Snapshot
+	hsnap *hasherSnap
 }
 
 func (n *node) chosen() core.ThreadID { return n.options[n.curIdx] }
@@ -265,9 +273,9 @@ func (n *node) chosenFP() core.Footprint {
 // allocation-free in the engine itself.
 type nodePool struct {
 	free []*node
-	// snaps recycles branch snapshots (their slices keep their backing
+	// snaps recycles hasher snapshots (their slices keep their backing
 	// arrays, so steady-state snapshot-taking is allocation-free).
-	snaps []*branchSnap
+	snaps []*hasherSnap
 }
 
 func newNodePool() *nodePool { return &nodePool{} }
@@ -293,7 +301,8 @@ func (p *nodePool) get(current core.ThreadID) *node {
 		nd.cut = false
 		nd.sub = nd.sub[:0]
 		nd.subOverflow = false
-		nd.snap = nil
+		nd.pos = sched.Snapshot{}
+		nd.hsnap = nil
 		return nd
 	}
 	return &node{current: current, sleep: map[core.ThreadID]bool{}}
@@ -303,16 +312,16 @@ func (p *nodePool) put(n *node) {
 	p.free = append(p.free, n)
 }
 
-func (p *nodePool) getSnap() *branchSnap {
+func (p *nodePool) getSnap() *hasherSnap {
 	if n := len(p.snaps); n > 0 {
 		s := p.snaps[n-1]
 		p.snaps = p.snaps[:n-1]
 		return s
 	}
-	return &branchSnap{}
+	return &hasherSnap{}
 }
 
-func (p *nodePool) putSnap(s *branchSnap) {
+func (p *nodePool) putSnap(s *hasherSnap) {
 	p.snaps = append(p.snaps, s)
 }
 
@@ -374,14 +383,19 @@ func (e *explorer) childBounds(n *node, t core.ThreadID, vb []uint32) (pre int, 
 }
 
 // explorer owns one shard of the decision tree: the subtree hanging
-// under prefix. Decisions 0..len(prefix)-1 are replayed literally on
-// every run and are not backtrack points — their sibling alternatives
-// belong to other work items (or were already explored by the donor).
+// under the work item's prefix. Decisions 0..base-1 are replayed
+// literally on every run and are not backtrack points — their sibling
+// alternatives belong to other work items (or were already explored by
+// the donor).
 type explorer struct {
 	opts Options
-	// prefix is the inherited schedule this explorer's subtree hangs
-	// under (empty for the root shard).
-	prefix []core.ThreadID
+	// decisions is the next run's decision sequence: the shard's prefix
+	// (the first base entries) followed by each path node's current
+	// choice. Pick appends a fresh node's choice, backtrack rewrites the
+	// advanced node's, popNode truncates; Pick's replay reads it, and a
+	// positioned run fast-forwards a prefix of it.
+	decisions []core.ThreadID
+	base      int
 	// root is the shard's work item: its sleep set and bound
 	// accounting seed the first fresh node, inherited from the donor's
 	// branch node exactly as a child node inherits from its parent in
@@ -403,9 +417,14 @@ type explorer struct {
 	// cutDepth is the path index of the active cache cut (-1 when
 	// none): nodes created deeper only finish the in-flight run.
 	cutDepth int
-	// liveSnaps counts the branch snapshots held by path nodes; new
-	// nodes get none once it reaches snapCap.
-	liveSnaps, snapCap int
+	// snapCap caps the hasher snapshots the shard holds at once; 0
+	// turns positioning off, so every run replays from the root.
+	// holders are the path indices of the nodes holding one, shallowest
+	// first: nodes are created at the deep end and pop from it, so a
+	// new holder appends, a popped one is the last, and at the cap the
+	// first is evicted.
+	snapCap int
+	holders []int
 }
 
 // dfsStrategy drives one run: replay the prefix and the path's
@@ -429,16 +448,11 @@ func (st *dfsStrategy) Pick(c *sched.Choice) core.ThreadID {
 	d := st.depth
 
 	// Replay: the shard's prefix, then the path's current choices.
-	pd := d - len(e.prefix)
+	pd := d - e.base
 	if pd < len(e.path) {
 		st.depth++
 		e.stats.ReplayedSteps++
-		var want core.ThreadID
-		if pd < 0 {
-			want = e.prefix[d]
-		} else {
-			want = e.path[pd].chosen()
-		}
+		want := e.decisions[d]
 		if want == sched.IdleID {
 			if !c.CanIdle {
 				e.err = fmt.Errorf("explore: nondeterministic program: cannot idle at depth %d", d)
@@ -465,6 +479,7 @@ func (st *dfsStrategy) Pick(c *sched.Choice) core.ThreadID {
 	e.stats.NovelSteps++
 	n := e.newNode(c, pd)
 	e.path = append(e.path, n)
+	e.decisions = append(e.decisions, n.chosen())
 	e.notePick(c, n.chosen())
 	return n.chosen()
 }
@@ -608,23 +623,58 @@ func (e *explorer) newNode(c *sched.Choice, pd int) *node {
 		}
 	}
 
-	// Branch snapshot: a live multi-option node is a position later
-	// schedules return to, one per remaining sibling. Freeze the hasher
-	// and the scheduler's position digest here — before the node's own
-	// decision is taken or folded — so a later run can fast-forward the
-	// decisions above this node and re-enter the DFS at the branch.
-	// Single-option nodes are popped straight through on backtrack and
-	// never returned to, so they carry no snapshot. Past the cap a node
-	// gets none either: runs backtracking to it position from the
-	// deepest snapshot above and replay the rest under strategy control.
-	if e.red != nil && e.liveSnaps < e.snapCap && !n.cut && len(n.options) > 1 && c.SnapshotTo != nil {
-		bs := e.pool.getSnap()
-		e.red.hasher.snapshotInto(&bs.hasher)
-		c.SnapshotTo(&bs.sched)
-		n.snap = bs
-		e.liveSnaps++
+	// Branch position: a multi-option node is a point later schedules
+	// return to, one per remaining sibling. Capture the scheduler's
+	// position digest here — before the node's own decision is taken or
+	// folded — so a later run can fast-forward the decisions above this
+	// node and re-enter the DFS at the branch. Single-option nodes are
+	// popped straight through on backtrack and never returned to, so
+	// they capture nothing.
+	if e.snapCap > 0 && !n.cut && len(n.options) > 1 && c.SnapshotTo != nil {
+		c.SnapshotTo(&n.pos)
+		if e.red != nil {
+			e.holdSnap(n, pd)
+		}
 	}
 	return n
+}
+
+// holdSnap freezes the event hasher into n, the node about to join the
+// path at index pd. At the cap the shallowest holder gives its snapshot
+// up: the deepest nodes are the ones backtracking returns to next, and
+// a run backtracking above the live ones positions from the deepest
+// snapshot above its branch and replays the rest under strategy
+// control.
+func (e *explorer) holdSnap(n *node, pd int) {
+	var hs *hasherSnap
+	if len(e.holders) < e.snapCap {
+		hs = e.pool.getSnap()
+	} else {
+		old := e.path[e.holders[0]]
+		hs, old.hsnap = old.hsnap, nil
+		e.holders = e.holders[1:]
+	}
+	e.red.hasher.snapshotInto(hs)
+	n.hsnap = hs
+	e.holders = append(e.holders, pd)
+}
+
+// positionAt returns the path index of the node the next run
+// fast-forwards to, or -1 when it replays from the root: positioning
+// is off, the shard's first run has no path yet, or (with the state
+// cache) no node on the path still holds a hasher snapshot.
+func (e *explorer) positionAt() int {
+	switch {
+	case e.snapCap == 0 || len(e.path) == 0:
+		return -1
+	case e.red == nil:
+		// The last node is the one backtrack just advanced; it had
+		// siblings at creation, so it captured its position.
+		return len(e.path) - 1
+	case len(e.holders) > 0:
+		return e.holders[len(e.holders)-1]
+	}
+	return -1
 }
 
 // backtrack advances the deepest node with an untried, non-sleeping
@@ -650,12 +700,14 @@ func (e *explorer) backtrack() bool {
 			n.done[n.curIdx] = true
 			if i, ok := n.nextTodo(); ok {
 				n.curIdx = i
+				e.decisions[len(e.decisions)-1] = n.chosen()
 				return true
 			}
 		} else {
 			for n.curIdx+1 < len(n.options) {
 				n.curIdx++
 				if !n.sleep[n.options[n.curIdx]] {
+					e.decisions[len(e.decisions)-1] = n.chosen()
 					return true
 				}
 				e.stats.SleepPruned++
@@ -684,10 +736,12 @@ func (n *node) nextTodo() (int, bool) {
 func (e *explorer) popNode(n *node) {
 	last := len(e.path) - 1
 	e.path = e.path[:last]
-	if n.snap != nil {
-		e.pool.putSnap(n.snap)
-		n.snap = nil
-		e.liveSnaps--
+	e.decisions = e.decisions[:e.base+last]
+	if n.hsnap != nil {
+		// The deepest path node is the deepest holder.
+		e.pool.putSnap(n.hsnap)
+		n.hsnap = nil
+		e.holders = e.holders[:len(e.holders)-1]
 	}
 	if e.opts.DPOR && !n.cut {
 		for i, o := range n.options {
@@ -791,11 +845,8 @@ func (e *explorer) split() (*workItem, bool) {
 				n.curIdx--
 			}
 
-			prefix := make([]core.ThreadID, 0, len(e.prefix)+d+1)
-			prefix = append(prefix, e.prefix...)
-			for i := 0; i < d; i++ {
-				prefix = append(prefix, e.path[i].chosen())
-			}
+			prefix := make([]core.ThreadID, 0, e.base+d+1)
+			prefix = append(prefix, e.decisions[:e.base+d]...)
 			prefix = append(prefix, opt)
 
 			item := &workItem{prefix: prefix}

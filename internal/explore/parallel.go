@@ -49,7 +49,7 @@ type coordinator struct {
 	body    func(core.T)
 	workers int
 	labels  *phaseLabels
-	snapCap int // per-shard live snapshot cap; 0 = root replay only
+	snapCap int // per-shard hasher snapshot cap; 0 = root replay only
 
 	// mu guards the queue/idle/closed scheduling state; cond signals
 	// queue pushes and shutdown.
@@ -97,6 +97,11 @@ func newCoordinator(opts Options, body func(core.T)) *coordinator {
 		labels:   newPhaseLabels(opts.Context),
 		snapCap:  maxLiveSnaps,
 		outcomes: map[string]int{},
+	}
+	if len(opts.Listeners) > 0 {
+		// Fast-forwarded decisions reach no listener; listeners are
+		// promised whole runs.
+		c.snapCap = 0
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -157,18 +162,23 @@ func (c *coordinator) run() *Result {
 // starving workers and observing the global budgets. kit and red are
 // the calling worker's reusable execution state.
 //
-// Frontier positioning (with the state cache): depth-first
-// backtracking visits branches consecutively, so before each run the
-// worker looks for the deepest live branch snapshot on the path and
-// fast-forwards to it, falling back to a from-the-root replay only
-// when there is none (the first run of a shard). The DFS itself is
-// untouched: positioning changes how a run reaches its frontier, never
-// which frontier it explores, so serial results are byte-identical to
-// a search without snapshots. It returns the shard's explorer.
+// Frontier positioning: depth-first backtracking visits branches
+// consecutively, so every run after the shard's first fast-forwards to
+// a branch on the path (explorer.positionAt) — the node backtrack just
+// advanced, or under the state cache the deepest node still holding a
+// hasher snapshot — and falls back to a from-the-root replay only when
+// there is none. The DFS itself is untouched: positioning changes how a
+// run reaches its frontier, never which frontier it explores, so serial
+// results are byte-identical to a root-replay search. It returns the
+// shard's explorer.
 func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem) *explorer {
 	kit.dep.reset()
-	e := &explorer{opts: c.opts, prefix: item.prefix, root: item, pool: kit.pool, red: red, dep: &kit.dep, cutDepth: -1, snapCap: c.snapCap}
+	e := &explorer{
+		opts: c.opts, decisions: append(kit.decisions[:0], item.prefix...), base: len(item.prefix),
+		root: item, pool: kit.pool, red: red, dep: &kit.dep, cutDepth: -1, snapCap: c.snapCap,
+	}
 	defer func() {
+		kit.decisions = e.decisions[:0]
 		c.resMu.Lock()
 		c.stats.add(e.stats)
 		c.resMu.Unlock()
@@ -199,33 +209,22 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 		cfg.FastForward, cfg.FFCheck = nil, nil
 
 		c.labels.enter(phasePosition)
-		// The deepest live branch snapshot on the path is the furthest
-		// position a fresh run can fast-forward to: it arrives at its
-		// branch without a single strategy round trip or listener event
-		// for the decisions it shares with the previous run.
-		snapIdx := -1
-		if e.liveSnaps > 0 {
-			for i := len(e.path) - 1; i >= 0; i-- {
-				if e.path[i].snap != nil {
-					snapIdx = i
-					break
-				}
-			}
-		}
-		if snapIdx >= 0 {
-			// Restore the hasher frozen at the node, replay the
-			// decisions above it at coast speed (no Pick, no listener
-			// fan-out) and verify the position digest on arrival. The
+		at := e.positionAt()
+		if at >= 0 {
+			// Replay the decisions above the branch at coast speed (no
+			// Pick, no listener fan-out), restoring the hasher frozen at
+			// the node, and verify the position digest on arrival. The
 			// strategy's cursor starts at the branch; its first Pick is
 			// the replay of the branch node's current choice.
-			bs := e.path[snapIdx].snap
-			depth := len(e.prefix) + snapIdx
+			n := e.path[at]
+			st.depth = e.base + at
 			e.stats.CheckpointHits++
-			e.stats.RestoredSteps += depth
-			st.depth = depth
-			red.hasher.restore(&bs.hasher)
-			cfg.FastForward = kit.plan(e)[:depth]
-			cfg.FFCheck = &bs.sched
+			e.stats.RestoredSteps += st.depth
+			if red != nil {
+				red.hasher.restore(n.hsnap)
+			}
+			cfg.FastForward = e.decisions[:st.depth]
+			cfg.FFCheck = &n.pos
 		} else {
 			e.stats.CheckpointMisses++
 			if red != nil {
@@ -245,8 +244,8 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 		if tail := runRes.Steps - int64(st.depth); tail > 0 {
 			e.stats.ReplayedSteps += int(tail)
 		}
-		if snapIdx >= 0 && runRes.Diverged && e.err == nil {
-			e.err = fmt.Errorf("explore: nondeterministic program: fast-forward to depth %d diverged", st.depth)
+		if at >= 0 && runRes.Diverged && e.err == nil {
+			e.err = fmt.Errorf("explore: nondeterministic program: fast-forward to depth %d diverged", e.base+at)
 		}
 		c.labels.enter(phaseRecord)
 		c.record(kit, runRes, index, e.err)

@@ -5,8 +5,8 @@
 // there). Each exploration worker goroutine labels its own phases so a
 // CPU profile splits driver overhead by activity:
 //
-//	phase=position   branch-snapshot lookup and the hasher restore
-//	                 before a run starts
+//	phase=position   choosing the branch to fast-forward to and the
+//	                 hasher restore before a run starts
 //	phase=drive      blocked in Start while the program runs (the
 //	                 scheduler-side fast-forward happens here)
 //	phase=record     outcome/bug bookkeeping after a run

@@ -98,19 +98,25 @@ type Stats struct {
 	// current thread was outside a full preempted set.
 	TBPruned int `json:"tb_pruned"`
 	// ReplayedSteps counts scheduler steps spent re-establishing
-	// already-known state: schedule-prefix and path-replay decisions,
-	// plus the coasted tail steps below state-cache cuts. This is the
-	// replay tax DFS pays for statelessness — the quantity branch
-	// snapshots (taken whenever Options.StateCache is on) remove.
+	// already-known state under strategy control: schedule-prefix and
+	// path-replay decisions, plus the coasted tail steps below
+	// state-cache cuts. This is the replay tax DFS pays for
+	// statelessness, which positioning (in every mode, see
+	// Options.StateCache) moves to RestoredSteps: a positioned run
+	// replays only its branch node's decision, and under the state cache
+	// whatever lies between that node and the deepest hasher snapshot
+	// above it.
 	ReplayedSteps int `json:"replayed_steps"`
 	// NovelSteps counts decisions taken at fresh frontier nodes — the
 	// steps that visit new state.
 	NovelSteps int `json:"novel_steps"`
 	// CheckpointHits counts schedules positioned by fast-forwarding to
-	// a branch snapshot (see Options.StateCache) instead of replayed
+	// a branch on the path (see Options.StateCache) instead of replayed
 	// from the root under full strategy control; CheckpointMisses counts
-	// the rest. Every schedule is exactly one or the other, so hits +
-	// misses == schedules executed.
+	// the rest: each shard's first run, runs of a search with
+	// Listeners, and under the state cache runs with no hasher snapshot
+	// left on the path. Every schedule is exactly one or the other, so
+	// hits + misses == schedules executed.
 	CheckpointHits   int `json:"checkpoint_hits"`
 	CheckpointMisses int `json:"checkpoint_misses"`
 	// RestoredSteps counts the decisions fast-forwards replayed without
@@ -152,9 +158,10 @@ func mix(h, v uint64) uint64 { return core.FoldHash(h, v) }
 
 // stateHasher is the per-worker listener that folds the run's event
 // stream into per-thread hash chains. It is location-blind (it must
-// not reinstate the per-probe call-site lookup) and is reset at the start of
-// every run: a run replays its whole prefix, so the chains are rebuilt
-// from scratch each time and depend only on the decision sequence.
+// not reinstate the per-probe call-site lookup) and is reset at the
+// start of every run that replays from the root, or restored from the
+// snapshot a positioned run fast-forwards to, so the chains depend
+// only on the decision sequence.
 // objSlot is one object's conflict-chain state, indexed by the
 // object's interned handle. An entry is live only when its gen
 // matches the hasher's current generation — resetting the hasher for
@@ -226,11 +233,11 @@ func (sh *stateHasher) slot(obj uint32) *objSlot {
 	return sl
 }
 
-// hasherSnap is a frozen copy of a stateHasher, taken at a branch
-// snapshot: a run fast-forwarded to the branch later must continue
-// folding events onto exactly the chains the prefix built, even though
-// the (shared, per-worker) hasher has been reset and reused by other
-// runs in between.
+// hasherSnap is a frozen copy of a stateHasher, taken at a
+// multi-option path node (node.hsnap): a run fast-forwarded to the
+// branch later must continue folding events onto exactly the chains
+// the prefix built, even though the (shared, per-worker) hasher has
+// been reset and reused by other runs in between.
 type hasherSnap struct {
 	chains []uint64
 	objK   []uint32
@@ -241,7 +248,7 @@ type hasherSnap struct {
 }
 
 // snapshotInto freezes the hasher into s, reusing s's backing arrays:
-// branch snapshots are taken at every multi-option path node on the
+// hasher snapshots are taken at every multi-option path node on the
 // exploration hot path, so the copy must not allocate once the pooled
 // snapshot has grown to the program's working size.
 func (sh *stateHasher) snapshotInto(s *hasherSnap) {
