@@ -240,9 +240,10 @@ type Record struct {
 	// -1 when the cell found nothing — the per-cell budget envelope
 	// the gate checks regressions against.
 	FirstBug int `json:"first_bug"`
-	// WallMS is the cell's wall time in milliseconds; 0 unless the
-	// campaign ran with Config.Timing (see there for why).
-	WallMS int64 `json:"wall_ms"`
+	// WallMS is the cell's wall time in milliseconds, to the
+	// microsecond; 0 unless the campaign ran with Config.Timing (see
+	// there for why).
+	WallMS float64 `json:"wall_ms"`
 	// Counters are the finder's named engine counters (see
 	// CellResult.Counters); omitted when the finder reports none.
 	// Compare and the gate ignore them.

@@ -311,7 +311,7 @@ func SummaryTables(cfg Config, recs []Record) []*report.Table {
 			outcome, _, _ = strings.Cut(r.Outcome, ":")
 		}
 		detail.AddRow(r.Program, r.Finder, strconv.FormatInt(r.Seed, 10), strconv.Itoa(r.Budget),
-			strconv.Itoa(r.Runs), strconv.Itoa(len(r.Bugs)), first, strconv.FormatInt(r.WallMS, 10), outcome)
+			strconv.Itoa(r.Runs), strconv.Itoa(len(r.Bugs)), first, strconv.FormatFloat(r.WallMS, 'f', -1, 64), outcome)
 	}
 	return []*report.Table{summary, detail}
 }

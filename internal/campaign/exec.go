@@ -153,7 +153,7 @@ func (bc boundCell) exec(ctx context.Context, cfg Config) (Record, error) {
 		rec.Outcome = timeoutOutcome(cfg.CellTimeout)
 	}
 	if cfg.Timing {
-		rec.WallMS = int64(time.Since(start) / time.Millisecond)
+		rec.WallMS = float64(time.Since(start).Round(time.Microsecond)) / float64(time.Millisecond)
 	}
 	return rec, nil
 }

@@ -262,7 +262,9 @@ func runLoop(ctx context.Context, in CellInput, setup func(i int, cfg *sched.Con
 			return CellResult{}, err
 		}
 		setup(i, &cfg)
-		res := runner.Run(cfg, in.Body)
+		// The Result is the runner's pooled one, overwritten by the
+		// next run; Add keeps a deep copy of what it logs.
+		res := runner.Start(cfg, in.Body)
 		steps += res.Steps
 		if res.Verdict.Bug() {
 			detected++
@@ -281,7 +283,8 @@ func runLoop(ctx context.Context, in CellInput, setup func(i int, cfg *sched.Con
 
 // loopFinder spends the cell's budget on fresh runs of one tool, run i
 // seeded mix(seed, i). newTool builds the tool once per cell, so an
-// adaptive noise heuristic learns across the cell's runs.
+// adaptive noise heuristic learns across the cell's runs, and the
+// tool's factory reseeds one strategy in place run after run.
 func loopFinder(newTool func() strategies.Factory) func(context.Context, CellInput) (CellResult, error) {
 	return func(ctx context.Context, in CellInput) (CellResult, error) {
 		tool := newTool()
@@ -307,10 +310,7 @@ func fromTable(name string, p strategies.Params) func() strategies.Factory {
 // heuristic runs one noise heuristic instance per cell over random
 // dispatch.
 func heuristic(newH func() noise.Heuristic) func() strategies.Factory {
-	return func() strategies.Factory {
-		h := newH()
-		return func(seed int64) sched.Strategy { return noise.NewStrategy(nil, h, seed) }
-	}
+	return func() strategies.Factory { return noise.NewFactory(newH()) }
 }
 
 // runRaceFinder attaches the hybrid race detector to one round-robin
@@ -324,12 +324,13 @@ func heuristic(newH func() noise.Heuristic) func() strategies.Factory {
 func runRaceFinder(ctx context.Context, in CellInput) (CellResult, error) {
 	det := race.NewHybrid(true)
 	listeners := []core.Listener{det}
+	random := sched.RandomFactory()
 	res, err := runLoop(ctx, in, func(i int, cfg *sched.Config) {
 		cfg.Seed, cfg.Listeners = in.Seed, listeners
 		if i == 0 {
 			cfg.Strategy = sched.RoundRobin()
 		} else {
-			cfg.Strategy = sched.Random(mix(in.Seed, int64(i)))
+			cfg.Strategy = random(mix(in.Seed, int64(i)))
 		}
 	}, func() bool { return len(det.Warnings()) > 0 })
 	if err != nil {

@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -348,4 +350,56 @@ func FuzzStoreLoad(f *testing.F) {
 			t.Fatalf("valid prefix re-parses differently:\n%d %+v %+v\n%d %+v %+v", validLen, cfg, recs, validLen2, cfg2, recs2)
 		}
 	})
+}
+
+// TestSubMillisecondWallTime: a timed cell records its wall time to
+// the microsecond, so a cell shorter than a millisecond reads above 0
+// rather than 0, and a store carrying fractional wall_ms values loads
+// and compacts back to the same bytes.
+func TestSubMillisecondWallTime(t *testing.T) {
+	cfg := Config{Finders: []string{"noise"}, Programs: []string{"lockedcounter"}, Budget: 1, Timing: true}
+	rec, err := ExecCell(context.Background(), cfg, Cell{Program: "lockedcounter", Finder: "noise", Seed: 0, Budget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.WallMS <= 0 {
+		t.Fatalf("timed one-run cell recorded wall_ms %v, want > 0", rec.WallMS)
+	}
+	if us := rec.WallMS * 1000; math.Abs(us-math.Round(us)) > 1e-6 {
+		t.Fatalf("wall_ms %v is not rounded to the microsecond", rec.WallMS)
+	}
+
+	path := filepath.Join(t.TempDir(), "c.jsonl")
+	s, err := Create(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := Record{Program: "lockedcounter", Finder: "noise", Seed: 0, Budget: 1, Runs: 1, Bugs: []string{}, FirstBug: -1, WallMS: 0.042}
+	if err := s.Append(sub); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"wall_ms":0.042`) {
+		t.Fatalf("store does not carry the sub-millisecond wall time:\n%s", data)
+	}
+	s, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.Records(); len(got) != 1 || got[0].WallMS != 0.042 {
+		t.Fatalf("loaded %+v, want one record with wall_ms 0.042", got)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(path); err != nil || string(again) != string(data) {
+		t.Fatalf("compaction changed the store (err %v):\n%s\nwant\n%s", err, again, data)
+	}
 }

@@ -2,8 +2,9 @@ package core
 
 import "math/rand"
 
-// Every randomized finder builds a fresh rng per run, and a run must
-// be reproducible from its seed: rand.New(rand.NewSource(seed))'s
+// Every randomized finder seeds an rng per run (building it, or
+// reseeding the one its previous run used), and a run must be
+// reproducible from its seed: rand.New(rand.NewSource(seed))'s
 // stream is part of the fixed-seed contract the goldens pin. Stock
 // seeding regenerates the whole 607-word additive lagged Fibonacci
 // state up front (~1,840 serial Lehmer steps), which dominated short
@@ -90,6 +91,17 @@ func NewRand(seed int64) *rand.Rand {
 	s := new(lazySource)
 	s.Seed(seed)
 	return rand.New(s)
+}
+
+// Reseed restarts rng's stream at seed in place, as a fresh
+// NewRand(seed) would draw it, and returns it; a nil rng is built. It
+// is how a finder that reuses its per-run objects seeds each run.
+func Reseed(rng *rand.Rand, seed int64) *rand.Rand {
+	if rng == nil {
+		return NewRand(seed)
+	}
+	rng.Seed(seed)
+	return rng
 }
 
 // lazySource is math/rand's additive lagged Fibonacci source with

@@ -1,6 +1,10 @@
 package experiment
 
-import "mtbench/internal/campaign"
+import (
+	"strconv"
+
+	"mtbench/internal/campaign"
+)
 
 // E11 — coverage-guided schedule fuzzing versus the two search
 // extremes it interpolates between: blind noise injection and
@@ -56,5 +60,5 @@ func Fuzz(cfg FuzzConfig) ([]*Table, error) {
 		Seeds:    []int64{cfg.Seed},
 		Budget:   cfg.Budget,
 		Timing:   true,
-	}, runsCol, bugsCol, firstBugCol, column{"wall_ms", func(r campaign.Record) string { return i64(r.WallMS) }})
+	}, runsCol, bugsCol, firstBugCol, column{"wall_ms", func(r campaign.Record) string { return strconv.FormatFloat(r.WallMS, 'f', -1, 64) }})
 }

@@ -1,6 +1,10 @@
 package experiment
 
-import "mtbench/internal/campaign"
+import (
+	"fmt"
+
+	"mtbench/internal/campaign"
+)
 
 // E1 — noise-maker comparison (§2.2: "Two noise makers can be compared
 // to each other with regard to the performance overhead and the
@@ -60,6 +64,6 @@ func Noise(cfg NoiseConfig) ([]*Table, error) {
 		counterCol("detected", i64),
 		column{"rate", func(r campaign.Record) string { return pct(int(r.Counters["detected"]), r.Runs) }},
 		perRun("avg_steps", func(r campaign.Record) int64 { return r.Counters["steps"] }),
-		perRun("us_per_run", func(r campaign.Record) int64 { return r.WallMS * 1000 }),
+		column{"us_per_run", func(r campaign.Record) string { return fmt.Sprintf("%.1f", r.WallMS*1000/float64(r.Runs)) }},
 	)
 }

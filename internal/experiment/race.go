@@ -164,14 +164,15 @@ func runMatrix(body func(core.T), runs int, l core.Listener) {
 	if l != nil {
 		listeners = []core.Listener{l}
 	}
+	runner := sched.NewRunner()
+	defer runner.Close()
+	random := sched.RandomFactory()
 	for seed := int64(0); seed < int64(runs); seed++ {
-		var st sched.Strategy
-		if seed%2 == 0 {
-			st = sched.RoundRobin()
-		} else {
-			st = sched.Random(seed)
+		st := sched.RoundRobin()
+		if seed%2 == 1 {
+			st = random(seed)
 		}
-		sched.Run(sched.Config{Strategy: st, Listeners: listeners, MaxSteps: 500_000}, body)
+		runner.Start(sched.Config{Strategy: st, Listeners: listeners, MaxSteps: 500_000}, body)
 	}
 }
 

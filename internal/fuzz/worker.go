@@ -229,7 +229,9 @@ func (c *coordinator) executeAndMerge(ws *workerState, st sched.Strategy, g *gui
 	ws.listeners = append(ws.listeners[:0], core.Listener(ws.perRun))
 	ws.listeners = append(ws.listeners, c.opts.Listeners...)
 
-	res := ws.runner.Run(sched.Config{
+	// Start's Result is the runner's pooled one: read here, cloned
+	// where kept (the corpus schedule; recordBug's log deep-copies).
+	res := ws.runner.Start(sched.Config{
 		Strategy:       st,
 		Listeners:      ws.listeners,
 		MaxSteps:       c.opts.MaxSteps,

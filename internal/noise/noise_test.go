@@ -159,23 +159,33 @@ func TestStrategyDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestStrategyStats checks perturbation accounting.
+// TestStrategyStats checks perturbation accounting, also for a
+// factory's reseeded strategy, which counts from zero again.
 func TestStrategyStats(t *testing.T) {
-	st := NewStrategy(nil, NewBernoulli(1.0, KindYield), 1)
-	sched.Run(sched.Config{Strategy: st}, func(ct core.T) {
+	body := func(ct core.T) {
 		x := ct.NewInt("x", 0)
 		h := ct.Go("w", func(wt core.T) { x.Add(wt, 1) })
 		for i := 0; i < 5; i++ {
 			x.Add(ct, 1)
 		}
 		h.Join(ct)
-	})
+	}
+	st := NewStrategy(nil, NewBernoulli(1.0, KindYield), 1)
+	sched.Run(sched.Config{Strategy: st}, body)
 	dec, per := st.Stats()
 	if dec == 0 || per == 0 {
 		t.Fatalf("stats not collected: decisions=%d perturbations=%d", dec, per)
 	}
 	if per > dec {
 		t.Fatalf("perturbations %d > decisions %d", per, dec)
+	}
+	next := NewFactory(NewBernoulli(1.0, KindYield))
+	for run := 0; run < 2; run++ {
+		st := next(1).(*Strategy)
+		sched.Run(sched.Config{Strategy: st}, body)
+		if d, p := st.Stats(); d != dec || p != per {
+			t.Fatalf("factory run %d: stats %d/%d, a fresh strategy's %d/%d", run, d, p, dec, per)
+		}
 	}
 }
 
@@ -279,5 +289,26 @@ func TestLocationCaptureOptOut(t *testing.T) {
 	sched.Run(sched.Config{Strategy: NewStrategy(nil, probe, 1)}, body)
 	if probe.points == 0 || probe.located != probe.points {
 		t.Fatalf("undeclared heuristic saw locations at %d of %d points", probe.located, probe.points)
+	}
+}
+
+// TestPickAllocs is the allocation gate on a noise decision: Pick
+// hands the heuristic the strategy's own Point, so deciding — noisy or
+// not, over the default base or a given one — allocates nothing.
+func TestPickAllocs(t *testing.T) {
+	c := &sched.Choice{
+		Runnable: []core.ThreadID{0, 1, 2},
+		Current:  1,
+		Pending:  sched.PendingOp{Op: core.OpWrite, Name: "x", Loc: core.Location{File: "f.go", Line: 3}},
+	}
+	for _, st := range []*Strategy{
+		NewStrategy(nil, NewBernoulli(0.5, KindYield), 1),
+		NewStrategy(nil, NewBernoulli(1, KindSleep), 2),
+		NewStrategy(sched.Nonpreemptive(), SharedVarNoise(0.5), 3),
+		NewStrategy(nil, None(), 4),
+	} {
+		if n := testing.AllocsPerRun(1000, func() { st.Pick(c) }); n != 0 {
+			t.Errorf("%s: Pick allocates %.1f objects", st.Name(), n)
+		}
 	}
 }

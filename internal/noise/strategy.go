@@ -20,6 +20,9 @@ type Strategy struct {
 	Base sched.Strategy
 	H    Heuristic
 	rng  *rand.Rand
+	// point is the Point Pick hands the heuristic, kept here so that
+	// passing its address allocates nothing.
+	point Point
 
 	// decisions/perturbations count heuristic activity for overhead
 	// reporting.
@@ -36,12 +39,32 @@ type Strategy struct {
 // deterministic dispatcher.
 func NewStrategy(base sched.Strategy, h Heuristic, seed int64) *Strategy {
 	if base == nil {
-		base = sched.RandomWhenBlocked(seed ^ 0x5DEECE66D)
+		return NewFactory(h)(seed).(*Strategy)
 	}
 	if h == nil {
 		h = None()
 	}
 	return &Strategy{Base: base, H: h, rng: core.NewRand(seed)}
+}
+
+// NewFactory returns a source of noise strategies for heuristic h over
+// the default random-dispatch base: a call with seed s yields the
+// strategy NewStrategy(nil, h, s) would. It builds one strategy on its
+// first call and reseeds it (and its base) on every later call, so the
+// strategy returned is valid until the next call. h is shared by every
+// run, so an adaptive heuristic learns across them.
+func NewFactory(h Heuristic) func(seed int64) sched.Strategy {
+	if h == nil {
+		h = None()
+	}
+	dispatch := sched.RandomWhenBlockedFactory()
+	s := &Strategy{H: h}
+	return func(seed int64) sched.Strategy {
+		s.Base = dispatch(seed ^ 0x5DEECE66D)
+		s.rng = core.Reseed(s.rng, seed)
+		s.decisions, s.perturbations = 0, 0
+		return s
+	}
 }
 
 // Name implements sched.Strategy.
@@ -66,8 +89,8 @@ func (s *Strategy) Pick(c *sched.Choice) core.ThreadID {
 	canPerturb := c.CurrentRunnable() && (len(c.Runnable) > 1 || c.CanIdle)
 	if canPerturb && c.Pending.Op != core.OpInvalid {
 		s.decisions++
-		p := Point{Thread: c.Current, Op: c.Pending.Op, Name: c.Pending.Name, Loc: c.Pending.Loc}
-		if d := s.H.Decide(&p, s.rng); d.Noisy() {
+		s.point = Point{Thread: c.Current, Op: c.Pending.Op, Name: c.Pending.Name, Loc: c.Pending.Loc}
+		if d := s.H.Decide(&s.point, s.rng); d.Noisy() {
 			s.perturbations++
 			// A sleep-type decision prefers letting virtual time pass
 			// (delaying the current thread past pending timer

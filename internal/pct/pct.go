@@ -103,8 +103,9 @@ const (
 	priorityRange = int64(1) << 32
 )
 
-// strategy drives one PCT run. It must be rebuilt per run: priorities
-// and change points are per-run randomness.
+// strategy drives one PCT run. Priorities and change points are
+// per-run randomness, so the factory resets it in place (reseeded rng,
+// cleared tables) before every run.
 type strategy struct {
 	rng     *rand.Rand
 	prio    map[core.ThreadID]int64
@@ -118,34 +119,41 @@ type strategy struct {
 
 // NewFactory returns the per-run strategy source Run loops over, for
 // bug depth d (≤ 0 means DefaultDepth) and the adaptive horizon the
-// package comment describes. Build each after the previous run ended.
+// package comment describes. It builds one strategy on its first call
+// and resets it in place on every later call, so the strategy returned
+// is valid until the next call: call it after the previous run ended.
 func NewFactory(depth int) func(seed int64) sched.Strategy {
 	if depth <= 0 {
 		depth = DefaultDepth
 	}
-	return (&factory{depth: depth}).next
+	f := &factory{depth: depth, s: strategy{prio: map[core.ThreadID]int64{}, changes: map[int64]bool{}}}
+	return f.next
 }
 
 type factory struct {
 	depth   int
-	last    *strategy
 	horizon int64
+	// s is the one strategy every call hands out; its rng is nil
+	// until the first call.
+	s strategy
 }
 
 func (f *factory) next(seed int64) sched.Strategy {
+	s := &f.s
 	changePoints := 0
-	if f.last != nil {
-		f.horizon = max(f.horizon, f.last.steps)
+	if s.rng != nil {
+		f.horizon = max(f.horizon, s.steps)
 		changePoints = f.depth - 1
 	}
-	rng := core.NewRand(seed)
+	s.rng = core.Reseed(s.rng, seed)
+	clear(s.prio)
+	clear(s.changes)
+	s.demotions, s.steps = 0, 0
 	horizon := max(f.horizon, 1)
-	changes := make(map[int64]bool, changePoints)
-	for int64(len(changes)) < int64(changePoints) && int64(len(changes)) < horizon {
-		changes[rng.Int63n(horizon)] = true
+	for int64(len(s.changes)) < int64(changePoints) && int64(len(s.changes)) < horizon {
+		s.changes[s.rng.Int63n(horizon)] = true
 	}
-	f.last = &strategy{rng: rng, prio: map[core.ThreadID]int64{}, changes: changes}
-	return f.last
+	return s
 }
 
 // Name implements sched.Strategy.
@@ -210,7 +218,7 @@ func Run(opts Options, body func(core.T)) *Result {
 	for i := 0; i < opts.MaxRuns && !stopping.Load(); i++ {
 		st := next(core.MixSeed(opts.Seed, int64(i))).(*strategy)
 		cfg.Strategy = st
-		runRes := runner.Run(cfg, body)
+		runRes := runner.Start(cfg, body)
 		res.Runs++
 		res.EstimatedSteps = max(res.EstimatedSteps, runRes.Steps)
 		if n := len(st.prio); n > res.MaxThreads {

@@ -2,6 +2,7 @@ package pct
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"mtbench/internal/core"
@@ -183,6 +184,58 @@ func TestNewStrategyIsRunsStrategy(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Schedule, want.Schedule) {
 			t.Errorf("%s: factory schedule differs from Run's run %d", g.program, k)
+		}
+	}
+}
+
+// freshFactory is the oracle for NewFactory's in-place reset: the same
+// horizon bookkeeping and change-point sampling, with a strategy built
+// from nothing (new rng, new tables) on every call.
+type freshFactory struct {
+	depth   int
+	horizon int64
+	last    *strategy
+}
+
+func (f *freshFactory) next(seed int64) *strategy {
+	changePoints := 0
+	if f.last != nil {
+		f.horizon = max(f.horizon, f.last.steps)
+		changePoints = f.depth - 1
+	}
+	rng := core.NewRand(seed)
+	horizon := max(f.horizon, 1)
+	changes := map[int64]bool{}
+	for int64(len(changes)) < int64(changePoints) && int64(len(changes)) < horizon {
+		changes[rng.Int63n(horizon)] = true
+	}
+	f.last = &strategy{rng: rng, prio: map[core.ThreadID]int64{}, changes: changes}
+	return f.last
+}
+
+// TestReusedStrategyMatchesFresh: over every repository program and 50
+// seeds, NewFactory's one strategy, reset in place run after run,
+// records the same schedules and verdicts as freshly built strategies
+// driven through the same seed sequence.
+func TestReusedStrategyMatchesFresh(t *testing.T) {
+	r := sched.NewRunner()
+	defer r.Close()
+	run := func(prog *repository.Program, st sched.Strategy) (core.Verdict, string, []core.ThreadID) {
+		res := r.Start(sched.Config{Strategy: st, Name: prog.Name, MaxSteps: 100_000, Plan: prog.Plan,
+			RecordSchedule: true}, prog.BodyWith(nil))
+		return res.Verdict, res.Outcome, slices.Clone(res.Schedule)
+	}
+	for _, prog := range repository.All() {
+		reused := NewFactory(DefaultDepth)
+		fresh := &freshFactory{depth: DefaultDepth}
+		for i := int64(0); i < 50; i++ {
+			seed := core.MixSeed(1, i)
+			wv, wo, ws := run(prog, fresh.next(seed))
+			gv, gotOut, gs := run(prog, reused(seed))
+			if gv != wv || gotOut != wo || !reflect.DeepEqual(gs, ws) {
+				t.Fatalf("%s run %d: reused strategy ran %v %q (%d decisions), fresh %v %q (%d decisions)",
+					prog.Name, i, gv, gotOut, len(gs), wv, wo, len(ws))
+			}
 		}
 	}
 }

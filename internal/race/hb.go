@@ -7,12 +7,20 @@ import (
 
 // hbShadow is the per-variable happens-before shadow state: the last
 // write/read clocks per thread plus the access sites needed for
-// two-sided warnings.
+// two-sided warnings, indexed by thread slot like the clocks.
 type hbShadow struct {
 	writes   vclock.VC // writes[u] = clock of u's last write
 	reads    vclock.VC // reads[u]  = clock of u's last read
-	writeLoc map[core.ThreadID]core.Location
-	readLoc  map[core.ThreadID]core.Location
+	writeLoc []core.Location
+	readLoc  []core.Location
+}
+
+// Reset empties the shadow, keeping its storage.
+func (sh *hbShadow) Reset() {
+	sh.writes.Reset()
+	sh.reads.Reset()
+	sh.writeLoc = sh.writeLoc[:0]
+	sh.readLoc = sh.readLoc[:0]
 }
 
 // HB is the vector-clock happens-before detector in the DJIT+ family:
@@ -31,10 +39,13 @@ type HB struct {
 	// ordinary data — the configuration axis §2.2 discusses.
 	RespectAtomics bool
 
-	threads map[core.ThreadID]*vclock.VC
-	locks   map[core.ObjectID]*vclock.VC
-	atomics map[core.ObjectID]*vclock.VC
-	vars    map[core.ObjectID]*hbShadow
+	// Clocks and shadows are indexed by thread slot (see threadSlots)
+	// and object id, and reset in place at every run start.
+	slots   threadSlots
+	threads table[vclock.VC, *vclock.VC] // by thread slot
+	locks   table[vclock.VC, *vclock.VC]
+	atomics table[vclock.VC, *vclock.VC]
+	vars    table[hbShadow, *hbShadow]
 	warns   warnStore
 	events  int64
 }
@@ -63,13 +74,14 @@ func (d *HB) Reset() {
 }
 
 // RunStart implements core.RunObserver: clocks and shadow state are
-// per execution (thread and object ids restart every run), warnings
-// accumulate across the campaign.
+// per execution (thread and object ids restart every run) and are
+// cleared in place; warnings accumulate across the campaign.
 func (d *HB) RunStart(core.RunInfo) {
-	d.threads = map[core.ThreadID]*vclock.VC{}
-	d.locks = map[core.ObjectID]*vclock.VC{}
-	d.atomics = map[core.ObjectID]*vclock.VC{}
-	d.vars = map[core.ObjectID]*hbShadow{}
+	d.slots.reset()
+	d.threads.reset()
+	d.locks.reset()
+	d.atomics.reset()
+	d.vars.reset()
 }
 
 // RunEnd implements core.RunObserver.
@@ -84,25 +96,12 @@ func (d *HB) WarnedVars() []string { return d.warns.vars() }
 // Events returns the number of events processed.
 func (d *HB) Events() int64 { return d.events }
 
-// clock returns thread t's vector clock, initializing it to tick 1 of
-// its own component.
-func (d *HB) clock(t core.ThreadID) *vclock.VC {
-	c := d.threads[t]
-	if c == nil {
-		vc := vclock.New(int(t) + 1)
-		vc.Set(t, 1)
-		c = &vc
-		d.threads[t] = c
-	}
-	return c
-}
-
-func (d *HB) objClock(m map[core.ObjectID]*vclock.VC, o core.ObjectID) *vclock.VC {
-	c := m[o]
-	if c == nil {
-		vc := vclock.New(0)
-		c = &vc
-		m[o] = c
+// clock returns the vector clock of the thread in slot u, initializing
+// it to tick 1 of its own component.
+func (d *HB) clock(u int) *vclock.VC {
+	c := d.threads.get(int64(u))
+	if c.Len() == 0 {
+		c.Set(core.ThreadID(u), 1)
 	}
 	return c
 }
@@ -110,121 +109,115 @@ func (d *HB) objClock(m map[core.ObjectID]*vclock.VC, o core.ObjectID) *vclock.V
 // OnEvent implements core.Listener.
 func (d *HB) OnEvent(ev *core.Event) {
 	d.events++
-	t := ev.Thread
+	u := d.slots.slot(ev.Thread)
 	switch ev.Op {
 	case core.OpFork:
 		// Child inherits the parent's knowledge; parent ticks so
 		// subsequent parent work is concurrent with the child.
-		parent := d.clock(t)
-		child := d.clock(core.ThreadID(ev.Value))
+		parent := d.clock(u)
+		child := d.clock(d.slots.slot(core.ThreadID(ev.Value)))
 		child.Join(*parent)
-		parent.Tick(t)
+		parent.Tick(core.ThreadID(u))
 	case core.OpJoin:
 		// Joiner inherits the joined thread's final clock.
-		d.clock(t).Join(*d.clock(core.ThreadID(ev.Value)))
+		d.clock(u).Join(*d.clock(d.slots.slot(core.ThreadID(ev.Value))))
 	case core.OpLock, core.OpRLock:
 		if ev.Value == 1 || ev.Op == core.OpRLock {
-			d.clock(t).Join(*d.objClock(d.locks, ev.Obj)) // acquire
+			d.clock(u).Join(*d.locks.get(int64(ev.Obj))) // acquire
 		}
 	case core.OpUnlock, core.OpRUnlock:
 		// Release: publish the thread's clock into the lock, then tick.
-		ct := d.clock(t)
-		lc := d.objClock(d.locks, ev.Obj)
-		lc.Join(*ct)
-		ct.Tick(t)
+		d.release(u, ev.Obj)
 	case core.OpChanSend, core.OpChanClose:
 		// A send (or close) releases the sender's knowledge into the
 		// channel: everything before it happens-before the matching
 		// receive.
-		ct := d.clock(t)
-		cc := d.objClock(d.locks, ev.Obj)
-		cc.Join(*ct)
-		ct.Tick(t)
+		d.release(u, ev.Obj)
 	case core.OpChanRecv:
 		// A receive acquires the channel's accumulated clock.
-		d.clock(t).Join(*d.objClock(d.locks, ev.Obj))
+		d.clock(u).Join(*d.locks.get(int64(ev.Obj)))
 	case core.OpWGAdd:
 		// Add/Done release: the work preceding a Done happens-before
 		// the Wait that observes the zero counter.
-		ct := d.clock(t)
-		wc := d.objClock(d.locks, ev.Obj)
-		wc.Join(*ct)
-		ct.Tick(t)
+		d.release(u, ev.Obj)
 	case core.OpWGWait:
 		// Wait acquires every contributor's published clock.
-		d.clock(t).Join(*d.objClock(d.locks, ev.Obj))
+		d.clock(u).Join(*d.locks.get(int64(ev.Obj)))
 	case core.OpRead, core.OpWrite:
 		if d.RespectAtomics && ev.Flags.Atomic() {
-			d.atomicAccess(ev)
+			d.atomicAccess(ev, u)
 			return
 		}
-		d.dataAccess(ev)
+		d.dataAccess(ev, u)
 	}
+}
+
+// release publishes the clock of the thread in slot u into object o's
+// clock, then ticks the thread.
+func (d *HB) release(u int, o core.ObjectID) {
+	ct := d.clock(u)
+	d.locks.get(int64(o)).Join(*ct)
+	ct.Tick(core.ThreadID(u))
 }
 
 // atomicAccess gives a volatile-style variable release/acquire
 // semantics: writes publish, reads acquire.
-func (d *HB) atomicAccess(ev *core.Event) {
-	ct := d.clock(ev.Thread)
-	ac := d.objClock(d.atomics, ev.Obj)
+func (d *HB) atomicAccess(ev *core.Event, u int) {
+	ct := d.clock(u)
+	ac := d.atomics.get(int64(ev.Obj))
 	if ev.Op == core.OpWrite {
 		ac.Join(*ct)
-		ct.Tick(ev.Thread)
+		ct.Tick(core.ThreadID(u))
 	} else {
 		ct.Join(*ac)
 	}
 }
 
-// dataAccess checks the access against the variable's shadow clocks and
-// records it.
-func (d *HB) dataAccess(ev *core.Event) {
-	t := ev.Thread
-	ct := d.clock(t)
-	sh := d.vars[ev.Obj]
-	if sh == nil {
-		sh = &hbShadow{
-			writeLoc: map[core.ThreadID]core.Location{},
-			readLoc:  map[core.ThreadID]core.Location{},
-		}
-		d.vars[ev.Obj] = sh
-	}
+// dataAccess checks the access by the thread in slot u against the
+// variable's shadow clocks and records it.
+func (d *HB) dataAccess(ev *core.Event, u int) {
+	t := core.ThreadID(u)
+	ct := d.clock(u)
+	sh := d.vars.get(int64(ev.Obj))
 
 	if ev.Op == core.OpWrite {
 		// A write must be ordered after every prior read and write.
-		if u, ok := d.findConcurrent(sh.writes, ct, t); ok {
-			d.warn(ev, "write-write", u, sh.writeLoc[u])
-		} else if u, ok := d.findConcurrent(sh.reads, ct, t); ok {
-			d.warn(ev, "read-write", u, sh.readLoc[u])
+		if p, ok := findConcurrent(sh.writes, ct, t); ok {
+			d.warn(ev, "write-write", p, sh.writeLoc[p])
+		} else if p, ok := findConcurrent(sh.reads, ct, t); ok {
+			d.warn(ev, "read-write", p, sh.readLoc[p])
 		}
 		sh.writes.Set(t, ct.Get(t))
-		sh.writeLoc[t] = ev.Loc
+		sh.writeLoc = setAt(sh.writeLoc, u, ev.Loc)
 		return
 	}
 
 	// A read must be ordered after every prior write.
-	if u, ok := d.findConcurrent(sh.writes, ct, t); ok {
-		d.warn(ev, "read-write", u, sh.writeLoc[u])
+	if p, ok := findConcurrent(sh.writes, ct, t); ok {
+		d.warn(ev, "read-write", p, sh.writeLoc[p])
 	}
 	sh.reads.Set(t, ct.Get(t))
-	sh.readLoc[t] = ev.Loc
+	sh.readLoc = setAt(sh.readLoc, u, ev.Loc)
 }
 
-// findConcurrent returns a thread u != t whose recorded access clock is
-// not happens-before ct.
-func (d *HB) findConcurrent(accesses vclock.VC, ct *vclock.VC, t core.ThreadID) (core.ThreadID, bool) {
+// findConcurrent returns the slot of a thread other than t whose
+// recorded access clock is not happens-before ct.
+func findConcurrent(accesses vclock.VC, ct *vclock.VC, t core.ThreadID) (int, bool) {
 	for u := 0; u < accesses.Len(); u++ {
 		uid := core.ThreadID(u)
 		if uid == t {
 			continue
 		}
 		if c := accesses.Get(uid); c > 0 && c > ct.Get(uid) {
-			return uid, true
+			return u, true
 		}
 	}
-	return core.NoThread, false
+	return 0, false
 }
 
-func (d *HB) warn(ev *core.Event, kind string, prior core.ThreadID, priorLoc core.Location) {
+// warn reports ev's access racing with the prior access by the thread
+// in slot prior at priorLoc.
+func (d *HB) warn(ev *core.Event, kind string, prior int, priorLoc core.Location) {
 	d.warns.add(Warning{
 		Detector: d.Name(),
 		Var:      ev.Name,
@@ -232,6 +225,6 @@ func (d *HB) warn(ev *core.Event, kind string, prior core.ThreadID, priorLoc cor
 		Kind:     kind,
 		Prior:    priorLoc,
 		Access:   ev.Loc,
-		Threads:  [2]core.ThreadID{prior, ev.Thread},
+		Threads:  [2]core.ThreadID{d.slots.id(prior), ev.Thread},
 	})
 }

@@ -49,6 +49,9 @@ func (d *Hybrid) OnEvent(ev *core.Event) {
 // Warnings implements Detector: the HB warnings on variables whose
 // lockset also ran empty.
 func (d *Hybrid) Warnings() []Warning {
+	if len(d.hb.warns.warnings) == 0 {
+		return nil // the common case while a campaign polls for a first warning
+	}
 	lsVars := map[string]bool{}
 	for _, v := range d.ls.WarnedVars() {
 		lsVars[v] = true

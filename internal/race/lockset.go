@@ -15,11 +15,16 @@ const (
 // lsShadow is the per-variable shadow word.
 type lsShadow struct {
 	state     lsState
-	owner     core.ThreadID          // Exclusive owner
-	candidate map[core.ObjectID]bool // C(v)
-	lastLoc   core.Location          // most recent access site
+	owner     core.ThreadID   // Exclusive owner
+	candidate []core.ObjectID // C(v), a set
+	lastLoc   core.Location   // most recent access site
 	lastTid   core.ThreadID
 	reported  bool
+}
+
+// Reset returns the shadow to the virgin state, keeping its storage.
+func (sh *lsShadow) Reset() {
+	*sh = lsShadow{candidate: sh.candidate[:0]}
 }
 
 // Lockset is the Eraser detector: it warns when a variable reaches the
@@ -29,16 +34,14 @@ type lsShadow struct {
 // happens-before edges from user-implemented synchronization, so
 // atomics-based protocols produce false alarms.
 type Lockset struct {
-	ls     *lockState
-	vars   map[core.ObjectID]*lsShadow
+	ls     lockState
+	vars   table[lsShadow, *lsShadow]
 	warns  warnStore
 	events int64
 }
 
 // NewLockset returns a fresh Eraser detector.
-func NewLockset() *Lockset {
-	return &Lockset{ls: newLockState(), vars: map[core.ObjectID]*lsShadow{}}
-}
+func NewLockset() *Lockset { return &Lockset{} }
 
 // Name implements Detector.
 func (d *Lockset) Name() string { return "lockset" }
@@ -51,11 +54,11 @@ func (d *Lockset) Reset() {
 }
 
 // RunStart implements core.RunObserver: shadow state is per execution
-// (object ids restart every run), warnings accumulate across the
-// campaign.
+// (thread and object ids restart every run) and is cleared in place;
+// warnings accumulate across the campaign.
 func (d *Lockset) RunStart(core.RunInfo) {
-	d.ls = newLockState()
-	d.vars = map[core.ObjectID]*lsShadow{}
+	d.ls.reset()
+	d.vars.reset()
 }
 
 // RunEnd implements core.RunObserver.
@@ -82,11 +85,7 @@ func (d *Lockset) OnEvent(ev *core.Event) {
 		return
 	}
 	write := ev.Op == core.OpWrite
-	sh := d.vars[ev.Obj]
-	if sh == nil {
-		sh = &lsShadow{state: lsVirgin}
-		d.vars[ev.Obj] = sh
-	}
+	sh := d.vars.get(int64(ev.Obj))
 	d.access(sh, ev, write)
 	sh.lastLoc = ev.Loc
 	sh.lastTid = ev.Thread
@@ -105,7 +104,7 @@ func (d *Lockset) access(sh *lsShadow, ev *core.Event, write bool) {
 		}
 		// Second thread: initialize C(v) with the current locks and
 		// move to shared or shared-modified.
-		sh.candidate = copySet(d.ls.locksOf(t, write))
+		sh.candidate = append(sh.candidate[:0], d.ls.locksOf(t, write)...)
 		if write {
 			sh.state = lsSharedModified
 		} else {
@@ -113,13 +112,13 @@ func (d *Lockset) access(sh *lsShadow, ev *core.Event, write bool) {
 		}
 		d.check(sh, ev)
 	case lsShared:
-		intersect(sh.candidate, d.ls.locksOf(t, write))
+		sh.candidate = intersect(sh.candidate, d.ls.locksOf(t, write))
 		if write {
 			sh.state = lsSharedModified
 		}
 		d.check(sh, ev)
 	case lsSharedModified:
-		intersect(sh.candidate, d.ls.locksOf(t, write))
+		sh.candidate = intersect(sh.candidate, d.ls.locksOf(t, write))
 		d.check(sh, ev)
 	}
 }

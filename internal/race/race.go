@@ -16,6 +16,7 @@ package race
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mtbench/internal/core"
@@ -56,19 +57,27 @@ type Detector interface {
 	Reset()
 }
 
-// warnStore deduplicates warnings by (variable, access location).
+// warnStore deduplicates warnings by (variable, access location, kind).
 type warnStore struct {
 	warnings []Warning
-	seen     map[string]bool
+	seen     map[warnKey]bool
+}
+
+// warnKey is a warning's dedup identity; the access site counts by
+// file and line, as Location.Key renders it.
+type warnKey struct {
+	v, file string
+	line    int
+	kind    string
 }
 
 func (s *warnStore) add(w Warning) {
-	key := w.Var + "|" + w.Access.Key() + "|" + w.Kind
-	if s.seen == nil {
-		s.seen = make(map[string]bool)
-	}
+	key := warnKey{w.Var, w.Access.File, w.Access.Line, w.Kind}
 	if s.seen[key] {
 		return
+	}
+	if s.seen == nil {
+		s.seen = make(map[warnKey]bool)
 	}
 	s.seen[key] = true
 	s.warnings = append(s.warnings, w)
@@ -97,67 +106,83 @@ func (s *warnStore) reset() {
 // lockState derives each thread's held-lock sets from the sync event
 // stream; both detectors consume it. Reader/writer locks contribute to
 // held (protecting reads) and, when write-held, to heldWrite
-// (protecting writes) — Eraser's rwlock refinement.
+// (protecting writes) — Eraser's rwlock refinement. The sets are
+// indexed by thread slot and emptied in place at every run start.
 type lockState struct {
-	held      map[core.ThreadID]map[core.ObjectID]bool
-	heldWrite map[core.ThreadID]map[core.ObjectID]bool
+	slots     threadSlots
+	held      lockSets
+	heldWrite lockSets
 }
 
-func newLockState() *lockState {
-	return &lockState{
-		held:      map[core.ThreadID]map[core.ObjectID]bool{},
-		heldWrite: map[core.ThreadID]map[core.ObjectID]bool{},
-	}
-}
-
-func (ls *lockState) set(m map[core.ThreadID]map[core.ObjectID]bool, t core.ThreadID) map[core.ObjectID]bool {
-	s := m[t]
-	if s == nil {
-		s = map[core.ObjectID]bool{}
-		m[t] = s
-	}
-	return s
+func (ls *lockState) reset() {
+	ls.slots.reset()
+	ls.held.reset()
+	ls.heldWrite.reset()
 }
 
 // apply updates the held sets from a sync event.
 func (ls *lockState) apply(ev *core.Event) {
+	u := ls.slots.slot(ev.Thread)
 	switch ev.Op {
 	case core.OpLock:
 		if ev.Value == 1 { // acquired (0 = failed TryLock)
-			ls.set(ls.held, ev.Thread)[ev.Obj] = true
-			ls.set(ls.heldWrite, ev.Thread)[ev.Obj] = true
+			ls.held.add(u, ev.Obj)
+			ls.heldWrite.add(u, ev.Obj)
 		}
 	case core.OpUnlock:
-		delete(ls.set(ls.held, ev.Thread), ev.Obj)
-		delete(ls.set(ls.heldWrite, ev.Thread), ev.Obj)
+		ls.held.remove(u, ev.Obj)
+		ls.heldWrite.remove(u, ev.Obj)
 	case core.OpRLock:
-		ls.set(ls.held, ev.Thread)[ev.Obj] = true
+		ls.held.add(u, ev.Obj)
 	case core.OpRUnlock:
-		delete(ls.set(ls.held, ev.Thread), ev.Obj)
+		ls.held.remove(u, ev.Obj)
 	}
 }
 
 // locksOf returns the set protecting an access: all held locks for a
-// read, write-held locks for a write.
-func (ls *lockState) locksOf(t core.ThreadID, write bool) map[core.ObjectID]bool {
+// read, write-held locks for a write. The caller must not keep it.
+func (ls *lockState) locksOf(t core.ThreadID, write bool) []core.ObjectID {
+	u := ls.slots.slot(t)
 	if write {
-		return ls.set(ls.heldWrite, t)
+		return ls.heldWrite.of(u)
 	}
-	return ls.set(ls.held, t)
+	return ls.held.of(u)
 }
 
-func intersect(dst map[core.ObjectID]bool, other map[core.ObjectID]bool) {
-	for l := range dst {
-		if !other[l] {
-			delete(dst, l)
+// lockSets holds one set of lock ids per thread slot.
+type lockSets [][]core.ObjectID
+
+func (ls lockSets) of(u int) []core.ObjectID {
+	if u < len(ls) {
+		return ls[u]
+	}
+	return nil
+}
+
+func (ls *lockSets) add(u int, o core.ObjectID) {
+	for len(*ls) <= u {
+		*ls = append(*ls, nil)
+	}
+	if !slices.Contains((*ls)[u], o) {
+		(*ls)[u] = append((*ls)[u], o)
+	}
+}
+
+func (ls lockSets) remove(u int, o core.ObjectID) {
+	if u < len(ls) {
+		if i := slices.Index(ls[u], o); i >= 0 {
+			ls[u] = slices.Delete(ls[u], i, i+1)
 		}
 	}
 }
 
-func copySet(s map[core.ObjectID]bool) map[core.ObjectID]bool {
-	out := make(map[core.ObjectID]bool, len(s))
-	for k := range s {
-		out[k] = true
+func (ls lockSets) reset() {
+	for u := range ls {
+		ls[u] = ls[u][:0]
 	}
-	return out
+}
+
+// intersect keeps the members of dst that other also holds.
+func intersect(dst, other []core.ObjectID) []core.ObjectID {
+	return slices.DeleteFunc(dst, func(l core.ObjectID) bool { return !slices.Contains(other, l) })
 }

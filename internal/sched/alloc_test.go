@@ -30,14 +30,14 @@ func allocBody(ct core.T) {
 }
 
 // maxPooledAllocs pins the steady-state allocation count of a pooled
-// run of allocBody. Measured at 6: one Result, one FinishOrder
-// snapshot, and the program's own four (IntVar, Mutex, the spawned
-// closure, and its capture cell); the scheduler, threads, goroutines,
-// channels, runnable sets, schedule buffer and events contribute
-// nothing. The bound leaves headroom of 2 for toolchain drift; a jump
-// past it means someone put an allocation back on the per-run path —
-// the regression this test exists to catch.
-const maxPooledAllocs = 8
+// run of allocBody. Measured at 3: Run's caller-owned copies of the
+// Result and of its FinishOrder, and the program's own closure for the
+// spawned thread (its captures ride along); the scheduler, threads,
+// coroutines, objects, runnable sets, schedule buffer and events
+// contribute nothing. The bound leaves headroom of 2 for toolchain
+// drift; a jump past it means someone put an allocation back on the
+// per-run path — the regression this test exists to catch.
+const maxPooledAllocs = 5
 
 // TestPooledRunAllocs is the allocation regression gate on the run
 // hot path (CI runs it with every push): steady-state pooled runs must
@@ -62,6 +62,51 @@ func TestPooledRunAllocs(t *testing.T) {
 				t.Fatalf("pooled run allocates %.1f objects/run, budget %d", n, maxPooledAllocs)
 			}
 		})
+	}
+}
+
+// spawnWorker is a thread body that captures nothing, so spawning it
+// allocates no closure.
+func spawnWorker(wt core.T) {
+	mu := wt.NewMutex("mu")
+	mu.Lock(wt)
+	wt.Yield()
+	mu.Unlock(wt)
+}
+
+// closureFreeBody exercises objects, a fork/join pair, lock traffic and
+// an oracle without allocating anything of its own.
+func closureFreeBody(ct core.T) {
+	x := ct.NewInt("x", 0)
+	h := ct.Go("w", spawnWorker)
+	x.Add(ct, 1)
+	h.Join(ct)
+	ct.Assert(x.Load(ct) == 1, "sum")
+}
+
+// TestPooledStartAllocs pins the engine's own share of a pooled run at
+// zero: Start hands out the pooled Result instead of copying it, so a
+// run allocates only what the program itself does — nothing for
+// closureFreeBody, the spawned closure for allocBody.
+func TestPooledStartAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(core.T)
+		own  float64
+	}{
+		{"closure-free", closureFreeBody, 0},
+		{"allocBody", allocBody, 1},
+	} {
+		for _, cfg := range []Config{{}, {RecordSchedule: true}} {
+			r := NewRunner()
+			r.Start(cfg, tc.body)
+			n := testing.AllocsPerRun(200, func() { r.Start(cfg, tc.body) })
+			r.Close()
+			if n > tc.own {
+				t.Errorf("%s (record %v): pooled Start allocates %.1f objects/run, the program's own %.0f",
+					tc.name, cfg.RecordSchedule, n, tc.own)
+			}
+		}
 	}
 }
 

@@ -294,7 +294,7 @@ func (s *scheduler) stepSafe() (next *thread, st stepStatus, bug *engineBug) {
 			if !ok {
 				panic(rec)
 			}
-			bug, st = &eb, stepOver
+			bug, st = &engineBug{eb.msg}, stepOver
 		}
 	}()
 	next, st = s.step()
@@ -1173,9 +1173,10 @@ func (th *thread) runBody() {
 		if eb, ok := rec.(engineBug); ok {
 			// Scheduler invariant violation: hand it to the driver to
 			// re-panic on the Run caller's goroutine; this thread
-			// returns to the pool.
+			// returns to the pool. A fresh copy, because taking eb's
+			// address would move it to the heap on every thread end.
 			th.state = tDone
-			s.bug = &eb
+			s.bug = &engineBug{eb.msg}
 			s.over = true
 			return
 		}

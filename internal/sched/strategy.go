@@ -77,8 +77,9 @@ func (c *Choice) CurrentRunnable() bool {
 
 // Strategy decides which thread runs at each scheduling point. A
 // Strategy must be deterministic given its own construction (seed), so
-// runs are reproducible; it may keep per-run state, but then a fresh
-// instance must be used per run (the exploration engine does this).
+// runs are reproducible; it may keep per-run state, but then each run
+// needs a fresh instance, or one a factory has reset in place
+// (RandomFactory and RandomWhenBlockedFactory do this).
 //
 // Pick must return a member of c.Runnable; core.NoThread to declare
 // divergence (used by replay when the recorded schedule cannot be
@@ -163,8 +164,18 @@ type randomWhenBlocked struct {
 }
 
 // RandomWhenBlocked returns the run-to-block, random-dispatch strategy.
-func RandomWhenBlocked(seed int64) Strategy {
-	return &randomWhenBlocked{rng: core.NewRand(seed)}
+func RandomWhenBlocked(seed int64) Strategy { return RandomWhenBlockedFactory()(seed) }
+
+// RandomWhenBlockedFactory returns a source of RandomWhenBlocked
+// strategies that builds one strategy on its first call and reseeds it
+// on every later call. The strategy returned is valid until the next
+// call, and it draws exactly what RandomWhenBlocked(seed) would.
+func RandomWhenBlockedFactory() func(seed int64) Strategy {
+	r := &randomWhenBlocked{}
+	return func(seed int64) Strategy {
+		r.rng = core.Reseed(r.rng, seed)
+		return r
+	}
 }
 
 func (*randomWhenBlocked) Name() string { return "randomdispatch" }
@@ -184,8 +195,19 @@ type random struct {
 
 // Random returns a seeded uniformly random strategy. Distinct seeds
 // explore distinct interleavings; the same seed reproduces the run.
-func Random(seed int64) Strategy {
-	return &random{rng: core.NewRand(seed)}
+func Random(seed int64) Strategy { return RandomFactory()(seed) }
+
+// RandomFactory returns a source of Random strategies that builds one
+// strategy on its first call and reseeds it on every later call. The
+// strategy returned is valid until the next call, and it draws exactly
+// what Random(seed) would: reseeding a core.NewRand rng restarts its
+// stream in O(1).
+func RandomFactory() func(seed int64) Strategy {
+	r := &random{}
+	return func(seed int64) Strategy {
+		r.rng = core.Reseed(r.rng, seed)
+		return r
+	}
 }
 
 func (*random) Name() string { return "random" }

@@ -21,9 +21,12 @@ type Params struct {
 	Depth int     // PCT bug depth (0 = pct.DefaultDepth)
 }
 
-// Factory builds one run's strategy from its seed. Build each strategy
-// after the previous run finished: PCT's factory learns its step
-// horizon from the runs its earlier strategies served.
+// Factory yields one run's strategy from its seed. A randomized
+// entry's factory builds its strategy on the first call and reseeds it
+// in place on every later call, so the strategy returned is valid
+// until the next call: call it after the previous run finished, never
+// for two runs at once. PCT's factory also learns its step horizon
+// from the runs its earlier strategies served.
 type Factory func(seed int64) sched.Strategy
 
 var kinds = map[string]noise.Kind{"": noise.KindYield, "yield": noise.KindYield, "sleep": noise.KindSleep, "mixed": noise.KindMixed}
@@ -31,14 +34,10 @@ var kinds = map[string]noise.Kind{"": noise.KindYield, "yield": noise.KindYield,
 var table = map[string]func(Params) Factory{
 	"baseline":   func(Params) Factory { return func(int64) sched.Strategy { return sched.Nonpreemptive() } },
 	"roundrobin": func(Params) Factory { return func(int64) sched.Strategy { return sched.RoundRobin() } },
-	"random":     func(Params) Factory { return sched.Random },
-	"dispatch":   func(Params) Factory { return sched.RandomWhenBlocked },
-	"noise": func(p Params) Factory {
-		return func(seed int64) sched.Strategy {
-			return noise.NewStrategy(nil, noise.NewBernoulli(p.P, kinds[p.Kind]), seed)
-		}
-	},
-	"pct": func(p Params) Factory { return pct.NewFactory(p.Depth) },
+	"random":     func(Params) Factory { return sched.RandomFactory() },
+	"dispatch":   func(Params) Factory { return sched.RandomWhenBlockedFactory() },
+	"noise":      func(p Params) Factory { return noise.NewFactory(noise.NewBernoulli(p.P, kinds[p.Kind])) },
+	"pct":        func(p Params) Factory { return pct.NewFactory(p.Depth) },
 }
 
 // New returns the named tool's factory.

@@ -5,6 +5,7 @@ package vclock
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mtbench/internal/core"
@@ -30,15 +31,21 @@ func (v VC) Get(t core.ThreadID) int64 {
 	return v.c[t]
 }
 
-// grow ensures the clock has a component for thread t.
+// grow ensures the clock has a component for thread t, reusing spare
+// capacity (see Reset) before allocating.
 func (v *VC) grow(t core.ThreadID) {
-	if int(t) < len(v.c) {
+	n := len(v.c)
+	if int(t) < n {
 		return
 	}
-	nc := make([]int64, int(t)+1)
-	copy(nc, v.c)
-	v.c = nc
+	v.c = slices.Grow(v.c, int(t)+1-n)[:int(t)+1]
+	clear(v.c[n:])
 }
+
+// Reset empties the clock (every component reads zero again) and keeps
+// its storage, so a detector reusing the clock for its next run
+// allocates nothing.
+func (v *VC) Reset() { v.c = v.c[:0] }
 
 // Set assigns component t.
 func (v *VC) Set(t core.ThreadID, val int64) {

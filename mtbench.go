@@ -138,7 +138,9 @@ var (
 	RandomWhenBlocked = sched.RandomWhenBlocked
 	// NewStrategyFactory looks a tool up by name (baseline, roundrobin,
 	// random, dispatch, noise or pct) in the table every command uses;
-	// its pct factory follows RunPCT's adaptive horizon.
+	// its pct factory follows RunPCT's adaptive horizon. A factory
+	// reseeds one strategy in place, so the strategy it returns is
+	// valid until its next call.
 	NewStrategyFactory = strategies.New
 )
 
