@@ -15,10 +15,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
+	"mtbench/internal/core"
 	"mtbench/internal/experiment"
 	"mtbench/internal/report"
 	"mtbench/internal/repository"
@@ -116,20 +118,22 @@ func run(args []string) error {
 		return err
 	}
 
-	found := 0
 	verdicts := map[string]int{}
-	for seed := int64(0); seed < int64(*runs); seed++ {
-		res := sched.Run(sched.Config{Strategy: tool(seed), Seed: seed, Name: prog.Name, MaxSteps: 1_000_000, Plan: prog.Plan}, body)
+	cfg := sched.Config{Name: prog.Name, MaxSteps: 1_000_000, Plan: prog.Plan}
+	// No hook fails and nothing cancels, so Loop cannot fail.
+	lr, _ := sched.Loop(context.Background(), *runs, cfg, body, func(i int, cfg *sched.Config) error {
+		cfg.Seed = int64(i)
+		cfg.Strategy = tool(cfg.Seed)
+		return nil
+	}, func(i int, res *core.Result) error {
 		verdicts[res.Verdict.String()]++
-		if res.Verdict.Bug() {
-			found++
-			if *verbose {
-				fmt.Printf("seed %d: %v\n", seed, res)
-			}
+		if res.Verdict.Bug() && *verbose {
+			fmt.Printf("seed %d: %v\n", i, res)
 		}
-	}
+		return nil
+	})
 	fmt.Printf("program %s under %s: %d/%d runs exposed the bug (%.1f%%)\n",
-		prog.Name, *strategy, found, *runs, 100*float64(found)/float64(*runs))
+		prog.Name, *strategy, lr.Detected, *runs, 100*float64(lr.Detected)/float64(*runs))
 	fmt.Printf("verdicts: %v\n", verdicts)
 	return nil
 }

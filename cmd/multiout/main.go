@@ -10,11 +10,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
+	"mtbench/internal/core"
 	"mtbench/internal/multiout"
 	"mtbench/internal/sched"
 	"mtbench/internal/strategies"
@@ -34,13 +36,18 @@ func main() {
 	}
 	body := multiout.Body()
 	dist := multiout.Distribution{}
-	for seed := int64(0); seed < int64(*runs); seed++ {
-		res := sched.Run(sched.Config{Strategy: next(seed), Seed: seed}, body)
+	// No hook fails and nothing cancels, so Loop cannot fail.
+	_, _ = sched.Loop(context.Background(), *runs, sched.Config{}, body, func(i int, cfg *sched.Config) error {
+		cfg.Seed = int64(i)
+		cfg.Strategy = next(cfg.Seed)
+		return nil
+	}, func(_ int, res *core.Result) error {
 		dist.Add(res)
 		if *verbose {
 			fmt.Println(multiout.Canonical(res))
 		}
-	}
+		return nil
+	})
 
 	fmt.Printf("tool=%s runs=%d distinct=%d entropy=%.2f bits\n",
 		*tool, dist.Runs(), dist.Distinct(), dist.Entropy())

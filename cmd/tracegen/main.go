@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -73,13 +74,16 @@ func run(progName string, seeds int, strategy string, p float64, format, out str
 		plan = instrument.All().DisableOps(core.OpYield, core.OpSleep)
 	}
 
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		var w io.Writer
-		var closeFn func() error
-		if out == "-" {
-			w = os.Stdout
-			closeFn = func() error { return nil }
-		} else {
+	// setup opens run i's trace and hands the run its collector; each
+	// flushes and closes it.
+	var tw trace.Writer
+	var col *trace.Collector
+	closeFn := func() error { return nil }
+	cfg := sched.Config{Plan: plan, MaxSteps: 1_000_000, Name: progName}
+	_, err = sched.Loop(context.Background(), seeds, cfg, prog.BodyWith(nil), func(i int, cfg *sched.Config) error {
+		seed := int64(i)
+		w := io.Writer(os.Stdout)
+		if out != "-" {
 			if err := os.MkdirAll(out, 0o755); err != nil {
 				return err
 			}
@@ -88,12 +92,10 @@ func run(progName string, seeds int, strategy string, p float64, format, out str
 			if err != nil {
 				return err
 			}
-			w = f
-			closeFn = f.Close
+			w, closeFn = f, f.Close
 			fmt.Fprintf(os.Stderr, "writing %s\n", path)
 		}
-
-		tw := codec.newWriter(w)
+		tw = codec.newWriter(w)
 		if err := tw.WriteHeader(trace.Header{
 			Program:  progName,
 			Mode:     "controlled",
@@ -103,15 +105,10 @@ func run(progName string, seeds int, strategy string, p float64, format, out str
 		}); err != nil {
 			return err
 		}
-		col := trace.NewCollector(tw, prog.Annotator())
-		res := sched.Run(sched.Config{
-			Strategy:  tool(seed),
-			Seed:      seed,
-			Plan:      plan,
-			MaxSteps:  1_000_000,
-			Listeners: []core.Listener{col},
-			Name:      progName,
-		}, prog.BodyWith(nil))
+		col = trace.NewCollector(tw, prog.Annotator())
+		cfg.Seed, cfg.Strategy, cfg.Listeners = seed, tool(seed), []core.Listener{col}
+		return nil
+	}, func(i int, res *core.Result) error {
 		if err := col.Err(); err != nil {
 			return err
 		}
@@ -121,7 +118,8 @@ func run(progName string, seeds int, strategy string, p float64, format, out str
 		if err := closeFn(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "seed %d: %s (%d events)\n", seed, res.Verdict, res.Events)
-	}
-	return nil
+		fmt.Fprintf(os.Stderr, "seed %d: %s (%d events)\n", i, res.Verdict, res.Events)
+		return nil
+	})
+	return err
 }

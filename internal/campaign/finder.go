@@ -244,43 +244,6 @@ func orDefault(v, def int) int {
 	return v
 }
 
-// runLoop is the per-run finder shape: the cell's budget of fresh
-// runs through one pooled runner, ctx checked between runs, verdict
-// bugs deduplicated by signature. setup fills run i's strategy and seed
-// (and any listeners); warned, when non-nil, reports non-verdict
-// findings that also count as run i's first bug. It counts "detected"
-// (runs with a bug verdict) and "steps" (summed over the runs).
-func runLoop(ctx context.Context, in CellInput, setup func(i int, cfg *sched.Config), warned func() bool) (CellResult, error) {
-	runner := sched.NewRunner()
-	defer runner.Close()
-	cfg := sched.Config{Name: in.Program.Name, MaxSteps: in.MaxSteps, Plan: in.Program.Plan}
-	var bugs core.BugLog
-	var detected, steps int64
-	first := -1
-	for i := 0; i < in.Budget; i++ {
-		if err := ctx.Err(); err != nil {
-			return CellResult{}, err
-		}
-		setup(i, &cfg)
-		// The Result is the runner's pooled one, overwritten by the
-		// next run; Add keeps a deep copy of what it logs.
-		res := runner.Start(cfg, in.Body)
-		steps += res.Steps
-		if res.Verdict.Bug() {
-			detected++
-			bugs.Add(res, i+1)
-			if first < 0 {
-				first = i + 1
-			}
-		}
-		if first < 0 && warned != nil && warned() {
-			first = i + 1
-		}
-	}
-	return CellResult{Runs: in.Budget, Bugs: bugs.Signatures(), FirstBug: first,
-		Counters: map[string]int64{"detected": detected, "steps": steps}}, nil
-}
-
 // loopFinder spends the cell's budget on fresh runs of one tool, run i
 // seeded mix(seed, i). newTool builds the tool once per cell, so an
 // adaptive noise heuristic learns across the cell's runs, and the
@@ -288,11 +251,28 @@ func runLoop(ctx context.Context, in CellInput, setup func(i int, cfg *sched.Con
 func loopFinder(newTool func() strategies.Factory) func(context.Context, CellInput) (CellResult, error) {
 	return func(ctx context.Context, in CellInput) (CellResult, error) {
 		tool := newTool()
-		return runLoop(ctx, in, func(i int, cfg *sched.Config) {
+		lr, err := sched.Loop(ctx, in.Budget, cellConfig(in), in.Body, func(i int, cfg *sched.Config) error {
 			cfg.Seed = mix(in.Seed, int64(i))
 			cfg.Strategy = tool(cfg.Seed)
+			return nil
 		}, nil)
+		return loopResult(lr, lr.FirstBugIndex(), err)
 	}
+}
+
+// cellConfig is what every run of a cell shares.
+func cellConfig(in CellInput) sched.Config {
+	return sched.Config{Name: in.Program.Name, MaxSteps: in.MaxSteps, Plan: in.Program.Plan}
+}
+
+// loopResult is a run-loop finder's cell: verdict bugs by signature and
+// the "detected" and "steps" counters. A loop error discards the cell.
+func loopResult(lr sched.LoopResult, first int, err error) (CellResult, error) {
+	if err != nil {
+		return CellResult{}, err
+	}
+	return CellResult{Runs: lr.Runs, Bugs: lr.Signatures(), FirstBug: first,
+		Counters: map[string]int64{"detected": lr.Detected, "steps": lr.Steps}}, nil
 }
 
 // fromTable is the strategies table's name entry; the registry passes
@@ -325,16 +305,25 @@ func runRaceFinder(ctx context.Context, in CellInput) (CellResult, error) {
 	det := race.NewHybrid(true)
 	listeners := []core.Listener{det}
 	random := sched.RandomFactory()
-	res, err := runLoop(ctx, in, func(i int, cfg *sched.Config) {
+	first := -1
+	lr, err := sched.Loop(ctx, in.Budget, cellConfig(in), in.Body, func(i int, cfg *sched.Config) error {
 		cfg.Seed, cfg.Listeners = in.Seed, listeners
 		if i == 0 {
 			cfg.Strategy = sched.RoundRobin()
 		} else {
 			cfg.Strategy = random(mix(in.Seed, int64(i)))
 		}
-	}, func() bool { return len(det.Warnings()) > 0 })
+		return nil
+	}, func(i int, res *core.Result) error {
+		// A run's first race warning marks the first bug as a bug verdict does.
+		if first < 0 && (res.Verdict.Bug() || len(det.Warnings()) > 0) {
+			first = i + 1
+		}
+		return nil
+	})
+	res, err := loopResult(lr, first, err)
 	if err != nil {
-		return CellResult{}, err
+		return res, err
 	}
 	for _, v := range det.WarnedVars() {
 		res.Bugs = append(res.Bugs, "race:"+v)

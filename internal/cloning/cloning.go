@@ -32,8 +32,8 @@ type Test struct {
 	Check func(t core.T, shared any)
 }
 
-// wrap builds the program body that runs n clones of the test.
-func wrap(test Test, n int) func(core.T) {
+// Body builds the program body that runs n clones of the test.
+func Body(test Test, n int) func(core.T) {
 	return func(t core.T) {
 		var shared any
 		if test.Setup != nil {
@@ -60,7 +60,7 @@ func Controlled(cfg sched.Config, test Test, n int) *core.Result {
 	if cfg.Name == "" {
 		cfg.Name = "clone:" + test.Name
 	}
-	return sched.Run(cfg, wrap(test, n))
+	return sched.Run(cfg, Body(test, n))
 }
 
 // Native runs n clones on real goroutines.
@@ -68,7 +68,7 @@ func Native(cfg native.Config, test Test, n int) *core.Result {
 	if cfg.Name == "" {
 		cfg.Name = "clone:" + test.Name
 	}
-	return native.Run(cfg, wrap(test, n))
+	return native.Run(cfg, Body(test, n))
 }
 
 // Reserve returns the benchmark's canonical cloneable test: each clone

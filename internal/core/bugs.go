@@ -20,7 +20,28 @@ type Bug struct {
 type BugLog struct {
 	// Bugs are the distinct failures found, ordered by Index.
 	Bugs []Bug
-	seen map[string]bool
+	seen map[bugKey]bool
+}
+
+// bugKey is what BugSignature reads, unformatted, so a lookup formats
+// nothing. Two results share a key exactly when they share a signature
+// (short of an "@" inside a message or file name, which the formatted
+// signature cannot tell apart).
+type bugKey struct {
+	verdict             Verdict
+	failed              bool
+	msg, file, deadlock string
+	line                int
+}
+
+func keyOf(res *Result) bugKey {
+	if f := res.Failure; f != nil {
+		return bugKey{failed: true, msg: f.Msg, file: f.Loc.File, line: f.Loc.Line}
+	}
+	if res.Verdict == VerdictDeadlock {
+		return bugKey{verdict: res.Verdict, deadlock: res.DeadlockInfo}
+	}
+	return bugKey{verdict: res.Verdict}
 }
 
 // Add records res, found by run index, unless a bug with the same
@@ -28,15 +49,16 @@ type BugLog struct {
 // A new bug is deep-copied (Schedule, FinishOrder, Failure), so the
 // caller may reuse res and its buffers — a pooled runner's result is
 // overwritten by its next run. The bug is inserted in Index order.
+// A duplicate allocates nothing.
 func (l *BugLog) Add(res *Result, index int) bool {
-	sig := BugSignature(res)
-	if l.seen[sig] {
+	key := keyOf(res)
+	if l.seen[key] {
 		return false
 	}
 	if l.seen == nil {
-		l.seen = map[string]bool{}
+		l.seen = map[bugKey]bool{}
 	}
-	l.seen[sig] = true
+	l.seen[key] = true
 	keep := new(Result)
 	*keep = *res
 	keep.Schedule = slices.Clone(res.Schedule)

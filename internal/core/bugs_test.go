@@ -74,3 +74,59 @@ func TestBugLog(t *testing.T) {
 		t.Fatalf("Signatures = %q, want %q", got, want)
 	}
 }
+
+// TestBugLogDuplicateAddAllocs: adding a result whose bug is already
+// logged allocates nothing (no signature is formatted), for each kind
+// of signature.
+func TestBugLogDuplicateAddAllocs(t *testing.T) {
+	results := []*Result{
+		{Verdict: VerdictFail, Failure: &Failure{Msg: "lost update", Loc: Location{File: "prog.go", Line: 35}}},
+		{Verdict: VerdictDeadlock, DeadlockInfo: "t1 waits t2; t2 waits t1"},
+		{Verdict: VerdictStepLimit},
+	}
+	var log BugLog
+	for i, r := range results {
+		log.Add(r, i+1)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		for _, r := range results {
+			if log.Add(r, 9) {
+				t.Fatal("a duplicate Add reported a new bug")
+			}
+		}
+	})
+	if n != 0 {
+		t.Fatalf("duplicate Add allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestBugKeyFields: results share a BugLog key exactly when they share
+// a BugSignature, field by field: each field the signature reads
+// separates two keys, and every other field leaves them equal.
+func TestBugKeyFields(t *testing.T) {
+	fail := func(msg, file string, line int) *Result {
+		return &Result{Verdict: VerdictFail, Failure: &Failure{Msg: msg, Loc: Location{File: file, Line: line}}}
+	}
+	base := fail("lost update", "prog.go", 35)
+	for _, tc := range []struct {
+		name string
+		a, b *Result
+	}{
+		{"same failure", base, fail("lost update", "prog.go", 35)},
+		{"message", base, fail("lost", "prog.go", 35)},
+		{"file", base, fail("lost update", "other.go", 35)},
+		{"line", base, fail("lost update", "prog.go", 36)},
+		{"thread and function", base, &Result{Verdict: VerdictFail, Steps: 9,
+			Failure: &Failure{Msg: "lost update", Thread: 2, Loc: Location{File: "prog.go", Line: 35, Fn: "f"}}}},
+		{"failure vs bare fail verdict", &Result{Verdict: VerdictFail}, fail("", "", 0)},
+		{"deadlock info", &Result{Verdict: VerdictDeadlock, DeadlockInfo: "a"}, &Result{Verdict: VerdictDeadlock, DeadlockInfo: "b"}},
+		{"timeout info", &Result{Verdict: VerdictTimeout, DeadlockInfo: "a"}, &Result{Verdict: VerdictTimeout, DeadlockInfo: "b"}},
+		{"verdict", &Result{Verdict: VerdictStepLimit}, &Result{Verdict: VerdictTimeout}},
+	} {
+		sameKey := keyOf(tc.a) == keyOf(tc.b)
+		sameSig := BugSignature(tc.a) == BugSignature(tc.b)
+		if sameKey != sameSig {
+			t.Errorf("%s: same key %v, same signature %v (%q, %q)", tc.name, sameKey, sameSig, BugSignature(tc.a), BugSignature(tc.b))
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"mtbench/internal/cloning"
 	"mtbench/internal/noise"
 	"mtbench/internal/sched"
@@ -39,22 +41,17 @@ func Cloning(cfg CloningConfig) ([]*Table, error) {
 	t.Note("test: clients reserving from stock of %d with a check-then-act window", cfg.Stock)
 	t.Note("plain = random dispatch only; noise = +bernoulli(0.3) yield noise")
 
+	detected := func(n int, next func(seed int64) sched.Strategy) int {
+		// No hook fails and nothing cancels, so Loop cannot fail.
+		lr, _ := sched.Loop(context.TODO(), cfg.Runs, sched.Config{MaxSteps: 500_000}, cloning.Body(test, n), func(i int, c *sched.Config) error {
+			c.Strategy = next(int64(i))
+			return nil
+		}, nil)
+		return int(lr.Detected)
+	}
+	withNoise := noise.NewFactory(noise.NewBernoulli(0.3, noise.KindYield))
 	for _, n := range cfg.CloneCounts {
-		plain, noisy := 0, 0
-		for seed := int64(0); seed < int64(cfg.Runs); seed++ {
-			res := cloning.Controlled(sched.Config{
-				Strategy: sched.RandomWhenBlocked(seed),
-				MaxSteps: 500_000,
-			}, test, n)
-			if res.Verdict.Bug() {
-				plain++
-			}
-			st := noise.NewStrategy(nil, noise.NewBernoulli(0.3, noise.KindYield), seed)
-			res = cloning.Controlled(sched.Config{Strategy: st, MaxSteps: 500_000}, test, n)
-			if res.Verdict.Bug() {
-				noisy++
-			}
-		}
+		plain, noisy := detected(n, sched.RandomWhenBlockedFactory()), detected(n, withNoise)
 		t.AddRow(itoa(n), itoa(cfg.Runs), itoa(plain), pct(plain, cfg.Runs), itoa(noisy), pct(noisy, cfg.Runs))
 	}
 	return []*Table{t}, nil

@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
+	"mtbench/internal/core"
 	"mtbench/internal/multiout"
 	"mtbench/internal/sched"
 	"mtbench/internal/strategies"
@@ -46,9 +48,14 @@ func Multiout(cfg MultioutConfig) ([]*Table, error) {
 	for _, row := range tools {
 		tool, _ := strategies.New(row.tool, row.params) // the rows are valid table entries
 		dist := multiout.Distribution{}
-		for seed := int64(0); seed < int64(cfg.Runs); seed++ {
-			dist.Add(sched.Run(sched.Config{Strategy: tool(seed)}, body))
-		}
+		// No hook fails and nothing cancels, so Loop cannot fail.
+		_, _ = sched.Loop(context.TODO(), cfg.Runs, sched.Config{}, body, func(i int, c *sched.Config) error {
+			c.Strategy = tool(int64(i))
+			return nil
+		}, func(_ int, res *core.Result) error {
+			dist.Add(res)
+			return nil
+		})
 		top := 0
 		for _, c := range dist {
 			if c > top {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"mtbench/internal/core"
@@ -75,41 +76,34 @@ func Pipeline(cfg PipelineConfig) ([]*Table, error) {
 	onlineRace := race.NewHybrid(true)
 	tracker := coverage.NewTracker()
 
-	var bugRes *core.Result
-	var bugSeed int64 = -1
-	runs := 0
-	for seed := int64(0); seed < int64(cfg.Seeds); seed++ {
-		st := noise.NewStrategy(nil, noise.NewBernoulli(0.4, noise.KindYield), seed)
-		res := sched.Run(sched.Config{
-			Strategy:       st,
-			Plan:           plan,
-			Seed:           seed,
-			RecordSchedule: true,
-			MaxSteps:       500_000,
-			Listeners:      []core.Listener{col, onlineRace, tracker},
-			Name:           cfg.Program,
-		}, prog.BodyWith(nil))
-		runs++
-		if res.Verdict.Bug() && bugRes == nil {
-			bugRes, bugSeed = res, seed
-			break
+	runCfg := sched.Config{Plan: plan, RecordSchedule: true, MaxSteps: 500_000, Listeners: []core.Listener{col, onlineRace, tracker}, Name: cfg.Program}
+	// No hook fails (StopLoop is success) and nothing cancels, so Loop
+	// cannot fail.
+	lr, _ := sched.Loop(context.TODO(), cfg.Seeds, runCfg, prog.BodyWith(nil), func(i int, c *sched.Config) error {
+		c.Seed = int64(i)
+		c.Strategy = noise.NewStrategy(nil, noise.NewBernoulli(0.4, noise.KindYield), c.Seed)
+		return nil
+	}, func(_ int, res *core.Result) error {
+		if res.Verdict.Bug() {
+			return sched.StopLoop
 		}
-	}
+		return nil
+	})
 	if err := w.Flush(); err != nil {
 		return nil, err
 	}
 	verdict := "bug not reached"
-	if bugRes != nil {
-		verdict = fmt.Sprintf("bug after %d runs (seed %d): %s", runs, bugSeed, bugRes.Verdict)
+	if lr.Detected > 0 {
+		verdict = fmt.Sprintf("bug after %d runs (seed %d): %s", lr.Runs, lr.Bugs[0].Index-1, lr.Bugs[0].Result.Verdict)
 	}
 	t.AddRow("3", "noise maker", verdict)
 	t.AddRow("3", "online race detection", fmt.Sprintf("hybrid warned %v", onlineRace.WarnedVars()))
 	t.AddRow("3", "coverage", tracker.String())
 
 	// Stage 4: replay the failing schedule.
-	if bugRes != nil {
+	if lr.Detected > 0 {
 		rep := sched.Run(sched.Config{
-			Strategy: &sched.FixedSchedule{Decisions: bugRes.Schedule},
+			Strategy: &sched.FixedSchedule{Decisions: lr.Bugs[0].Schedule},
 			Plan:     plan,
 		}, prog.BodyWith(nil))
 		t.AddRow("4", "replay", fmt.Sprintf("verdict reproduced: %v (diverged=%v)", rep.Verdict, rep.Diverged))

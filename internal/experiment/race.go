@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"time"
 
 	"mtbench/internal/core"
@@ -100,7 +101,7 @@ func Race(cfg RaceConfig) ([]*Table, error) {
 
 		// Timing baseline: same runs without any detector.
 		start := time.Now()
-		runMatrix(body, cfg.Runs, nil)
+		runMatrix(body, cfg.Runs)
 		baselineTime += time.Since(start)
 
 		for _, nd := range detectors {
@@ -157,23 +158,18 @@ func Race(cfg RaceConfig) ([]*Table, error) {
 }
 
 // runMatrix executes the body under a spread of schedules with the
-// listener attached (nil = none): half round-robin-style contention,
-// half seeded random.
-func runMatrix(body func(core.T), runs int, l core.Listener) {
-	var listeners []core.Listener
-	if l != nil {
-		listeners = []core.Listener{l}
-	}
-	runner := sched.NewRunner()
-	defer runner.Close()
+// listeners attached: half round-robin-style contention, half seeded
+// random.
+func runMatrix(body func(core.T), runs int, listeners ...core.Listener) {
 	random := sched.RandomFactory()
-	for seed := int64(0); seed < int64(runs); seed++ {
-		st := sched.RoundRobin()
-		if seed%2 == 1 {
-			st = random(seed)
+	// No hook fails and nothing cancels, so Loop cannot fail.
+	_, _ = sched.Loop(context.TODO(), runs, sched.Config{Listeners: listeners, MaxSteps: 500_000}, body, func(i int, cfg *sched.Config) error {
+		cfg.Strategy = sched.RoundRobin()
+		if i%2 == 1 {
+			cfg.Strategy = random(int64(i))
 		}
-		runner.Start(sched.Config{Strategy: st, Listeners: listeners, MaxSteps: 500_000}, body)
-	}
+		return nil
+	}, nil)
 }
 
 func join(s []string) string {

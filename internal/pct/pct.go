@@ -32,9 +32,9 @@
 package pct
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
-	"sync/atomic"
 
 	"mtbench/internal/core"
 	"mtbench/internal/instrument"
@@ -190,22 +190,17 @@ func (s *strategy) highest(runnable []core.ThreadID) core.ThreadID {
 	return best
 }
 
-// Run executes a PCT campaign over body and returns its summary. The
-// loop is serial on one pooled runner: campaign determinism rests on
-// finders being serially deterministic, and each run's randomness is
-// an independent core.MixSeed stream.
+// Run executes a PCT campaign over body and returns its summary. It
+// is one sched.Loop, serial on one pooled runner: campaign determinism
+// rests on finders being serially deterministic, and each run's
+// randomness is an independent core.MixSeed stream.
 func Run(opts Options, body func(core.T)) *Result {
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = DefaultMaxRuns
 	}
-	runner := sched.NewRunner()
-	defer runner.Close()
-	var stopping atomic.Bool
-	if opts.Context != nil {
-		unhook := context.AfterFunc(opts.Context, func() { stopping.Store(true) })
-		defer unhook()
-	}
-
+	res := &Result{}
+	next := NewFactory(opts.Depth)
+	var st *strategy
 	cfg := sched.Config{
 		Listeners:      opts.Listeners,
 		MaxSteps:       opts.MaxSteps,
@@ -213,25 +208,19 @@ func Run(opts Options, body func(core.T)) *Result {
 		Plan:           opts.Plan,
 		RecordSchedule: true,
 	}
-	res := &Result{}
-	next := NewFactory(opts.Depth)
-	for i := 0; i < opts.MaxRuns && !stopping.Load(); i++ {
-		st := next(core.MixSeed(opts.Seed, int64(i))).(*strategy)
+	// A cancelled campaign keeps the runs it made, so the error is dropped.
+	lr, _ := sched.Loop(cmp.Or(opts.Context, context.Background()), opts.MaxRuns, cfg, body, func(i int, cfg *sched.Config) error {
+		st = next(core.MixSeed(opts.Seed, int64(i))).(*strategy)
 		cfg.Strategy = st
-		runRes := runner.Start(cfg, body)
-		res.Runs++
-		res.EstimatedSteps = max(res.EstimatedSteps, runRes.Steps)
-		if n := len(st.prio); n > res.MaxThreads {
-			res.MaxThreads = n
+		return nil
+	}, func(_ int, r *core.Result) error {
+		res.EstimatedSteps = max(res.EstimatedSteps, r.Steps)
+		res.MaxThreads = max(res.MaxThreads, len(st.prio))
+		if opts.StopAtFirstBug && r.Verdict.Bug() {
+			return sched.StopLoop
 		}
-		if runRes.Verdict.Bug() {
-			// The result lives in the pooled runner and is overwritten
-			// by the next run; Add keeps a deep copy.
-			res.Add(runRes, i+1)
-			if opts.StopAtFirstBug {
-				break
-			}
-		}
-	}
+		return nil
+	})
+	res.Runs, res.BugLog = lr.Runs, lr.BugLog
 	return res
 }

@@ -55,13 +55,13 @@ func (c *tc) Assert(cond bool, format string, args ...any) {
 	if cond {
 		return
 	}
-	loc, _ := core.CallerLocationID(1)
-	c.fail(loc, format, args...)
+	loc, locID := core.CallerLocationID(1)
+	c.fail(loc, locID, format, args...)
 }
 
 func (c *tc) Failf(format string, args ...any) {
-	loc, _ := core.CallerLocationID(1)
-	c.fail(loc, format, args...)
+	loc, locID := core.CallerLocationID(1)
+	c.fail(loc, locID, format, args...)
 }
 
 // lazyFormat is the zero-allocation fast path for the verb-free
@@ -75,10 +75,10 @@ func lazyFormat(format string, args []any) string {
 	return fmt.Sprintf(format, args...)
 }
 
-func (c *tc) fail(loc core.Location, format string, args ...any) {
+func (c *tc) fail(loc core.Location, locID uint32, format string, args ...any) {
 	th, s := c.th, c.th.sc
 	msg := lazyFormat(format, args)
-	s.emit(th, core.OpFail, core.NoObject, msg, 0, 0, 0, loc, 0)
+	s.emit(th, core.OpFail, core.NoObject, msg, 0, 0, 0, loc, locID)
 	core.FailNow(core.Failure{Msg: msg, Thread: th.id, Loc: loc})
 }
 

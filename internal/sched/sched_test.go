@@ -567,3 +567,29 @@ func TestMisuseFailureKeepsLocation(t *testing.T) {
 		t.Fatalf("misuse failure lost its location: %+v", res.Failure)
 	}
 }
+
+// TestFailEventCarriesLocID: the OpFail event an Assert or Failf emits
+// carries the program-point handle of its call site, the one
+// core.InternLocKey gives for the failure's file and line, so a
+// coverage listener need not re-intern it.
+func TestFailEventCarriesLocID(t *testing.T) {
+	for name, body := range map[string]func(core.T){
+		"Assert": func(ct core.T) { ct.Assert(false, "assert") },
+		"Failf":  func(ct core.T) { ct.Failf("failf %d", 1) },
+	} {
+		var fails []core.Event
+		res := Run(Config{Listeners: []core.Listener{core.ListenerFunc(func(ev *core.Event) {
+			if ev.Op == core.OpFail {
+				fails = append(fails, *ev)
+			}
+		})}}, body)
+		if res.Failure == nil || len(fails) != 1 {
+			t.Fatalf("%s: failure %+v, %d OpFail events", name, res.Failure, len(fails))
+		}
+		ev := fails[0]
+		want := core.InternLocKey(ev.Loc.File, ev.Loc.Line)
+		if ev.LocID == 0 || ev.LocID != want || ev.Loc != res.Failure.Loc {
+			t.Fatalf("%s: OpFail at %v has LocID %d, want %d (failure at %v)", name, ev.Loc, ev.LocID, want, res.Failure.Loc)
+		}
+	}
+}
