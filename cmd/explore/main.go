@@ -123,8 +123,8 @@ func report(cli *searchcli.Flags, res *explore.Result, stats bool) error {
 			res.Stats.SleepPruned, res.Stats.PORPruned, res.Stats.Backtracks, res.Stats.StateHits)
 		fmt.Printf("bounding: vb-pruned=%d tb-pruned=%d\n",
 			res.Stats.VBPruned, res.Stats.TBPruned)
-		fmt.Printf("replay tax: replayed-steps=%d novel-steps=%d\n",
-			res.Stats.ReplayedSteps, res.Stats.NovelSteps)
+		fmt.Printf("replay tax: replayed-steps=%d novel-steps=%d coasted-steps=%d\n",
+			res.Stats.ReplayedSteps, res.Stats.NovelSteps, res.Stats.CoastedSteps)
 		fmt.Printf("checkpoints: hits=%d misses=%d restored-steps=%d total-steps=%d\n",
 			res.Stats.CheckpointHits, res.Stats.CheckpointMisses,
 			res.Stats.RestoredSteps, res.Stats.TotalSteps)

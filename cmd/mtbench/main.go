@@ -107,6 +107,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *runs <= 0 {
+		return fmt.Errorf("-runs must be positive, got %d", *runs)
+	}
 	prog, err := repository.Get(*name)
 	if err != nil {
 		return err

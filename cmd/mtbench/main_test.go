@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -45,6 +46,23 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("%s: output differs from the golden file\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
+	}
+}
+
+// TestRunRefusesNonPositiveRuns: a run count below one is refused like
+// an unknown program, before anything runs or prints.
+func TestRunRefusesNonPositiveRuns(t *testing.T) {
+	for _, runs := range []string{"0", "-3"} {
+		var err error
+		out := captureStdout(t, func() {
+			err = run([]string{"-prog", "account", "-runs", runs})
+		})
+		if err == nil || !strings.Contains(err.Error(), "-runs must be positive") {
+			t.Errorf("-runs %s: error %v, want a refusal", runs, err)
+		}
+		if len(out) != 0 {
+			t.Errorf("-runs %s printed %q", runs, out)
+		}
 	}
 }
 

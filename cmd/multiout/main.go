@@ -23,16 +23,28 @@ import (
 )
 
 func main() {
-	runs := flag.Int("runs", 100, "number of runs")
-	tool := flag.String("tool", "noise", strategies.Usage())
-	p := flag.Float64("p", 0.4, "noise probability")
-	verbose := flag.Bool("v", false, "print every run's canonical outcome")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "multiout:", err)
+		os.Exit(2)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("multiout", flag.ExitOnError)
+	runs := fs.Int("runs", 100, "number of runs")
+	tool := fs.String("tool", "noise", strategies.Usage())
+	p := fs.Float64("p", 0.4, "noise probability")
+	verbose := fs.Bool("v", false, "print every run's canonical outcome")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *runs <= 0 {
+		return fmt.Errorf("-runs must be positive, got %d", *runs)
+	}
 
 	next, err := strategies.New(*tool, strategies.Params{P: *p})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "multiout:", err)
-		os.Exit(2)
+		return err
 	}
 	body := multiout.Body()
 	dist := multiout.Distribution{}
@@ -73,4 +85,5 @@ func main() {
 		}
 		fmt.Printf("%6.1f%%  %s\n", 100*float64(e.count)/float64(dist.Runs()), e.outcome)
 	}
+	return nil
 }

@@ -4,10 +4,34 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+// TestRefusesNonPositiveRuns: a run count below one is refused like an
+// unknown tool, before anything runs or prints.
+func TestRefusesNonPositiveRuns(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	savedOut := os.Stdout
+	defer func() { os.Stdout = savedOut }()
+	os.Stdout = f
+	for _, runs := range []string{"0", "-3"} {
+		err := run([]string{"-runs", runs, "-tool", "noise"})
+		if err == nil || !strings.Contains(err.Error(), "-runs must be positive") {
+			t.Errorf("-runs %s: error %v, want a refusal", runs, err)
+		}
+	}
+	os.Stdout = savedOut
+	if out, _ := os.ReadFile(f.Name()); len(out) != 0 {
+		t.Errorf("refused runs printed %q", out)
+	}
+}
 
 // TestNoiseGolden pins `multiout -runs 100 -tool noise -v` byte for
 // byte: every run's canonical outcome, then the distribution summary.

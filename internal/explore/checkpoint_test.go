@@ -223,9 +223,10 @@ func assertConservation(t *testing.T, label string, res *Result) {
 		t.Errorf("%s: positioning law broken: hits %d + misses %d = %d over %d schedules",
 			label, res.Stats.CheckpointHits, res.Stats.CheckpointMisses, got, res.Schedules)
 	}
-	if got := res.Stats.ReplayedSteps + res.Stats.NovelSteps + res.Stats.RestoredSteps; got != res.Stats.TotalSteps {
-		t.Errorf("%s: step law broken: replayed %d + novel %d + restored %d = %d, total %d",
-			label, res.Stats.ReplayedSteps, res.Stats.NovelSteps, res.Stats.RestoredSteps, got, res.Stats.TotalSteps)
+	st := res.Stats
+	if got := st.ReplayedSteps + st.NovelSteps + st.RestoredSteps + st.CoastedSteps; got != st.TotalSteps {
+		t.Errorf("%s: step law broken: replayed %d + novel %d + restored %d + coasted %d = %d, total %d",
+			label, st.ReplayedSteps, st.NovelSteps, st.RestoredSteps, st.CoastedSteps, got, st.TotalSteps)
 	}
 }
 
@@ -233,7 +234,7 @@ func assertConservation(t *testing.T, label string, res *Result) {
 // across every search mode: every schedule is positioned exactly once
 // (checkpoint_hits + checkpoint_misses == schedules), and every
 // scheduler step is attributed exactly once (replayed + novel +
-// restored == total). The laws are what make the counters trustworthy:
+// restored + coasted == total). The laws are what make the counters trustworthy:
 // a counter that can drift from the ground truth silently is worse than
 // no counter. Without the state cache a serial search positions every
 // run after its first, so it has exactly one miss.

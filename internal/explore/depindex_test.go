@@ -80,8 +80,8 @@ func randFP(rng *rand.Rand) core.Footprint {
 
 // randNode builds a DFS node the way newNode can leave one: one to
 // three runnable threads (sometimes plus the idle pseudo-thread), with
-// footprints index-aligned, absent, or — for a state-cache cut —
-// misaligned because the options were cut to the chosen one.
+// footprints index-aligned, and sometimes — for a state-cache cut —
+// both cut to the chosen option.
 func randNode(rng *rand.Rand) *node {
 	n := &node{}
 	for _, t := range rng.Perm(modelThreads)[:1+rng.Intn(3)] {
@@ -90,19 +90,17 @@ func randNode(rng *rand.Rand) *node {
 	if rng.Intn(5) == 0 {
 		n.options = append(n.options, sched.IdleID)
 	}
-	if rng.Intn(10) != 0 {
-		for _, o := range n.options {
-			fp := core.Footprint{}
-			if o != sched.IdleID {
-				fp = randFP(rng)
-			}
-			n.fps = append(n.fps, fp)
+	for _, o := range n.options {
+		fp := core.Footprint{}
+		if o != sched.IdleID {
+			fp = randFP(rng)
 		}
+		n.fps = append(n.fps, fp)
 	}
 	n.curIdx = rng.Intn(len(n.options))
 	if rng.Intn(6) == 0 {
-		n.options[0] = n.chosen()
-		n.options = n.options[:1]
+		n.options[0], n.fps[0] = n.chosen(), n.chosenFP()
+		n.options, n.fps = n.options[:1], n.fps[:1]
 		n.curIdx = 0
 	}
 	n.todo = make([]bool, len(n.options))
@@ -233,10 +231,9 @@ func TestDPORLookupsMatchWalkBack(t *testing.T) {
 			path: []*node{
 				nd(1, th(0, idle), wr(1), core.Footprint{}),
 				nd(0, th(1, 2), rd(1), wr(2)),
-				// A state-cache cut: options trimmed to the chosen one,
-				// fps left at full length, so its footprint reads as
-				// unknown (universal).
-				{options: th(2), fps: []core.Footprint{rd(1), wr(2)}, todo: []bool{true}, done: []bool{false}},
+				// A state-cache cut: options and fps trimmed to the
+				// chosen one.
+				{options: th(2), fps: []core.Footprint{wr(2)}, todo: []bool{true}, done: []bool{false}},
 			},
 			n:   nd(0, th(0, 1, idle), yield, wr(1), core.Footprint{}),
 			sum: []uint64{yield.Packed(), fork.Packed()},
@@ -247,9 +244,6 @@ func TestDPORLookupsMatchWalkBack(t *testing.T) {
 		c := tc{name: fmt.Sprintf("random-%d", i), n: randNode(rng)}
 		for d := rng.Intn(40); d > 0; d-- {
 			c.path = append(c.path, randNode(rng))
-		}
-		if len(c.n.fps) != len(c.n.options) { // a fresh node always has aligned fps
-			c.n = nd(0, th(0, 1), randFP(rng), randFP(rng))
 		}
 		for k := rng.Intn(5); k > 0; k-- {
 			c.sum = append(c.sum, randFP(rng).Packed())

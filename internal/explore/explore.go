@@ -78,11 +78,17 @@ type Options struct {
 	// bounding). Once the bound's worth of distinct threads has been
 	// preempted, only further preemptions of those same threads remain
 	// enabled — schedules may still take arbitrarily many preemptions,
-	// against a bounded thread set. Threads with ids ≥ 64 are never cut
-	// (conservative, matching the sleep-set bitmask limit). Bound(0)
-	// explores only non-preemptive schedules; nil is unbounded.
+	// against a bounded thread set. The preempted set is a 64-bit thread
+	// set, so threads with ids ≥ 64 are never members and never cut
+	// (conservative). Bound(0) explores only non-preemptive schedules;
+	// nil is unbounded.
 	ThreadBound *int
-	// SleepSets enables sleep-set pruning.
+	// SleepSets enables sleep-set pruning: once an option's subtree is
+	// explored at a node, the option sleeps there, and it stays asleep
+	// in the children of later siblings whose operation commutes with
+	// it. A sleeping option is not explored again. Sleep sets are 64-bit
+	// thread sets: a thread with an id ≥ 64 never sleeps, which only
+	// prunes less.
 	SleepSets bool
 	// DPOR enables dynamic partial-order reduction: each node commits
 	// to one successor and alternatives are expanded only when a later
@@ -182,7 +188,13 @@ type Result struct {
 // (PreemptionBound, VariableBound, ThreadBound).
 func Bound(n int) *int { return &n }
 
-// node is one decision point along the current DFS path.
+// node is one decision point along the current DFS path. Every search
+// mode runs on the same node: todo is the set of options the node must
+// explore (all of them in plain and sleep-set search; under DPOR the
+// first one plus whatever race analysis requests), done the set whose
+// subtrees completed, and sleep the options sleep sets skip here.
+// backtrack moves to the first requested option that is neither done
+// nor asleep, and popNode counts what the node left unexplored.
 type node struct {
 	options []core.ThreadID // runnable threads, exploration order
 	curIdx  int             // index into options currently explored
@@ -196,36 +208,35 @@ type node struct {
 	curObj      uint32
 	// preBefore is the number of preemptions used before this node.
 	preBefore int
-	// tbMask is the set of threads preempted before this node, as a
-	// bitmask (thread-bounding state; ids ≥ 64 are never tracked, so
-	// they are never cut). Maintained only while ThreadBound is set.
-	tbMask uint64
+	// preempted is the set of threads preempted before this node
+	// (thread-bounding state). Maintained only while ThreadBound is set.
+	preempted threadSet
 	// vbObjs is the sorted set of distinct object handles charged by
 	// preemptions before this node (variable-bounding state).
 	// Maintained only while VariableBound is set.
 	vbObjs []uint32
 	// fps snapshots each option's pending-operation footprint at this
 	// node, index-aligned with options (for sleep-set and DPOR
-	// independence). Empty when nothing consumes independence.
+	// independence, the state hash and variable bounding).
 	fps []core.Footprint
-	// sleep marks options that need not be (re-)explored here.
-	sleep map[core.ThreadID]bool
+	// sleep is the set of options that need not be (re-)explored here:
+	// the inherited sleep set plus, under Options.SleepSets, every
+	// option whose subtree completed. sleep0 is the inherited part,
+	// fixed at creation; it keys the node's state-cache entry.
+	sleep  threadSet
+	sleep0 threadSet
 
-	// DPOR state (empty unless Options.DPOR), index-aligned with
-	// options: todo is the backtrack set — only its members are
-	// expanded — and done marks options whose subtrees completed.
+	// The backtrack state, index-aligned with options: todo marks the
+	// options to expand, done those whose subtrees completed.
 	todo []bool
 	done []bool
 
 	// State-cache bookkeeping (Options.StateCache): the node's
-	// canonical identity at creation, the inherited sleep set as a
-	// bitmask, the subtree's footprint summary accumulated as children
-	// pop, and the cut flag (this node's subtree was found in the
-	// cache; the run's remaining decisions are coasted, so no nodes
-	// exist below a cut).
+	// canonical identity at creation, the subtree's footprint summary
+	// accumulated as children pop, and the cut flag (this node's
+	// subtree was found in the cache; the run's remaining decisions are
+	// coasted, so no nodes exist below a cut).
 	stateHash   uint64
-	sleepMask   uint64
-	maskOK      bool
 	cut         bool
 	sub         []uint64
 	subOverflow bool
@@ -244,32 +255,54 @@ type node struct {
 
 func (n *node) chosen() core.ThreadID { return n.options[n.curIdx] }
 
-// fpOf returns the footprint snapshotted for thread t at this node;
-// zero — conservatively dependent with everything — when t was not an
-// option here or footprints were not captured.
-func (n *node) fpOf(t core.ThreadID) core.Footprint {
-	if len(n.fps) != len(n.options) {
-		return core.Footprint{}
+// chosenFP is the footprint of the option currently being explored.
+func (n *node) chosenFP() core.Footprint { return n.fps[n.curIdx] }
+
+// sleepAfter is the sleep set a successor reached by an operation with
+// footprint fp inherits: the members of n's sleep set that are options
+// here and whose operations commute with fp. A sleeping thread that is
+// no option here has no footprint to compare, so it is dropped
+// (conservative).
+func (n *node) sleepAfter(fp core.Footprint) threadSet {
+	var s threadSet
+	if n.sleep == 0 {
+		return s
 	}
 	for i, o := range n.options {
-		if o == t {
-			return n.fps[i]
+		if n.sleep.has(o) && n.fps[i].Commutes(fp) {
+			s = s.with(o)
 		}
 	}
-	return core.Footprint{}
+	return s
 }
 
-// chosenFP is the footprint of the option currently being explored.
-func (n *node) chosenFP() core.Footprint {
-	if len(n.fps) != len(n.options) {
-		return core.Footprint{}
+// threadSet is a set of thread ids as a 64-bit mask: sleep sets, the
+// thread bound's preempted set and the state cache's sleep keys. Ids
+// outside [0, 64) — the idle pseudo-thread included — are never
+// members, and adding one changes nothing. For a sleep set that means
+// such a thread never sleeps (it is explored again, which prunes less);
+// for the thread bound it means such a thread is never cut.
+type threadSet uint64
+
+// inThreadSet reports whether a threadSet can hold t.
+func inThreadSet(t core.ThreadID) bool { return t >= 0 && t < 64 }
+
+func (s threadSet) has(t core.ThreadID) bool {
+	return inThreadSet(t) && s&(1<<uint(t)) != 0
+}
+
+func (s threadSet) with(t core.ThreadID) threadSet {
+	if !inThreadSet(t) {
+		return s
 	}
-	return n.fps[n.curIdx]
+	return s | 1<<uint(t)
 }
 
-// nodePool recycles DFS nodes (and their sleep/pendings maps) within a
-// worker. A deep search allocates one node per decision point per
-// path; recycling them on backtrack makes the steady-state search
+func (s threadSet) len() int { return bits.OnesCount64(uint64(s)) }
+
+// nodePool recycles DFS nodes (and their slices) within a worker. A
+// deep search allocates one node per decision point per path;
+// recycling them on backtrack makes the steady-state search
 // allocation-free in the engine itself.
 type nodePool struct {
 	free []*node
@@ -291,13 +324,13 @@ func (p *nodePool) get(current core.ThreadID) *node {
 		nd.current = current
 		nd.curRunnable, nd.curObj = false, 0
 		nd.preBefore = 0
-		nd.tbMask = 0
+		nd.preempted = 0
 		nd.vbObjs = nd.vbObjs[:0]
-		clear(nd.sleep)
+		nd.sleep, nd.sleep0 = 0, 0
 		nd.fps = nd.fps[:0]
 		nd.todo = nd.todo[:0]
 		nd.done = nd.done[:0]
-		nd.stateHash, nd.sleepMask, nd.maskOK = 0, 0, false
+		nd.stateHash = 0
 		nd.cut = false
 		nd.sub = nd.sub[:0]
 		nd.subOverflow = false
@@ -305,7 +338,7 @@ func (p *nodePool) get(current core.ThreadID) *node {
 		nd.hsnap = nil
 		return nd
 	}
-	return &node{current: current, sleep: map[core.ThreadID]bool{}}
+	return &node{current: current}
 }
 
 func (p *nodePool) put(n *node) {
@@ -327,16 +360,10 @@ func (p *nodePool) putSnap(s *hasherSnap) {
 
 // tbAllows reports whether preempting thread t at this node respects
 // the thread bound: t was already preempted on this path, or the
-// preempted set still has room. Threads outside the bitmask range are
-// never cut (conservative).
+// preempted set still has room. A thread no threadSet can hold is never
+// cut (conservative).
 func (n *node) tbAllows(t core.ThreadID, bound int) bool {
-	if t < 0 || t >= 64 {
-		return true
-	}
-	if n.tbMask&(1<<uint(t)) != 0 {
-		return true
-	}
-	return bits.OnesCount64(n.tbMask) < bound
+	return !inThreadSet(t) || n.preempted.has(t) || n.preempted.len() < bound
 }
 
 // vbAllows reports whether charging object obj at this node respects
@@ -365,16 +392,14 @@ func addVBObj(objs []uint32, obj uint32) []uint32 {
 // runnable current thread — one preemption, the current thread in the
 // preempted set and, under VariableBound, its pending object in the
 // charged set. vb is appended to and returned.
-func (e *explorer) childBounds(n *node, t core.ThreadID, vb []uint32) (pre int, tb uint64, _ []uint32) {
-	pre, tb = n.preBefore, n.tbMask
+func (e *explorer) childBounds(n *node, t core.ThreadID, vb []uint32) (pre int, tb threadSet, _ []uint32) {
+	pre, tb = n.preBefore, n.preempted
 	if e.opts.VariableBound != nil {
 		vb = append(vb, n.vbObjs...)
 	}
 	if n.curRunnable && t != n.current {
 		pre++
-		if cur := n.current; cur >= 0 && cur < 64 {
-			tb |= 1 << uint(cur)
-		}
+		tb = tb.with(n.current)
 		if e.opts.VariableBound != nil {
 			vb = addVBObj(vb, n.curObj)
 		}
@@ -437,11 +462,6 @@ type dfsStrategy struct {
 // Name implements sched.Strategy.
 func (st *dfsStrategy) Name() string { return "explore-dfs" }
 
-// PendingFree implements sched.PendingFree: the DFS keys its pruning
-// on Choice.FootprintOf and never reads Choice.Pending, so the
-// scheduler can skip the per-decision PendingOp copy.
-func (st *dfsStrategy) PendingFree() bool { return true }
-
 // Pick implements sched.Strategy.
 func (st *dfsStrategy) Pick(c *sched.Choice) core.ThreadID {
 	e := st.e
@@ -499,26 +519,15 @@ func (e *explorer) newNode(c *sched.Choice, pd int) *node {
 	// from the donated work item at the subtree root.
 	if pd > 0 {
 		parent := e.path[pd-1]
-		n.preBefore, n.tbMask, n.vbObjs = e.childBounds(parent, parent.chosen(), n.vbObjs)
-		if e.opts.SleepSets {
-			chosenFP := parent.chosenFP()
-			for u := range parent.sleep {
-				if parent.fpOf(u).Commutes(chosenFP) {
-					n.sleep[u] = true
-				}
-			}
-		}
+		n.preBefore, n.preempted, n.vbObjs = e.childBounds(parent, parent.chosen(), n.vbObjs)
+		n.sleep = parent.sleepAfter(parent.chosenFP())
 	} else {
-		n.preBefore, n.tbMask = e.root.pre, e.root.tb
+		n.preBefore, n.preempted, n.sleep = e.root.pre, e.root.preempted, e.root.sleep
 		if e.opts.VariableBound != nil {
 			n.vbObjs = append(n.vbObjs, e.root.vb...)
 		}
-		if e.opts.SleepSets {
-			for u := range e.root.sleep {
-				n.sleep[u] = true
-			}
-		}
 	}
+	n.sleep0 = n.sleep
 
 	// Option order: current first (if runnable), then ascending ids.
 	if n.curRunnable {
@@ -559,31 +568,28 @@ func (e *explorer) newNode(c *sched.Choice, pd int) *node {
 		n.options = append(n.options, sched.IdleID)
 	}
 
-	// Snapshot pending-operation footprints for sleep-set, DPOR,
-	// state-hash and variable-bound computation (index-aligned with
-	// options; FootprintOf returns zero for the idle pseudo-thread,
-	// which is conservatively dependent with everything).
-	if (e.opts.SleepSets || e.red != nil || e.opts.VariableBound != nil) && c.FootprintOf != nil {
-		for _, id := range n.options {
-			n.fps = append(n.fps, c.FootprintOf(id))
-		}
+	// Snapshot pending-operation footprints, index-aligned with options
+	// (FootprintOf returns zero for the idle pseudo-thread, which is
+	// conservatively dependent with everything).
+	for _, id := range n.options {
+		n.fps = append(n.fps, c.FootprintOf(id))
 	}
 
-	// Skip initial options that are in the inherited sleep set (DPOR
-	// accounts skipped options at pop time instead, since its
-	// backtrack set can still grow while the subtree is in flight).
-	for n.curIdx < len(n.options)-1 && n.sleep[n.options[n.curIdx]] {
-		if !e.opts.DPOR {
-			e.stats.SleepPruned++
-		}
+	// Skip initial options that are in the inherited sleep set; the
+	// last option runs even when asleep. What the node leaves
+	// unexplored is counted when it pops.
+	for n.curIdx < len(n.options)-1 && n.sleep.has(n.options[n.curIdx]) {
 		n.curIdx++
 	}
 
+	// Request options: plain and sleep-set search request every one;
+	// DPOR requests the first it explores and lets race analysis add
+	// the rest.
+	for range n.options {
+		n.todo = append(n.todo, !e.opts.DPOR)
+		n.done = append(n.done, false)
+	}
 	if e.opts.DPOR {
-		for range n.options {
-			n.todo = append(n.todo, false)
-			n.done = append(n.done, false)
-		}
 		n.todo[n.curIdx] = true
 		// Timing branches are never DPOR-pruned: the independence
 		// relation says nothing about virtual-time warps.
@@ -600,26 +606,21 @@ func (e *explorer) newNode(c *sched.Choice, pd int) *node {
 	// the cached summary is replayed first so the cut subtree's race
 	// reversals against the current path are still requested.
 	if e.red != nil {
-		n.sleepMask, n.maskOK = sleepMask(n.sleep)
 		n.stateHash = e.hashState(c, n)
-		if n.maskOK {
-			if e.red.cache.lookup(n.stateHash, n.sleepMask, &e.red.hit) {
-				ent := &e.red.hit
-				e.stats.StateHits++
-				if e.opts.DPOR {
-					e.applySummary(ent, pd)
-					n.sub = append(n.sub[:0], ent.sum[:ent.nsum]...)
-				}
-				n.cut = true
-				e.cutDepth = pd
-				n.options[0] = n.chosen()
-				n.options = n.options[:1]
-				n.curIdx = 0
-				if e.opts.DPOR {
-					n.todo = append(n.todo[:0], true)
-					n.done = append(n.done[:0], false)
-				}
+		if e.red.cache.lookup(n.stateHash, n.sleep0, &e.red.hit) {
+			ent := &e.red.hit
+			e.stats.StateHits++
+			if e.opts.DPOR {
+				e.applySummary(ent, pd)
+				n.sub = append(n.sub[:0], ent.sum[:ent.nsum]...)
 			}
+			n.cut = true
+			e.cutDepth = pd
+			n.options[0], n.fps[0] = n.chosen(), n.chosenFP()
+			n.options, n.fps = n.options[:1], n.fps[:1]
+			n.curIdx = 0
+			n.todo = append(n.todo[:0], true)
+			n.done = append(n.done[:0], false)
 		}
 	}
 
@@ -630,7 +631,7 @@ func (e *explorer) newNode(c *sched.Choice, pd int) *node {
 	// node and re-enter the DFS at the branch. Single-option nodes are
 	// popped straight through on backtrack and never returned to, so
 	// they capture nothing.
-	if e.snapCap > 0 && !n.cut && len(n.options) > 1 && c.SnapshotTo != nil {
+	if e.snapCap > 0 && !n.cut && len(n.options) > 1 {
 		c.SnapshotTo(&n.pos)
 		if e.red != nil {
 			e.holdSnap(n, pd)
@@ -677,9 +678,9 @@ func (e *explorer) positionAt() int {
 	return -1
 }
 
-// backtrack advances the deepest node with an untried, non-sleeping
-// (and, under DPOR, backtrack-requested) alternative and truncates the
-// path there; it reports false when the shard's subtree is exhausted.
+// backtrack advances the deepest node with a requested, untried,
+// non-sleeping alternative and truncates the path there; it reports
+// false when the shard's subtree is exhausted.
 func (e *explorer) backtrack() bool {
 	for len(e.path) > 0 {
 		n := e.path[len(e.path)-1]
@@ -691,27 +692,16 @@ func (e *explorer) backtrack() bool {
 			e.popNode(n)
 			continue
 		}
+		n.done[n.curIdx] = true
 		if e.opts.SleepSets {
 			// The subtree under the current choice is done: siblings
 			// need not re-explore it unless dependent.
-			n.sleep[n.chosen()] = true
+			n.sleep = n.sleep.with(n.chosen())
 		}
-		if e.opts.DPOR {
-			n.done[n.curIdx] = true
-			if i, ok := n.nextTodo(); ok {
-				n.curIdx = i
-				e.decisions[len(e.decisions)-1] = n.chosen()
-				return true
-			}
-		} else {
-			for n.curIdx+1 < len(n.options) {
-				n.curIdx++
-				if !n.sleep[n.options[n.curIdx]] {
-					e.decisions[len(e.decisions)-1] = n.chosen()
-					return true
-				}
-				e.stats.SleepPruned++
-			}
+		if i, ok := n.nextTodo(); ok {
+			n.curIdx = i
+			e.decisions[len(e.decisions)-1] = n.chosen()
+			return true
 		}
 		e.popNode(n)
 	}
@@ -719,11 +709,11 @@ func (e *explorer) backtrack() bool {
 }
 
 // nextTodo finds the first option that is requested, unexplored and
-// not sleeping. Unlike the plain DFS cursor it may move backwards:
-// backtrack-set additions land in discovery order, not option order.
+// not sleeping. Under DPOR it may move backwards: backtrack-set
+// additions land in discovery order, not option order.
 func (n *node) nextTodo() (int, bool) {
 	for i, o := range n.options {
-		if n.todo[i] && !n.done[i] && !n.sleep[o] {
+		if n.todo[i] && !n.done[i] && !n.sleep.has(o) {
 			return i, true
 		}
 	}
@@ -743,33 +733,32 @@ func (e *explorer) popNode(n *node) {
 		n.hsnap = nil
 		e.holders = e.holders[:len(e.holders)-1]
 	}
-	if e.opts.DPOR && !n.cut {
+	if n.cut {
+		e.cutDepth = -1
+	} else {
 		for i, o := range n.options {
 			switch {
 			case n.done[i]:
-			case n.sleep[o]:
+			case n.sleep.has(o):
 				e.stats.SleepPruned++
 			case !n.todo[i]:
 				e.stats.PORPruned++
 			}
 		}
 	}
-	if n.cut {
-		e.cutDepth = -1
-	}
 	if e.red != nil {
-		if !n.cut && n.maskOK && (!n.subOverflow || !e.opts.DPOR) {
+		if !n.cut && (!n.subOverflow || !e.opts.DPOR) {
 			sum := n.sub
 			if !e.opts.DPOR {
 				// Without DPOR there are no backtrack obligations to
 				// replay on a hit; the entry needs no summary.
 				sum = nil
 			}
-			e.red.cache.insert(n.stateHash, n.sleepMask, sum)
+			e.red.cache.insert(n.stateHash, n.sleep0, sum)
 		}
 		if last > 0 {
 			parent := e.path[last-1]
-			parent.foldChild(parent.chosenFootprint(), n)
+			parent.foldChild(parent.chosenFP().Packed(), n)
 		}
 	}
 	e.pool.put(n)
@@ -779,7 +768,9 @@ func (e *explorer) popNode(n *node) {
 // the current DFS path and packages it as a standalone work item for
 // another worker. The option is removed from the local node so every
 // schedule is still explored exactly once. Splitting shallow donates
-// the largest subtrees, which keeps work-stealing traffic low.
+// the largest subtrees, which keeps work-stealing traffic low. The
+// alternative need not be requested: under DPOR, donation requests
+// everything (below); elsewhere every option already is.
 //
 // The donated item inherits the branch node's sleep set filtered by
 // independence against the donated option's pending operation —
@@ -792,7 +783,8 @@ func (e *explorer) popNode(n *node) {
 // Under DPOR, donation is how backtrack sets are exchanged across work
 // items — by making the exchange unnecessary: before an option leaves
 // the donor, every node on the donor's path up to the branch point is
-// promoted to full expansion (todo = all options). Races the donated
+// promoted to full expansion (todo = all options, which plain and
+// sleep-set nodes already are). Races the donated
 // subtree would discover against the donor's decisions then need no
 // cross-shard additions: whatever thread they would request at those
 // nodes is already committed. Donation therefore degrades those nodes
@@ -807,59 +799,33 @@ func (e *explorer) split() (*workItem, bool) {
 			// single-choice by construction.
 			break
 		}
-		for j := 0; j < len(n.options); j++ {
-			if !e.opts.DPOR && j <= n.curIdx {
+		for j, opt := range n.options {
+			if j == n.curIdx || n.done[j] || n.sleep.has(opt) {
 				continue
 			}
-			if e.opts.DPOR && j == n.curIdx {
-				continue
-			}
-			opt := n.options[j]
-			if n.sleep[opt] || (e.opts.DPOR && n.done[j]) {
-				continue
-			}
-			if e.opts.DPOR {
-				for i := 0; i <= d; i++ {
-					for k := range e.path[i].todo {
-						e.path[i].todo[k] = true
-					}
+			for i := 0; i <= d; i++ {
+				for k := range e.path[i].todo {
+					e.path[i].todo[k] = true
 				}
-				// The donated subtree's footprints will never fold into
-				// this node's summary (another worker explores them), so
-				// a cache entry here would replay incomplete backtrack
-				// obligations on a later hit. Poison the summary; the
-				// overflow propagates to ancestors through foldChild.
-				n.subOverflow = true
 			}
-			optFP := n.fpOf(opt)
-			hasFPs := len(n.fps) == len(n.options)
+			// The donated subtree's footprints will never fold into this
+			// node's summary (another worker explores them), so a DPOR
+			// cache entry here would replay incomplete backtrack
+			// obligations on a later hit. Poison the summary; the
+			// overflow propagates to ancestors through foldChild.
+			n.subOverflow = true
+
+			item := &workItem{prefix: make([]core.ThreadID, 0, e.base+d+1)}
+			item.prefix = append(append(item.prefix, e.decisions[:e.base+d]...), opt)
+			item.pre, item.preempted, item.vb = e.childBounds(n, opt, nil)
+			item.sleep = n.sleepAfter(n.fps[j])
+
 			n.options = slices.Delete(n.options, j, j+1)
-			if hasFPs {
-				n.fps = slices.Delete(n.fps, j, j+1)
-			}
-			if e.opts.DPOR {
-				n.todo = slices.Delete(n.todo, j, j+1)
-				n.done = slices.Delete(n.done, j, j+1)
-			}
+			n.fps = slices.Delete(n.fps, j, j+1)
+			n.todo = slices.Delete(n.todo, j, j+1)
+			n.done = slices.Delete(n.done, j, j+1)
 			if j < n.curIdx {
 				n.curIdx--
-			}
-
-			prefix := make([]core.ThreadID, 0, e.base+d+1)
-			prefix = append(prefix, e.decisions[:e.base+d]...)
-			prefix = append(prefix, opt)
-
-			item := &workItem{prefix: prefix}
-			item.pre, item.tb, item.vb = e.childBounds(n, opt, nil)
-			if e.opts.SleepSets && hasFPs {
-				for u := range n.sleep {
-					if n.fpOf(u).Commutes(optFP) {
-						if item.sleep == nil {
-							item.sleep = make(map[core.ThreadID]bool)
-						}
-						item.sleep[u] = true
-					}
-				}
 			}
 			return item, true
 		}

@@ -268,3 +268,73 @@ func TestExploreTimeoutsFindsLostNotify(t *testing.T) {
 		t.Fatalf("replay verdict = %v", rep.Verdict)
 	}
 }
+
+// TestThreadSet pins the one thread-set type: ids in [0, 64) are
+// members once added, ids outside it (the idle pseudo-thread, -1, 64
+// and beyond) never are, and adding one changes nothing. sleepAfter
+// keeps exactly the sleeping options whose footprints commute with the
+// successor's operation.
+func TestThreadSet(t *testing.T) {
+	for _, tc := range []struct {
+		id     core.ThreadID
+		member bool
+	}{
+		{sched.IdleID, false},
+		{-1, false},
+		{0, true},
+		{63, true},
+		{64, false},
+		{1000, false},
+	} {
+		base := threadSet(0).with(5)
+		s := base.with(tc.id)
+		if got := s.has(tc.id); got != tc.member {
+			t.Errorf("id %d: member = %v, want %v", tc.id, got, tc.member)
+		}
+		if tc.member {
+			if s.len() != 2 || !s.has(5) {
+				t.Errorf("id %d: set %b, want {5, %d}", tc.id, s, tc.id)
+			}
+		} else if s != base {
+			t.Errorf("id %d: adding it changed the set %b to %b", tc.id, base, s)
+		}
+		if got := s.with(tc.id); got != s {
+			t.Errorf("id %d: adding it twice changed the set %b to %b", tc.id, s, got)
+		}
+	}
+
+	wr := func(o uint32) core.Footprint { return core.Footprint{Op: core.OpWrite, Obj: o} }
+	rd := func(o uint32) core.Footprint { return core.Footprint{Op: core.OpRead, Obj: o} }
+	n := &node{
+		options: []core.ThreadID{0, 1, 2, 3, 63, sched.IdleID},
+		fps:     []core.Footprint{wr(1), rd(2), wr(2), {Op: core.OpFork}, rd(3), {}},
+	}
+	for _, o := range n.options {
+		n.sleep = n.sleep.with(o)
+	}
+	// Thread 9 sleeps but is no option here: it has no footprint to
+	// compare, so no successor inherits it.
+	n.sleep = n.sleep.with(9)
+	for _, tc := range []struct {
+		fp   core.Footprint
+		want []core.ThreadID
+	}{
+		{rd(2), []core.ThreadID{0, 1, 63}},
+		{wr(2), []core.ThreadID{0, 63}},
+		{wr(1), []core.ThreadID{1, 2, 63}},
+		{rd(7), []core.ThreadID{0, 1, 2, 63}},
+		{core.Footprint{}, nil},
+	} {
+		var want threadSet
+		for _, id := range tc.want {
+			want = want.with(id)
+		}
+		if got := n.sleepAfter(tc.fp); got != want {
+			t.Errorf("sleepAfter(%+v) = %b, want %b", tc.fp, got, want)
+		}
+	}
+	n.sleep = 0
+	if got := n.sleepAfter(rd(7)); got != 0 {
+		t.Errorf("sleepAfter of an empty sleep set = %b", got)
+	}
+}

@@ -34,12 +34,12 @@ import (
 // root inherits from the donor's branch node (see explorer.childBounds).
 type workItem struct {
 	prefix []core.ThreadID
-	sleep  map[core.ThreadID]bool
-	// pre, tb and vb are the preemptions taken, the preempted-thread
-	// bitmask and the sorted charged-object set along prefix.
-	pre int
-	tb  uint64
-	vb  []uint32
+	sleep  threadSet
+	// pre, preempted and vb are the preemptions taken, the preempted
+	// threads and the sorted charged-object set along prefix.
+	pre       int
+	preempted threadSet
+	vb        []uint32
 }
 
 // coordinator owns the work queue, the global budgets and the merged
@@ -238,11 +238,10 @@ func (c *coordinator) exploreItem(kit *workerKit, red *reduction, item *workItem
 		runRes := kit.runner.Start(cfg, c.body)
 		index := int(c.executed.Add(1))
 		// Any scheduler steps beyond the decisions this strategy
-		// consumed were coasted below a cut — replay tax, not novel
-		// work.
+		// consumed were coasted below a cut.
 		e.stats.TotalSteps += int(runRes.Steps)
 		if tail := runRes.Steps - int64(st.depth); tail > 0 {
-			e.stats.ReplayedSteps += int(tail)
+			e.stats.CoastedSteps += int(tail)
 		}
 		if at >= 0 && runRes.Diverged && e.err == nil {
 			e.err = fmt.Errorf("explore: nondeterministic program: fast-forward to depth %d diverged", e.base+at)

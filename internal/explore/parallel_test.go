@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -16,31 +17,56 @@ var smallPrograms = []string{"account", "statmax", "inversion", "lostnotify", "p
 // serialGolden pins the serial engine's exact behaviour as measured on
 // the pre-parallelization implementation (same DFS, same sleep sets).
 // Workers: 1 must stay byte-identical to it forever: any change to
-// schedule counts, outcome histograms or first-bug indices here is a
-// change to the search semantics and must be deliberate.
+// schedule counts, outcome histograms, first-bug indices or pruning
+// counters here is a change to the search semantics and must be
+// deliberate. The DPOR rows (no state cache) pin the reduction layer's
+// counters the same way; none of these modes coasts, so every Stats
+// field is a pure function of the search.
 var serialGolden = []struct {
 	program   string
 	sleepSets bool
+	dpor      bool
 	schedules int
 	firstBug  int
 	bugs      int
 	outcomes  map[string]int
+	stats     Stats
 }{
-	{"account", true, 1710, 27, 1, map[string]int{"fail:": 612, "pass:": 1098}},
-	{"account", false, 2728, 36, 1, nil},
-	{"statmax", true, 456, 11, 1, map[string]int{"fail:": 48, "pass:": 408}},
-	{"statmax", false, 515, 11, 1, nil},
-	{"inversion", true, 5452, 97, 1, map[string]int{"deadlock:": 89, "pass:": 5363}},
-	{"inversion", false, 7140, 127, 1, nil},
-	{"lostnotify", true, 32, -1, 0, map[string]int{"pass:": 32}},
-	{"lostnotify", false, 32, -1, 0, nil},
-	{"philosophers", true, 13305, 209, 1, map[string]int{"deadlock:": 89, "pass:": 13216}},
-	{"philosophers", false, 20469, 335, 1, nil},
+	{"account", true, false, 1710, 27, 1, map[string]int{"fail:": 612, "pass:": 1098},
+		Stats{SleepPruned: 250, ReplayedSteps: 1709, NovelSteps: 7374, CheckpointHits: 1709, CheckpointMisses: 1, RestoredSteps: 17019, TotalSteps: 26102}},
+	{"account", false, false, 2728, 36, 1, nil,
+		Stats{ReplayedSteps: 2727, NovelSteps: 11149, CheckpointHits: 2727, CheckpointMisses: 1, RestoredSteps: 27672, TotalSteps: 41548}},
+	{"account", false, true, 1661, 23, 1, map[string]int{"fail:": 612, "pass:": 1049},
+		Stats{SleepPruned: 240, PORPruned: 19, Backtracks: 1900, ReplayedSteps: 1660, NovelSteps: 7140, CheckpointHits: 1660, CheckpointMisses: 1, RestoredSteps: 16537, TotalSteps: 25337}},
+	{"statmax", true, false, 456, 11, 1, map[string]int{"fail:": 48, "pass:": 408},
+		Stats{SleepPruned: 11, ReplayedSteps: 455, NovelSteps: 1821, CheckpointHits: 455, CheckpointMisses: 1, RestoredSteps: 3693, TotalSteps: 5969}},
+	{"statmax", false, false, 515, 11, 1, nil,
+		Stats{ReplayedSteps: 514, NovelSteps: 2043, CheckpointHits: 514, CheckpointMisses: 1, RestoredSteps: 4181, TotalSteps: 6738}},
+	{"statmax", false, true, 456, 11, 1, map[string]int{"fail:": 48, "pass:": 408},
+		Stats{SleepPruned: 11, Backtracks: 466, ReplayedSteps: 455, NovelSteps: 1821, CheckpointHits: 455, CheckpointMisses: 1, RestoredSteps: 3693, TotalSteps: 5969}},
+	{"inversion", true, false, 5452, 97, 1, map[string]int{"deadlock:": 89, "pass:": 5363},
+		Stats{SleepPruned: 237, ReplayedSteps: 5451, NovelSteps: 19051, CheckpointHits: 5451, CheckpointMisses: 1, RestoredSteps: 69035, TotalSteps: 93537}},
+	{"inversion", false, false, 7140, 127, 1, nil,
+		Stats{ReplayedSteps: 7139, NovelSteps: 24214, CheckpointHits: 7139, CheckpointMisses: 1, RestoredSteps: 90364, TotalSteps: 121717}},
+	{"inversion", false, true, 5327, 92, 1, map[string]int{"deadlock:": 55, "pass:": 5272},
+		Stats{SleepPruned: 222, PORPruned: 65, Backtracks: 5548, ReplayedSteps: 5326, NovelSteps: 18621, CheckpointHits: 5326, CheckpointMisses: 1, RestoredSteps: 67729, TotalSteps: 91676}},
+	{"lostnotify", true, false, 32, -1, 0, map[string]int{"pass:": 32},
+		Stats{ReplayedSteps: 31, NovelSteps: 200, CheckpointHits: 31, CheckpointMisses: 1, RestoredSteps: 321, TotalSteps: 552}},
+	{"lostnotify", false, false, 32, -1, 0, nil,
+		Stats{ReplayedSteps: 31, NovelSteps: 200, CheckpointHits: 31, CheckpointMisses: 1, RestoredSteps: 321, TotalSteps: 552}},
+	{"lostnotify", false, true, 32, -1, 0, map[string]int{"pass:": 32},
+		Stats{Backtracks: 31, ReplayedSteps: 31, NovelSteps: 200, CheckpointHits: 31, CheckpointMisses: 1, RestoredSteps: 321, TotalSteps: 552}},
+	{"philosophers", true, false, 13305, 209, 1, map[string]int{"deadlock:": 89, "pass:": 13216},
+		Stats{SleepPruned: 449, ReplayedSteps: 13304, NovelSteps: 76416, CheckpointHits: 13304, CheckpointMisses: 1, RestoredSteps: 194924, TotalSteps: 284644}},
+	{"philosophers", false, false, 20469, 335, 1, nil,
+		Stats{ReplayedSteps: 20468, NovelSteps: 115728, CheckpointHits: 20468, CheckpointMisses: 1, RestoredSteps: 300832, TotalSteps: 437028}},
+	{"philosophers", false, true, 13126, 203, 1, map[string]int{"deadlock:": 55, "pass:": 13071},
+		Stats{SleepPruned: 428, PORPruned: 74, Backtracks: 13553, ReplayedSteps: 13125, NovelSteps: 75392, CheckpointHits: 13125, CheckpointMisses: 1, RestoredSteps: 192776, TotalSteps: 281293}},
 }
 
 // TestSerialGolden locks Workers: 1 to the pre-refactor serial engine:
-// identical schedule counts, outcome histograms, bug counts and
-// first-bug indices on every repository program.
+// identical schedule counts, outcome histograms, bug counts, first-bug
+// indices and Stats on every repository program.
 //
 // (The deadlock programs historically reported the same deadlock twice
 // under two rotations of the wait-for cycle, because the cycle
@@ -54,24 +80,28 @@ func TestSerialGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := prog.BodyWith(prog.Explorable)
-		res := Explore(Options{MaxSchedules: 200000, SleepSets: g.sleepSets, Workers: 1}, body)
+		res := Explore(Options{MaxSchedules: 200000, SleepSets: g.sleepSets, DPOR: g.dpor, Workers: 1}, body)
+		label := fmt.Sprintf("%s (sleepsets=%v dpor=%v)", g.program, g.sleepSets, g.dpor)
 		if res.Err != nil {
-			t.Fatalf("%s: %v", g.program, res.Err)
+			t.Fatalf("%s: %v", label, res.Err)
 		}
 		if !res.Exhausted {
-			t.Fatalf("%s (sleepsets=%v): not exhausted after %d schedules", g.program, g.sleepSets, res.Schedules)
+			t.Fatalf("%s: not exhausted after %d schedules", label, res.Schedules)
 		}
 		if res.Schedules != g.schedules {
-			t.Errorf("%s (sleepsets=%v): schedules = %d, golden %d", g.program, g.sleepSets, res.Schedules, g.schedules)
+			t.Errorf("%s: schedules = %d, golden %d", label, res.Schedules, g.schedules)
 		}
 		if got := res.FirstBugIndex(); got != g.firstBug {
-			t.Errorf("%s (sleepsets=%v): first bug at %d, golden %d", g.program, g.sleepSets, got, g.firstBug)
+			t.Errorf("%s: first bug at %d, golden %d", label, got, g.firstBug)
 		}
 		if len(res.Bugs) != g.bugs {
-			t.Errorf("%s (sleepsets=%v): %d distinct bugs, golden %d", g.program, g.sleepSets, len(res.Bugs), g.bugs)
+			t.Errorf("%s: %d distinct bugs, golden %d", label, len(res.Bugs), g.bugs)
 		}
 		if g.outcomes != nil && !reflect.DeepEqual(res.Outcomes, g.outcomes) {
-			t.Errorf("%s (sleepsets=%v): outcomes = %v, golden %v", g.program, g.sleepSets, res.Outcomes, g.outcomes)
+			t.Errorf("%s: outcomes = %v, golden %v", label, res.Outcomes, g.outcomes)
+		}
+		if res.Stats != g.stats {
+			t.Errorf("%s: stats = %+v, golden %+v", label, res.Stats, g.stats)
 		}
 	}
 }

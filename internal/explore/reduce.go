@@ -78,7 +78,10 @@ import (
 // names are pinned: cmd/explore -json emits them and the CI reduction
 // gate parses them.
 type Stats struct {
-	// SleepPruned counts node options skipped by sleep sets.
+	// SleepPruned counts the options sleep sets kept a node from
+	// exploring: the options still asleep and unexplored when a node
+	// that was not cut by the state cache pops. Nodes a search stops
+	// or is cut in before they pop are not counted.
 	SleepPruned int `json:"sleep_pruned"`
 	// PORPruned counts node options never added to a DPOR backtrack
 	// set — subtrees proven redundant and not explored.
@@ -99,14 +102,18 @@ type Stats struct {
 	TBPruned int `json:"tb_pruned"`
 	// ReplayedSteps counts scheduler steps spent re-establishing
 	// already-known state under strategy control: schedule-prefix and
-	// path-replay decisions, plus the coasted tail steps below
-	// state-cache cuts. This is the replay tax DFS pays for
+	// path-replay decisions. This is the replay tax DFS pays for
 	// statelessness, which positioning (in every mode, see
 	// Options.StateCache) moves to RestoredSteps: a positioned run
 	// replays only its branch node's decision, and under the state cache
 	// whatever lies between that node and the deepest hasher snapshot
 	// above it.
 	ReplayedSteps int `json:"replayed_steps"`
+	// CoastedSteps counts the steps runs coasted below state-cache
+	// cuts: a cut subtree is already explored, so the scheduler
+	// finishes the run under its nonpreemptive rule without strategy
+	// round trips. Zero without the state cache.
+	CoastedSteps int `json:"coasted_steps"`
 	// NovelSteps counts decisions taken at fresh frontier nodes — the
 	// steps that visit new state.
 	NovelSteps int `json:"novel_steps"`
@@ -124,8 +131,9 @@ type Stats struct {
 	RestoredSteps int `json:"restored_steps"`
 	// TotalSteps counts every scheduler step of every schedule. The
 	// step conservation law — ReplayedSteps + NovelSteps +
-	// RestoredSteps == TotalSteps — holds for every healthy exploration
-	// and is pinned repo-wide by TestCheckpointConservation.
+	// RestoredSteps + CoastedSteps == TotalSteps — holds for every
+	// healthy exploration and is pinned repo-wide by
+	// TestCheckpointConservation.
 	TotalSteps int `json:"total_steps"`
 }
 
@@ -137,6 +145,7 @@ func (s *Stats) add(o Stats) {
 	s.VBPruned += o.VBPruned
 	s.TBPruned += o.TBPruned
 	s.ReplayedSteps += o.ReplayedSteps
+	s.CoastedSteps += o.CoastedSteps
 	s.NovelSteps += o.NovelSteps
 	s.CheckpointHits += o.CheckpointHits
 	s.CheckpointMisses += o.CheckpointMisses
@@ -337,7 +346,7 @@ func (sh *stateHasher) OnEvent(ev *core.Event) {
 // instead of zeroing (or reallocating) it per Explore call.
 type cacheEnt struct {
 	hash  uint64
-	sleep uint64 // inherited sleep set at exploration, as a thread bitmask
+	sleep threadSet // inherited sleep set at exploration
 	gen   uint32
 	nsum  uint8
 	sum   [subCap]uint64
@@ -394,7 +403,7 @@ func (c *stateCache) reset() {
 // lookup reports whether the cache holds a usable entry for the state
 // — same hash, explored under a sleep set no larger than the current
 // one — and copies it into hit, which the caller owns.
-func (c *stateCache) lookup(hash, sleep uint64, hit *cacheEnt) bool {
+func (c *stateCache) lookup(hash uint64, sleep threadSet, hit *cacheEnt) bool {
 	i := hash & c.mask
 	mu := &c.locks[i%cacheStripes]
 	mu.Lock()
@@ -410,7 +419,7 @@ func (c *stateCache) lookup(hash, sleep uint64, hit *cacheEnt) bool {
 
 // insert records a fully-explored subtree. Collisions overwrite: the
 // cache is an accelerator, not a ledger.
-func (c *stateCache) insert(hash, sleep uint64, sum []uint64) {
+func (c *stateCache) insert(hash uint64, sleep threadSet, sum []uint64) {
 	i := hash & c.mask
 	mu := &c.locks[i%cacheStripes]
 	mu.Lock()
@@ -434,23 +443,6 @@ type reduction struct {
 	cache     *stateCache
 	hit       cacheEnt
 	listeners []core.Listener
-}
-
-// sleepMask folds a sleep set into a thread bitmask; ok is false when
-// a member does not fit (thread id ≥ 64), which disables caching for
-// the node rather than risking an incomparable set.
-func sleepMask(sleep map[core.ThreadID]bool) (uint64, bool) {
-	var m uint64
-	for t, on := range sleep {
-		if !on {
-			continue
-		}
-		if t < 0 || t >= 64 {
-			return 0, false
-		}
-		m |= 1 << uint(t)
-	}
-	return m, true
 }
 
 // hashState combines the worker's event chains with the decision
@@ -480,7 +472,7 @@ func (e *explorer) hashState(c *sched.Choice, n *node) uint64 {
 		h = mix(mix(h, uint64(uint32(c.Current))), uint64(n.preBefore))
 	}
 	if e.opts.ThreadBound != nil {
-		h = mix(mix(h, uint64(uint32(c.Current))), n.tbMask)
+		h = mix(mix(h, uint64(uint32(c.Current))), uint64(n.preempted))
 	}
 	if e.opts.VariableBound != nil {
 		h = mix(mix(h, uint64(uint32(c.Current))), uint64(len(n.vbObjs)))
@@ -526,9 +518,6 @@ func (n *node) foldChild(edge uint64, child *node) {
 // option — Flanagan & Godefroid's conservative fallback. It reports
 // how many fresh additions were made.
 func (n *node) addBacktrack(p core.ThreadID) int {
-	if len(n.todo) == 0 {
-		return 0
-	}
 	for i, o := range n.options {
 		if o == p {
 			if !n.todo[i] {
@@ -546,12 +535,6 @@ func (n *node) addBacktrack(p core.ThreadID) int {
 		}
 	}
 	return added
-}
-
-// chosenFootprint is the packed footprint of the operation this node's
-// current choice executes.
-func (n *node) chosenFootprint() uint64 {
-	return n.chosenFP().Packed()
 }
 
 // dporAnalyze implements the lazy backtrack-set construction for a
@@ -587,7 +570,7 @@ func (e *explorer) notePick(c *sched.Choice, pick core.ThreadID) {
 	sh := e.red.hasher
 	if pick == sched.IdleID {
 		sh.timeH = mix(mix(sh.timeH, 0x1d1e0), uint64(c.Step))
-	} else if c.FootprintOf != nil && c.FootprintOf(pick).Op == core.OpSleep {
+	} else if c.FootprintOf(pick).Op == core.OpSleep {
 		sh.timeH = mix(mix(sh.timeH, 0x51ee9), uint64(c.Step))
 	}
 }

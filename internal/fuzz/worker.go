@@ -49,7 +49,7 @@ type coordinator struct {
 	mu           sync.Mutex
 	corp         *corpus
 	coveredTasks map[coverage.TaskKey]bool
-	coveredOuts  map[string]bool
+	coveredOuts  map[outcomeKey]bool
 	coverageRuns int
 	repairs      int64
 	ops          map[string]int
@@ -72,9 +72,16 @@ func newCoordinator(opts Options, body func(core.T)) *coordinator {
 		global:       coverage.NewTracker(),
 		corp:         newCorpus(opts.MaxCorpus),
 		coveredTasks: map[coverage.TaskKey]bool{},
-		coveredOuts:  map[string]bool{},
+		coveredOuts:  map[outcomeKey]bool{},
 		ops:          map[string]int{},
 	}
+}
+
+// outcomeKey is a run's outcome class, one of the coverage signature's
+// parts: its verdict and its program-reported outcome.
+type outcomeKey struct {
+	verdict core.Verdict
+	outcome string
 }
 
 // workerState is one worker's reusable execution machinery.
@@ -239,6 +246,7 @@ func (c *coordinator) executeAndMerge(ws *workerState, st sched.Strategy, g *gui
 		Seed:           c.opts.Seed,
 		Plan:           c.opts.Plan,
 		RecordSchedule: true,
+		SkipTiming:     true,
 	}, c.body)
 	index := int(c.executed.Add(1))
 
@@ -247,7 +255,7 @@ func (c *coordinator) executeAndMerge(ws *workerState, st sched.Strategy, g *gui
 	// progress (the multi-outcome benchmark's lesson). The run's
 	// coverage also folds into the cumulative tracker here, once.
 	ws.keys = ws.perRun.AppendTaskKeys(ws.keys[:0])
-	outKey := res.Verdict.String() + ":" + res.Outcome
+	outKey := outcomeKey{res.Verdict, res.Outcome}
 	c.global.Merge(ws.perRun)
 
 	newBug := c.recordBug(res, index)

@@ -296,10 +296,11 @@ func TestLocationCaptureOptOut(t *testing.T) {
 // hands the heuristic the strategy's own Point, so deciding — noisy or
 // not, over the default base or a given one — allocates nothing.
 func TestPickAllocs(t *testing.T) {
+	pending := sched.PendingOp{Op: core.OpWrite, Name: "x", Loc: core.Location{File: "f.go", Line: 3}}
 	c := &sched.Choice{
-		Runnable: []core.ThreadID{0, 1, 2},
-		Current:  1,
-		Pending:  sched.PendingOp{Op: core.OpWrite, Name: "x", Loc: core.Location{File: "f.go", Line: 3}},
+		Runnable:  []core.ThreadID{0, 1, 2},
+		Current:   1,
+		PendingOf: func(core.ThreadID) sched.PendingOp { return pending },
 	}
 	for _, st := range []*Strategy{
 		NewStrategy(nil, NewBernoulli(0.5, KindYield), 1),

@@ -87,9 +87,12 @@ func (s *Strategy) NeedsLocations() bool {
 // Pick implements sched.Strategy.
 func (s *Strategy) Pick(c *sched.Choice) core.ThreadID {
 	canPerturb := c.CurrentRunnable() && (len(c.Runnable) > 1 || c.CanIdle)
-	if canPerturb && c.Pending.Op != core.OpInvalid {
+	if !canPerturb {
+		return s.Base.Pick(c)
+	}
+	if p := c.PendingOf(c.Current); p.Op != core.OpInvalid {
 		s.decisions++
-		s.point = Point{Thread: c.Current, Op: c.Pending.Op, Name: c.Pending.Name, Loc: c.Pending.Loc}
+		s.point = Point{Thread: c.Current, Op: p.Op, Name: p.Name, Loc: p.Loc}
 		if d := s.H.Decide(&s.point, s.rng); d.Noisy() {
 			s.perturbations++
 			// A sleep-type decision prefers letting virtual time pass

@@ -369,9 +369,6 @@ type scheduler struct {
 	// LocationAware, because resolving a caller PC is the single most
 	// expensive part of an otherwise-listener-free probe.
 	capLoc bool
-	// wantPending gates publishing Choice.Pending (a multi-word copy
-	// per decision); off when the strategy declares PendingFree.
-	wantPending bool
 	// sleepers counts threads in state tSleeping (whether or not their
 	// deadline has passed), so the per-step CanIdle probe can skip the
 	// all-threads scan in the common no-sleeps case.
@@ -517,10 +514,6 @@ func (s *scheduler) reset(cfg Config) {
 		if la, ok := cfg.Strategy.(LocationAware); ok && la.NeedsLocations() {
 			s.capLoc = true
 		}
-	}
-	s.wantPending = true
-	if pf, ok := cfg.Strategy.(PendingFree); ok && pf.PendingFree() {
-		s.wantPending = false
 	}
 
 	s.cur = nil
@@ -735,14 +728,6 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 		choice.LastEvent = nil
 		if s.cur != nil {
 			choice.Current = s.cur.id
-		}
-		// Publishing the pending operation copies a multi-word struct
-		// every decision; PendingFree strategies opt out of paying it.
-		if s.wantPending {
-			choice.Pending = PendingOp{}
-			if s.cur != nil {
-				choice.Pending = s.cur.pending
-			}
 		}
 		if s.hasEvent {
 			choice.LastEvent = &s.evScratch

@@ -43,14 +43,10 @@ type Choice struct {
 	// first event. Noise heuristics use it to bias decisions by
 	// operation kind or program location.
 	LastEvent *core.Event
-	// Pending describes the operation Current is about to perform, if
-	// Current stopped at a pre-operation scheduling point (zero
-	// otherwise). This is the information a ConTest-style noise
+	// PendingOf reports the pending operation of any thread (zero for
+	// threads that have not executed yet). PendingOf(Current) is the
+	// operation Current stopped before — what a ConTest-style noise
 	// heuristic keys on.
-	Pending PendingOp
-	// PendingOf reports the pending operation of any runnable thread
-	// (zero for threads that have not executed yet). The exploration
-	// engine uses it for independence-based pruning.
 	PendingOf func(core.ThreadID) PendingOp
 	// FootprintOf reports just the reduction-layer footprint (operation
 	// kind + interned object handle) of a runnable thread's pending
@@ -95,24 +91,13 @@ type Strategy interface {
 // lookup per probe (core.CallerLocationID), so the scheduler skips it
 // when nothing observes locations: any attached listener turns capture
 // on, and a strategy that keys its
-// decisions on Choice.Pending.Loc (noise with a location-keyed
+// decisions on PendingOf(...).Loc (noise with a location-keyed
 // heuristic does) must declare it by implementing LocationAware with
 // NeedsLocations() true.
 // Strategies without the method see zero Locations in listener-free
 // runs; everything else about the Choice is unaffected.
 type LocationAware interface {
 	NeedsLocations() bool
-}
-
-// PendingFree is an optional Strategy extension, the mirror image of
-// LocationAware: a strategy that never reads Choice.Pending — keying
-// on Choice.FootprintOf or Choice.PendingOf instead — may declare it
-// with PendingFree() true, and the scheduler then skips publishing
-// the multi-word PendingOp copy at every decision point. The
-// exploration engine's DFS strategy does this; strategies without the
-// method keep seeing Pending as before.
-type PendingFree interface {
-	PendingFree() bool
 }
 
 // nonpreemptive models the scheduler the paper's §1 blames for unit
