@@ -460,7 +460,7 @@ func TestFinderCounters(t *testing.T) {
 	want := map[string]map[string]int64{
 		"explore":     {"exhausted": 0},
 		"explore-pb":  {"exhausted": 1},
-		"explore-por": {"exhausted": 1, "pruned": 0, "cache_hits": 40},
+		"explore-por": {"exhausted": 1, "pruned": 16, "cache_hits": 23},
 		"explore-tb":  {"exhausted": 1, "bound_pruned": 85},
 		"explore-vb":  {"exhausted": 1, "bound_pruned": 24},
 		"fuzz":        nil,

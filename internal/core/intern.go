@@ -89,6 +89,18 @@ func LookupName(s string) (uint32, bool) { return nameTable.lookup(s) }
 // unknown handles).
 func InternedName(id uint32) string { return nameTable.resolve(id) }
 
+// InternedNameHash returns a content hash of the name behind a handle
+// (FNV-1a over its bytes; "" for 0 and unknown handles). Handles depend
+// on the order names were first interned in, process-wide; the hash
+// does not, so a hash folded from it is the same in every process.
+func InternedNameHash(id uint32) uint64 {
+	h := HashOffset
+	for _, c := range []byte(nameTable.resolve(id)) {
+		h = FoldHash(h, uint64(c))
+	}
+	return h
+}
+
 // InternLocKey returns the stable handle for the "file:line" form of a
 // program point — the same string Location.Key formats. Two call sites
 // on the same source line share a handle, exactly as they share a Key.

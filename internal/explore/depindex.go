@@ -14,12 +14,14 @@ import (
 // It rests on core.DepClass: Commutes is a function of the two
 // footprints' classes and whether their objects match. So the index
 // keeps, for the indexed prefix of the path, per thread the depth of
-// the deepest node of any class and of the deepest ClassUniversal
-// node, and per (object, thread) the depth of the deepest read and the
-// deepest write. A query is then a maximum over threads:
+// the deepest node of any class, of the deepest ClassUniversal node and
+// of the deepest fork, and per (object, thread) the depth of the
+// deepest read and the deepest write. A query is then a maximum over
+// threads:
 //
 //	universal fp → deepest node of any class
 //	local fp     → deepest universal node
+//	fork         → deepest universal node or fork
 //	read of o    → deepest universal node or write of o
 //	write of o   → deepest universal node, write of o or read of o
 //
@@ -32,8 +34,8 @@ import (
 // cut back with one undo record per path node (truncate, called by
 // backtrack before the top node re-chooses or pops). split and state-cache
 // cuts never change an indexed node's chosen()/chosenFP(): split only
-// deletes options other than the chosen one (fps in step), and a cut
-// rewrites its node's options before the node joins the path.
+// marks options other than the chosen one done, and a cut rewrites its
+// node's options before the node joins the path.
 //
 // The index is owned by the worker kit and reused across shards and
 // Explore calls; once its tables have grown to the program's thread,
@@ -41,6 +43,7 @@ import (
 type depIndex struct {
 	any  []int32 // per thread: deepest node of any class
 	uni  []int32 // per thread: deepest universal node
+	fork []int32 // per thread: deepest fork
 	objs []objDeps
 	// undo holds one record per indexed path node, in path order; its
 	// length is the indexed depth.
@@ -94,6 +97,7 @@ func (x *depIndex) push(n *node) {
 		if int(t) >= len(x.any) {
 			x.any = grow(x.any, int(t))
 			x.uni = grow(x.uni, int(t))
+			x.fork = grow(x.fork, int(t))
 		}
 		d := int32(len(x.undo) + 1)
 		u.oldAny, x.any[t] = x.any[t], d
@@ -113,6 +117,8 @@ func (x *depIndex) slot(cls core.DepClass, obj uint32, t int32) *int32 {
 		return &x.uni[t]
 	case core.ClassLocal:
 		return nil
+	case core.ClassFork:
+		return &x.fork[t]
 	}
 	if int(obj) >= len(x.objs) {
 		x.objs = append(x.objs, make([]objDeps, int(obj)+16-len(x.objs))...)
@@ -145,6 +151,8 @@ func (x *depIndex) deepest(fp core.Footprint, skip core.ThreadID) int {
 		best = maxExcept(x.any, nil, nil, skip)
 	case core.ClassLocal:
 		best = maxExcept(x.uni, nil, nil, skip)
+	case core.ClassFork:
+		best = maxExcept(x.uni, x.fork, nil, skip)
 	default:
 		var r, w []int32
 		if int(fp.Obj) < len(x.objs) {

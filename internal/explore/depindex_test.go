@@ -59,9 +59,11 @@ func refApplySummary(e *explorer, ent *cacheEnt, pd int) {
 	}
 }
 
-// modelOps and modelObjs span every dependence class; object 7 never
-// appears on a generated path, so probes on it exercise the index's
-// unseen-object case.
+// modelOps and modelObjs span every dependence class (randFP marks half
+// the invalid and join footprints Local, the lifecycle steps an
+// unstarted thread and a join on a finished child take); object 7
+// never appears on a generated path, so probes on it exercise the
+// index's unseen-object case.
 var (
 	modelOps = []core.Op{
 		core.OpInvalid, core.OpFork, core.OpJoin, core.OpSelect,
@@ -75,7 +77,11 @@ var (
 const modelThreads = 5
 
 func randFP(rng *rand.Rand) core.Footprint {
-	return core.Footprint{Op: modelOps[rng.Intn(len(modelOps))], Obj: modelObjs[rng.Intn(len(modelObjs))]}
+	fp := core.Footprint{Op: modelOps[rng.Intn(len(modelOps))], Obj: modelObjs[rng.Intn(len(modelObjs))]}
+	if fp.Op == core.OpInvalid || fp.Op == core.OpJoin {
+		fp.Local = rng.Intn(2) == 0
+	}
+	return fp
 }
 
 // randNode builds a DFS node the way newNode can leave one: one to

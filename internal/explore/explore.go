@@ -140,13 +140,13 @@ type Options struct {
 	// goroutines: the deduplicated bug set is the same, but schedule
 	// numbering depends on worker interleaving. Without reduction every
 	// schedule is still executed exactly once (sleep sets prune slightly
-	// less across shard boundaries). A reduced search executes more
+	// less across shard boundaries). A reduced search may execute more
 	// schedules than the serial one, because donation expands the
 	// donor's DPOR nodes and two workers can explore the same state
 	// before either has finished it: DPOR with the state cache measures
-	// about 1.4x the serial schedule count at 2 workers and 1.25x at 4
+	// about 0.99x the serial schedule count at 2 workers and 1.02x at 4
 	// on philosophers{3,1}, account{3,1}, account{2,2} and statmax{3}
-	// (TestParallelReducedRatio bounds it at 1.6x).
+	// (TestParallelReducedRatio bounds it at 1.2x).
 	Workers int
 	// Listeners are attached to every run and see all of it: a search
 	// with listeners replays each run from the root rather than
@@ -259,17 +259,17 @@ func (n *node) chosen() core.ThreadID { return n.options[n.curIdx] }
 func (n *node) chosenFP() core.Footprint { return n.fps[n.curIdx] }
 
 // sleepAfter is the sleep set a successor reached by an operation with
-// footprint fp inherits: the members of n's sleep set that are options
-// here and whose operations commute with fp. A sleeping thread that is
-// no option here has no footprint to compare, so it is dropped
-// (conservative).
-func (n *node) sleepAfter(fp core.Footprint) threadSet {
+// footprint fp inherits from sleep, a sleep set of n: the members that
+// are options here and whose operations commute with fp. A sleeping
+// thread that is no option here has no footprint to compare, so it is
+// dropped (conservative).
+func (n *node) sleepAfter(sleep threadSet, fp core.Footprint) threadSet {
 	var s threadSet
-	if n.sleep == 0 {
+	if sleep == 0 {
 		return s
 	}
 	for i, o := range n.options {
-		if n.sleep.has(o) && n.fps[i].Commutes(fp) {
+		if sleep.has(o) && n.fps[i].Commutes(fp) {
 			s = s.with(o)
 		}
 	}
@@ -504,6 +504,18 @@ func (st *dfsStrategy) Pick(c *sched.Choice) core.ThreadID {
 	return n.chosen()
 }
 
+// EndRun implements sched.RunEnder: under DPOR, a run that ends with
+// threads still runnable has its pending operations checked against
+// the path (see endAnalyze). A run that ends below a state-cache cut
+// has nothing to check: the cut subtree's obligations were replayed
+// from its summary.
+func (st *dfsStrategy) EndRun(c *sched.Choice) {
+	e := st.e
+	if e.opts.DPOR && e.cutDepth < 0 && st.depth-e.base == len(e.path) {
+		e.endAnalyze(c)
+	}
+}
+
 // newNode builds the frontier node for choice point c at path index pd,
 // applying preemption/variable/thread bounding, sleep sets and the
 // exploration order (current thread first, so the first descent is the
@@ -520,7 +532,7 @@ func (e *explorer) newNode(c *sched.Choice, pd int) *node {
 	if pd > 0 {
 		parent := e.path[pd-1]
 		n.preBefore, n.preempted, n.vbObjs = e.childBounds(parent, parent.chosen(), n.vbObjs)
-		n.sleep = parent.sleepAfter(parent.chosenFP())
+		n.sleep = parent.sleepAfter(parent.sleep, parent.chosenFP())
 	} else {
 		n.preBefore, n.preempted, n.sleep = e.root.pre, e.root.preempted, e.root.sleep
 		if e.opts.VariableBound != nil {
@@ -766,19 +778,25 @@ func (e *explorer) popNode(n *node) {
 
 // split carves the shallowest untried, non-sleeping alternative off
 // the current DFS path and packages it as a standalone work item for
-// another worker. The option is removed from the local node so every
-// schedule is still explored exactly once. Splitting shallow donates
-// the largest subtrees, which keeps work-stealing traffic low. The
+// another worker. The donor marks the option done, so every schedule
+// is still explored exactly once. Splitting shallow donates the
+// largest subtrees, which keeps work-stealing traffic low. The
 // alternative need not be requested: under DPOR, donation requests
 // everything (below); elsewhere every option already is.
 //
-// The donated item inherits the branch node's sleep set filtered by
-// independence against the donated option's pending operation —
-// exactly the inheritance a child node would receive in newNode. The
-// donor's sleeps accumulated after the donation are lost to the
-// donated shard, so parallel sleep-set search may execute more
-// schedules than serial, but never fewer behaviours: a smaller sleep
-// set only prunes less.
+// Under sleep sets, donation keeps the order the serial search would
+// explore the branch node in. Serial search finishes the in-progress
+// choice before it moves to a sibling, so the donated item inherits the
+// branch node's sleep set plus that choice, filtered by independence
+// against the donated option's pending operation — exactly the
+// inheritance the sibling's node would receive in newNode after
+// backtracking. And the donor puts the donated option to sleep beside
+// marking it done, so the siblings it explores later sleep on it, as
+// they would had the option been explored before them. Sleeps the
+// donor accumulates after the donation are still lost to the donated
+// shard, so parallel sleep-set search may execute more schedules than
+// serial, but never fewer behaviours: a smaller sleep set only prunes
+// less.
 //
 // Under DPOR, donation is how backtrack sets are exchanged across work
 // items — by making the exchange unnecessary: before an option leaves
@@ -818,15 +836,13 @@ func (e *explorer) split() (*workItem, bool) {
 			item := &workItem{prefix: make([]core.ThreadID, 0, e.base+d+1)}
 			item.prefix = append(append(item.prefix, e.decisions[:e.base+d]...), opt)
 			item.pre, item.preempted, item.vb = e.childBounds(n, opt, nil)
-			item.sleep = n.sleepAfter(n.fps[j])
-
-			n.options = slices.Delete(n.options, j, j+1)
-			n.fps = slices.Delete(n.fps, j, j+1)
-			n.todo = slices.Delete(n.todo, j, j+1)
-			n.done = slices.Delete(n.done, j, j+1)
-			if j < n.curIdx {
-				n.curIdx--
+			sleep := n.sleep
+			if e.opts.SleepSets {
+				sleep = sleep.with(n.chosen())
+				n.sleep = n.sleep.with(opt)
 			}
+			item.sleep = n.sleepAfter(sleep, n.fps[j])
+			n.done[j] = true
 			return item, true
 		}
 	}
@@ -835,10 +851,11 @@ func (e *explorer) split() (*workItem, bool) {
 
 // Independence is core.Footprint.Commutes over the interned handles
 // the scheduler publishes (via Choice.FootprintOf): different objects,
-// or both reads, commute; unknown operations and thread-lifecycle
-// operations are conservatively dependent. (Interned handles are
-// bijective with names, so this is exactly the historical
-// name-comparison relation.)
+// or both reads, commute; forks order only against forks; a thread
+// that has not run yet and a join on a finished child are local; other
+// joins, selects and unknown operations are conservatively dependent.
+// (Interned handles are bijective with names, so this is exactly the
+// historical name-comparison relation.)
 
 // Explore runs the search over body and returns its summary. The
 // search is serial for Options.Workers == 1 and sharded across a

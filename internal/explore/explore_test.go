@@ -319,22 +319,23 @@ func TestThreadSet(t *testing.T) {
 		fp   core.Footprint
 		want []core.ThreadID
 	}{
-		{rd(2), []core.ThreadID{0, 1, 63}},
-		{wr(2), []core.ThreadID{0, 63}},
-		{wr(1), []core.ThreadID{1, 2, 63}},
-		{rd(7), []core.ThreadID{0, 1, 2, 63}},
+		{rd(2), []core.ThreadID{0, 1, 3, 63}},
+		{wr(2), []core.ThreadID{0, 3, 63}},
+		{wr(1), []core.ThreadID{1, 2, 3, 63}},
+		{rd(7), []core.ThreadID{0, 1, 2, 3, 63}},
+		{core.Footprint{Op: core.OpFork}, []core.ThreadID{0, 1, 2, 63}},
 		{core.Footprint{}, nil},
 	} {
 		var want threadSet
 		for _, id := range tc.want {
 			want = want.with(id)
 		}
-		if got := n.sleepAfter(tc.fp); got != want {
+		if got := n.sleepAfter(n.sleep, tc.fp); got != want {
 			t.Errorf("sleepAfter(%+v) = %b, want %b", tc.fp, got, want)
 		}
 	}
 	n.sleep = 0
-	if got := n.sleepAfter(rd(7)); got != 0 {
+	if got := n.sleepAfter(n.sleep, rd(7)); got != 0 {
 		t.Errorf("sleepAfter of an empty sleep set = %b", got)
 	}
 }

@@ -14,14 +14,17 @@ import (
 
 var smallPrograms = []string{"account", "statmax", "inversion", "lostnotify", "philosophers"}
 
-// serialGolden pins the serial engine's exact behaviour as measured on
-// the pre-parallelization implementation (same DFS, same sleep sets).
-// Workers: 1 must stay byte-identical to it forever: any change to
-// schedule counts, outcome histograms, first-bug indices or pruning
-// counters here is a change to the search semantics and must be
-// deliberate. The DPOR rows (no state cache) pin the reduction layer's
-// counters the same way; none of these modes coasts, so every Stats
-// field is a pure function of the search.
+// serialGolden pins the serial engine's exact behaviour. The plain-DFS
+// rows were measured on the pre-parallelization implementation; the
+// sleep-set and DPOR rows on the lifecycle-precise independence
+// relation (a thread that has not run yet and a join on a finished
+// child are local, a fork depends only on forks). Workers: 1 must stay
+// byte-identical to it: any change to schedule counts, outcome
+// histograms, first-bug indices or pruning counters here is a change
+// to the search semantics and must be deliberate. The DPOR rows (no
+// state cache) pin the reduction layer's counters the same way; none of
+// these modes coasts, so every Stats field is a pure function of the
+// search.
 var serialGolden = []struct {
 	program   string
 	sleepSets bool
@@ -32,36 +35,36 @@ var serialGolden = []struct {
 	outcomes  map[string]int
 	stats     Stats
 }{
-	{"account", true, false, 1710, 27, 1, map[string]int{"fail:": 612, "pass:": 1098},
-		Stats{SleepPruned: 250, ReplayedSteps: 1709, NovelSteps: 7374, CheckpointHits: 1709, CheckpointMisses: 1, RestoredSteps: 17019, TotalSteps: 26102}},
+	{"account", true, false, 243, 8, 1, map[string]int{"fail:": 111, "pass:": 132},
+		Stats{SleepPruned: 122, ReplayedSteps: 242, NovelSteps: 1196, CheckpointHits: 242, CheckpointMisses: 1, RestoredSteps: 2266, TotalSteps: 3704}},
 	{"account", false, false, 2728, 36, 1, nil,
 		Stats{ReplayedSteps: 2727, NovelSteps: 11149, CheckpointHits: 2727, CheckpointMisses: 1, RestoredSteps: 27672, TotalSteps: 41548}},
-	{"account", false, true, 1661, 23, 1, map[string]int{"fail:": 612, "pass:": 1049},
-		Stats{SleepPruned: 240, PORPruned: 19, Backtracks: 1900, ReplayedSteps: 1660, NovelSteps: 7140, CheckpointHits: 1660, CheckpointMisses: 1, RestoredSteps: 16537, TotalSteps: 25337}},
-	{"statmax", true, false, 456, 11, 1, map[string]int{"fail:": 48, "pass:": 408},
-		Stats{SleepPruned: 11, ReplayedSteps: 455, NovelSteps: 1821, CheckpointHits: 455, CheckpointMisses: 1, RestoredSteps: 3693, TotalSteps: 5969}},
+	{"account", false, true, 162, 6, 1, map[string]int{"fail:": 75, "pass:": 87},
+		Stats{SleepPruned: 75, PORPruned: 76, Backtracks: 230, ReplayedSteps: 161, NovelSteps: 871, CheckpointHits: 161, CheckpointMisses: 1, RestoredSteps: 1444, TotalSteps: 2476}},
+	{"statmax", true, false, 90, 6, 1, map[string]int{"fail:": 11, "pass:": 79},
+		Stats{SleepPruned: 33, ReplayedSteps: 89, NovelSteps: 411, CheckpointHits: 89, CheckpointMisses: 1, RestoredSteps: 674, TotalSteps: 1174}},
 	{"statmax", false, false, 515, 11, 1, nil,
 		Stats{ReplayedSteps: 514, NovelSteps: 2043, CheckpointHits: 514, CheckpointMisses: 1, RestoredSteps: 4181, TotalSteps: 6738}},
-	{"statmax", false, true, 456, 11, 1, map[string]int{"fail:": 48, "pass:": 408},
-		Stats{SleepPruned: 11, Backtracks: 466, ReplayedSteps: 455, NovelSteps: 1821, CheckpointHits: 455, CheckpointMisses: 1, RestoredSteps: 3693, TotalSteps: 5969}},
-	{"inversion", true, false, 5452, 97, 1, map[string]int{"deadlock:": 89, "pass:": 5363},
-		Stats{SleepPruned: 237, ReplayedSteps: 5451, NovelSteps: 19051, CheckpointHits: 5451, CheckpointMisses: 1, RestoredSteps: 69035, TotalSteps: 93537}},
+	{"statmax", false, true, 65, 5, 1, map[string]int{"fail:": 11, "pass:": 54},
+		Stats{SleepPruned: 15, PORPruned: 21, Backtracks: 77, ReplayedSteps: 64, NovelSteps: 305, CheckpointHits: 64, CheckpointMisses: 1, RestoredSteps: 487, TotalSteps: 856}},
+	{"inversion", true, false, 379, 24, 1, map[string]int{"deadlock:": 21, "pass:": 358},
+		Stats{SleepPruned: 216, ReplayedSteps: 378, NovelSteps: 1805, CheckpointHits: 378, CheckpointMisses: 1, RestoredSteps: 4235, TotalSteps: 6418}},
 	{"inversion", false, false, 7140, 127, 1, nil,
 		Stats{ReplayedSteps: 7139, NovelSteps: 24214, CheckpointHits: 7139, CheckpointMisses: 1, RestoredSteps: 90364, TotalSteps: 121717}},
-	{"inversion", false, true, 5327, 92, 1, map[string]int{"deadlock:": 55, "pass:": 5272},
-		Stats{SleepPruned: 222, PORPruned: 65, Backtracks: 5548, ReplayedSteps: 5326, NovelSteps: 18621, CheckpointHits: 5326, CheckpointMisses: 1, RestoredSteps: 67729, TotalSteps: 91676}},
-	{"lostnotify", true, false, 32, -1, 0, map[string]int{"pass:": 32},
-		Stats{ReplayedSteps: 31, NovelSteps: 200, CheckpointHits: 31, CheckpointMisses: 1, RestoredSteps: 321, TotalSteps: 552}},
+	{"inversion", false, true, 251, 16, 1, map[string]int{"deadlock:": 12, "pass:": 239},
+		Stats{SleepPruned: 70, PORPruned: 122, Backtracks: 315, ReplayedSteps: 250, NovelSteps: 1355, CheckpointHits: 250, CheckpointMisses: 1, RestoredSteps: 2672, TotalSteps: 4277}},
+	{"lostnotify", true, false, 16, -1, 0, map[string]int{"pass:": 16},
+		Stats{SleepPruned: 2, ReplayedSteps: 15, NovelSteps: 103, CheckpointHits: 15, CheckpointMisses: 1, RestoredSteps: 158, TotalSteps: 276}},
 	{"lostnotify", false, false, 32, -1, 0, nil,
 		Stats{ReplayedSteps: 31, NovelSteps: 200, CheckpointHits: 31, CheckpointMisses: 1, RestoredSteps: 321, TotalSteps: 552}},
-	{"lostnotify", false, true, 32, -1, 0, map[string]int{"pass:": 32},
-		Stats{Backtracks: 31, ReplayedSteps: 31, NovelSteps: 200, CheckpointHits: 31, CheckpointMisses: 1, RestoredSteps: 321, TotalSteps: 552}},
-	{"philosophers", true, false, 13305, 209, 1, map[string]int{"deadlock:": 89, "pass:": 13216},
-		Stats{SleepPruned: 449, ReplayedSteps: 13304, NovelSteps: 76416, CheckpointHits: 13304, CheckpointMisses: 1, RestoredSteps: 194924, TotalSteps: 284644}},
+	{"lostnotify", false, true, 6, -1, 0, map[string]int{"pass:": 6},
+		Stats{PORPruned: 3, Backtracks: 5, ReplayedSteps: 5, NovelSteps: 45, CheckpointHits: 5, CheckpointMisses: 1, RestoredSteps: 53, TotalSteps: 103}},
+	{"philosophers", true, false, 627, 41, 1, map[string]int{"deadlock:": 21, "pass:": 606},
+		Stats{SleepPruned: 401, ReplayedSteps: 626, NovelSteps: 4552, CheckpointHits: 626, CheckpointMisses: 1, RestoredSteps: 8101, TotalSteps: 13279}},
 	{"philosophers", false, false, 20469, 335, 1, nil,
 		Stats{ReplayedSteps: 20468, NovelSteps: 115728, CheckpointHits: 20468, CheckpointMisses: 1, RestoredSteps: 300832, TotalSteps: 437028}},
-	{"philosophers", false, true, 13126, 203, 1, map[string]int{"deadlock:": 55, "pass:": 13071},
-		Stats{SleepPruned: 428, PORPruned: 74, Backtracks: 13553, ReplayedSteps: 13125, NovelSteps: 75392, CheckpointHits: 13125, CheckpointMisses: 1, RestoredSteps: 192776, TotalSteps: 281293}},
+	{"philosophers", false, true, 445, 29, 1, map[string]int{"deadlock:": 12, "pass:": 433},
+		Stats{SleepPruned: 106, PORPruned: 175, Backtracks: 544, ReplayedSteps: 444, NovelSteps: 3479, CheckpointHits: 444, CheckpointMisses: 1, RestoredSteps: 5563, TotalSteps: 9486}},
 }
 
 // TestSerialGolden locks Workers: 1 to the pre-refactor serial engine:
@@ -355,13 +358,14 @@ var exhaustShort = []struct {
 // TestParallelReducedRatio pins how much extra work parallel reduced
 // search does. Donation expands the donor's path and two workers can
 // explore one state at the same time before either publishes it, so a
-// DPOR + state-cache search at 2 or 4 workers runs more schedules than
-// the serial one — but with one state cache per search, a subtree any
-// worker finished cuts its equivalents on every worker, and the summed
-// count over the exhaust-short programs stays within 1.6× serial (the
-// median of three runs; private per-worker caches, which the bound
-// rules out, read 1.8–1.9× at 2 workers and 3.0–3.6× at 4). Every run
-// must exhaust with the serial bug set.
+// DPOR + state-cache search at 2 or 4 workers may run more schedules
+// than the serial one — but with one state cache per search, a subtree
+// any worker finished cuts its equivalents on every worker, and a
+// donated branch sleeps on the donor's in-progress choice as the serial
+// search would. The summed count over the exhaust-short programs stays
+// within 1.2× serial (the median of three runs; it reads about 0.99× at
+// 2 workers and 1.02× at 4, against a serial 5,700). Every run must
+// exhaust with the serial bug set.
 func TestParallelReducedRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated reduced exhaustion in -short mode")
@@ -406,8 +410,8 @@ func TestParallelReducedRatio(t *testing.T) {
 		sort.Ints(sums)
 		median := sums[len(sums)/2]
 		t.Logf("workers=%d: %d schedules (runs %v) vs serial %d: %.2fx", workers, median, sums, serial, float64(median)/float64(serial))
-		if median*10 > serial*16 {
-			t.Errorf("workers=%d: reduced search ran %d schedules, %.2fx the serial %d (limit 1.6x)",
+		if median*10 > serial*12 {
+			t.Errorf("workers=%d: reduced search ran %d schedules, %.2fx the serial %d (limit 1.2x)",
 				workers, median, float64(median)/float64(serial), serial)
 		}
 	}

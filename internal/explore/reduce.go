@@ -10,9 +10,14 @@
 // Everything keys on core.Footprint.Commutes over the (operation,
 // interned object handle) pairs the scheduler already publishes as
 // pending operations: two operations commute when they target
-// different objects, or are both reads. The relation is conservative —
-// fork/join and not-yet-published operations are dependent with
-// everything — which costs pruning, never soundness.
+// different objects, or are both reads. Thread lifecycle is precise: a
+// thread that has not run yet executes only its own code up to its
+// first probe, and a join whose child has finished reads a final state,
+// so both are local like a yield; a fork orders only against other
+// forks (thread-id assignment). The rest of the relation is
+// conservative — a join on a running child, a select and an
+// undescribed operation are dependent with everything — which costs
+// pruning, never soundness.
 //
 // # DPOR backtrack sets
 //
@@ -28,11 +33,25 @@
 // reduction: their reorderings are covered by a representative
 // schedule elsewhere in the tree.
 //
+// A run can also end with threads still runnable: after an assertion
+// failure, or at the step limit. No node is created at that last
+// decision point, so the scheduler hands it to the strategy once
+// (sched.RunEnder) and the operations left pending there are checked
+// against the path like a fresh node's options (endAnalyze). One
+// difference: a thread that has not run yet counts as universal there.
+// Mid-run its start is local because its first real operation becomes
+// its pending operation at a later node and is checked then; at the
+// end of a run there is no later node, so that operation is unknown
+// and may conflict with anything. Without this check a precise
+// lifecycle would be unsound: a failing run's unchecked threads are
+// exactly the races that reorder its failure.
+//
 // Finding "the deepest earlier dependent node" does not walk the path.
-// Independence is a function of four footprint classes (core.DepClass)
+// Independence is a function of five footprint classes (core.DepClass)
 // and object identity, so a last-dependent index over the path keeps,
-// per thread, the deepest node of any class and the deepest universal
-// one, and per (object, thread) the deepest read and write; each lookup
+// per thread, the deepest node of any class, the deepest universal one
+// and the deepest fork, and per (object, thread) the deepest read and
+// write; each lookup
 // is a maximum over threads (depIndex). The index extends lazily at
 // query time and truncates with the path, so a lookup costs O(threads)
 // where scanning the path back from the frontier costs O(depth) — the
@@ -45,7 +64,10 @@
 //
 // With Options.StateCache, a per-worker listener folds every executed
 // event into per-thread hash chains, linking chains through per-object
-// "last writer" hashes so that two schedule prefixes hash equal iff
+// "last writer" hashes (objects are folded by a hash of their name, not
+// their intern handle, so the hashes and the search's counts do not
+// depend on what else the process interned) so that two schedule
+// prefixes hash equal iff
 // they execute the same per-thread event sequences in the same
 // conflict order — i.e. iff they are linearizations of the same
 // partial order and therefore reach the same program state. When a
@@ -55,11 +77,12 @@
 //
 //   - the cached exploration's inherited sleep set must be a subset of
 //     the current one (it explored at least as much);
-//   - under DPOR, the cached subtree's footprint summary is replayed
-//     against the current path, adding backtrack points exactly as the
-//     skipped operations would have (the stateful-DPOR fix: cutting a
-//     subtree must not also cut the race reversals it would have
-//     requested).
+//   - under DPOR, the cached subtree's footprint summary — the
+//     operations its runs executed, and those they left pending when
+//     they ended early — is replayed against the current path, adding
+//     backtrack points exactly as the skipped operations would have
+//     (the stateful-DPOR fix: cutting a subtree must not also cut the
+//     race reversals it would have requested).
 //
 // The cache is a bounded direct-mapped table, one per search and
 // shared by its workers: collisions overwrite, which forfeits pruning
@@ -184,6 +207,12 @@ type objSlot struct {
 	// so their order must not influence the hash).
 	wh uint64
 	rh uint64
+	// name caches the object's content hash (core.InternedNameHash),
+	// which the chains fold in place of the handle: handles depend on
+	// the process's intern history, and a hash folding them would make
+	// cache placement, and so the reduced search's counts, depend on it
+	// too. It outlives generations (0 = not looked up yet).
+	name uint64
 }
 
 type stateHasher struct {
@@ -238,6 +267,9 @@ func (sh *stateHasher) slot(obj uint32) *objSlot {
 	sl := &sh.objs[obj]
 	if sl.gen != sh.gen {
 		sl.gen, sl.wh, sl.rh = sh.gen, 0, 0
+	}
+	if sl.name == 0 {
+		sl.name = core.InternedNameHash(obj)
 	}
 	return sl
 }
@@ -311,13 +343,14 @@ func (sh *stateHasher) OnEvent(ev *core.Event) {
 		// Reads observe the object's last write but do not advance it;
 		// the xor accumulator keeps concurrent reads order-insensitive.
 		sl := sh.slot(obj)
-		h = mix(mix(mix(h, uint64(ev.Op)), uint64(obj)), uint64(ev.Value))
+		h = mix(mix(mix(h, uint64(ev.Op)), sl.name), uint64(ev.Value))
 		h = mix(h, sl.wh)
 		sl.rh ^= h
 	case core.OpBlock:
 		// A blocked acquire observes the lock's state without changing
 		// it: fold the observation, leave the object chain alone.
-		h = mix(mix(mix(h, uint64(ev.Op)), uint64(obj)), sh.slot(obj).wh)
+		sl := sh.slot(obj)
+		h = mix(mix(mix(h, uint64(ev.Op)), sl.name), sl.wh)
 	case core.OpFork:
 		// Forks order globally (thread-id assignment) and locally.
 		h = mix(mix(mix(h, uint64(ev.Op)), uint64(ev.Value)), sh.whFork)
@@ -330,7 +363,7 @@ func (sh *stateHasher) OnEvent(ev *core.Event) {
 	default:
 		// Write-class: conflicts with every other operation on obj.
 		sl := sh.slot(obj)
-		h = mix(mix(mix(h, uint64(ev.Op)), uint64(obj)), uint64(ev.Value))
+		h = mix(mix(mix(h, uint64(ev.Op)), sl.name), uint64(ev.Value))
 		h = mix(mix(h, sl.wh), sl.rh)
 		sl.wh = h
 		sl.rh = 0
@@ -463,7 +496,10 @@ func (e *explorer) hashState(c *sched.Choice, n *node) uint64 {
 		h = mix(mix(h, uint64(i)), ch)
 	}
 	for _, id := range c.Runnable {
-		h = mix(mix(h, uint64(uint32(id))), c.FootprintOf(id).Packed())
+		fp := c.FootprintOf(id)
+		// The footprint with its object's content hash for the handle
+		// (see objSlot.name).
+		h = mix(mix(mix(h, uint64(uint32(id))), fp.Packed()>>32), sh.slot(fp.Obj).name)
 	}
 	if c.CanIdle {
 		h = mix(h, 0x1d1e)
@@ -475,10 +511,13 @@ func (e *explorer) hashState(c *sched.Choice, n *node) uint64 {
 		h = mix(mix(h, uint64(uint32(c.Current))), uint64(n.preempted))
 	}
 	if e.opts.VariableBound != nil {
-		h = mix(mix(h, uint64(uint32(c.Current))), uint64(len(n.vbObjs)))
+		// vbObjs is sorted by handle, so its order is intern history:
+		// sum the content hashes instead.
+		var objs uint64
 		for _, o := range n.vbObjs {
-			h = mix(h, uint64(o)+1)
+			objs += sh.slot(o).name
 		}
+		h = mix(mix(mix(h, uint64(uint32(c.Current))), uint64(len(n.vbObjs))), objs)
 	}
 	return h
 }
@@ -553,6 +592,36 @@ func (e *explorer) dporAnalyze(n *node, pd int) {
 		}
 		if i := e.dep.deepest(n.fps[oi], p); i >= 0 {
 			e.stats.Backtracks += e.path[i].addBacktrack(p)
+		}
+	}
+}
+
+// endAnalyze is dporAnalyze for the decision point a run ends at with
+// threads still runnable — after an assertion failure or at the step
+// limit. No node is created there, so without it the operations those
+// threads left pending would never be checked against the path. A
+// thread that has not run yet counts as universal here: mid-run its
+// footprint is local, because its first real operation shows up as its
+// pending operation at a later node, but a run that ends first never
+// shows it. Under the state cache the same footprints join the deepest
+// node's summary, so a cache hit on an equivalent state replays them.
+func (e *explorer) endAnalyze(c *sched.Choice) {
+	pd := len(e.path)
+	e.dep.extend(e.path, pd)
+	var last *node
+	if e.red != nil && pd > 0 {
+		last = e.path[pd-1]
+	}
+	for _, p := range c.Runnable {
+		fp := c.FootprintOf(p)
+		if fp.Op == core.OpInvalid {
+			fp = core.Footprint{}
+		}
+		if i := e.dep.deepest(fp, p); i >= 0 {
+			e.stats.Backtracks += e.path[i].addBacktrack(p)
+		}
+		if last != nil {
+			last.addSub(fp.Packed())
 		}
 	}
 }

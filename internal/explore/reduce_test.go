@@ -2,7 +2,12 @@ package explore
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -209,6 +214,10 @@ var oracleOps = []opSpec{
 		func(t core.T, o *oracleObjs) { o.wg.Wait(t) }},
 	{"select-c1", func() core.Footprint { return core.Footprint{Op: core.OpSelect} },
 		func(t core.T, o *oracleObjs) { t.Select([]core.SelectCase{{Ch: o.c1}}) }},
+	// A fork names no object; the child writes y, so the fork's
+	// position against the other thread's operation is observable.
+	{"fork", func() core.Footprint { return core.Footprint{Op: core.OpFork} },
+		func(t core.T, o *oracleObjs) { t.Go("kid", func(kt core.T) { o.y.Store(kt, 11) }).Join(t) }},
 }
 
 // oracleOutcome executes the two-thread micro-program with thread
@@ -276,6 +285,11 @@ func TestCommutesOracle(t *testing.T) {
 	fp := func(op core.Op, name string) core.Footprint {
 		return core.Footprint{Op: op, Obj: core.InternName(name)}
 	}
+	// The scheduler's lifecycle footprints: a fork names no object, and
+	// the local steps carry the Local flag.
+	fork := core.Footprint{Op: core.OpFork}
+	unstarted := core.Footprint{Local: true}
+	finishedJoin := core.Footprint{Op: core.OpJoin, Local: true, Obj: core.InternName("w")}
 	table := []struct {
 		a, b core.Footprint
 		want bool
@@ -290,11 +304,21 @@ func TestCommutesOracle(t *testing.T) {
 		{fp(core.OpLock, "m"), fp(core.OpLock, "n"), true},    // disjoint locks
 		{fp(core.OpSignal, "c"), fp(core.OpWait, "c"), false}, // notify/wait same cond
 		{fp(core.OpSignal, "c"), fp(core.OpWait, "d"), true},  // disjoint conds
-		{fp(core.OpFork, "w"), fp(core.OpRead, "x"), false},   // fork vs anything
-		{fp(core.OpJoin, "w"), fp(core.OpWrite, "x"), false},  // join vs anything
-		{fp(core.OpYield, ""), fp(core.OpWrite, "x"), true},   // yield vs anything
-		{core.Footprint{}, fp(core.OpRead, "x"), false},       // unknown op conservative
-		{fp(core.OpRead, ""), fp(core.OpWrite, ""), false},    // unnamed objects alias
+		{fork, fork, false},                                  // forks order thread ids
+		{fork, fp(core.OpWrite, "x"), true},                  // fork vs an access
+		{fork, fp(core.OpLock, "m"), true},                   // fork vs a sync op
+		{fork, fp(core.OpYield, ""), true},                   // fork vs local
+		{fork, fp(core.OpJoin, "w"), false},                  // fork vs a join on a running child
+		{unstarted, fp(core.OpWrite, "x"), true},             // a thread that has not run yet
+		{unstarted, fork, true},                              // ... commutes with a fork too
+		{unstarted, fp(core.OpJoin, "w"), false},             // ... but not with a running join
+		{finishedJoin, fp(core.OpWrite, "x"), true},          // join on a finished child
+		{finishedJoin, fork, true},                           // ... is local
+		{fp(core.OpJoin, "w"), fp(core.OpWrite, "x"), false}, // join on a running child vs anything
+		{fp(core.OpYield, ""), fp(core.OpWrite, "x"), true},  // yield vs anything
+		{core.Footprint{}, fp(core.OpRead, "x"), false},      // unknown op conservative
+		{core.Footprint{}, unstarted, false},                 // ... even against a local step
+		{fp(core.OpRead, ""), fp(core.OpWrite, ""), false},   // unnamed objects alias
 		// Channel and waitgroup operations (the rewrite layer's ops).
 		{fp(core.OpChanSend, "c1"), fp(core.OpChanRecv, "c2"), true},  // different channels commute
 		{fp(core.OpChanSend, "c1"), fp(core.OpChanSend, "c2"), true},  // disjoint sends
@@ -419,4 +443,98 @@ func TestStateCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// internJunkEnv makes TestReducedCountsIgnoreInternOrder's test binary
+// a child that interns that many unrelated names, runs the searches
+// and prints their counts.
+const internJunkEnv = "EXPLORE_INTERN_JUNK"
+
+// TestReducedCountsIgnoreInternOrder pins that a reduced search is a
+// function of the program and its options alone, not of the process's
+// name-intern history: the state hash folds each object's name, not
+// the handle the interner happened to hand out. Handles are
+// process-wide and permanent, so the test runs two fresh processes of
+// its own binary. Both explore account{3,1}, whose tree is big enough
+// that the direct-mapped state cache overwrites entries (which is where
+// the handles showed), and every repository program at its explorable
+// size, all with DPOR and the state cache at one worker. One runs them
+// straight away; the other interns unrelated names first and runs the
+// searches in reverse order, so every name gets another handle. Their
+// schedule counts, first bugs, outcomes and Stats must not differ.
+func TestReducedCountsIgnoreInternOrder(t *testing.T) {
+	if junk := os.Getenv(internJunkEnv); junk != "" {
+		internJunkChild(t, junk)
+		return
+	}
+	child := func(junk int) (handle string, counts map[string]string) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestReducedCountsIgnoreInternOrder$", "-test.count=1")
+		cmd.Env = append(os.Environ(), internJunkEnv+"="+strconv.Itoa(junk))
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("child with %d junk names: %v\n%s", junk, err, out)
+		}
+		counts = map[string]string{}
+		for _, line := range strings.Split(string(out), "\n") {
+			if v, ok := strings.CutPrefix(line, "handle "); ok {
+				handle = v
+			} else if v, ok := strings.CutPrefix(line, "counts "); ok {
+				label, rest, _ := strings.Cut(v, " ")
+				counts[label] = rest
+			}
+		}
+		if handle == "" || len(counts) == 0 {
+			t.Fatalf("child with %d junk names printed no counts:\n%s", junk, out)
+		}
+		return handle, counts
+	}
+	h0, c0 := child(0)
+	h7, c7 := child(7)
+	if h0 == h7 {
+		t.Fatalf("both children interned \"balance\" as handle %s; the test lost its point", h0)
+	}
+	if !reflect.DeepEqual(c0, c7) {
+		for label, fresh := range c0 {
+			if again := c7[label]; again != fresh {
+				t.Errorf("%s: intern history moved the search:\n  fresh:           %s\n  after junk names: %s", label, fresh, again)
+			}
+		}
+	}
+	t.Logf("handles %s and %s; account{3,1}: %s", h0, h7, c0["account{3,1}"])
+}
+
+// internJunkChild is the child side of TestReducedCountsIgnoreInternOrder.
+func internJunkChild(t *testing.T, junk string) {
+	n, err := strconv.Atoi(junk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range n {
+		core.InternName(fmt.Sprintf("junk%d", i))
+	}
+	type search struct {
+		label string
+		opts  Options
+		body  func(core.T)
+	}
+	account, err := repository.Get("account")
+	if err != nil {
+		t.Fatal(err)
+	}
+	searches := []search{{"account{3,1}", Options{MaxSchedules: 200000, DPOR: true, StateCache: true, Workers: 1},
+		account.BodyWith(repository.Params{"depositors": 3, "deposits": 1})}}
+	for _, prog := range repository.All() {
+		searches = append(searches, search{prog.Name,
+			Options{MaxSchedules: 2000, MaxSteps: 500, DPOR: true, StateCache: true, Workers: 1},
+			prog.BodyWith(prog.Explorable)})
+	}
+	if n > 0 {
+		slices.Reverse(searches)
+	}
+	for _, s := range searches {
+		res := Explore(s.opts, s.body)
+		fmt.Printf("counts %s %d %d %v %+v\n", s.label, res.Schedules, res.FirstBugIndex(), res.Outcomes, res.Stats)
+	}
+	balance, _ := core.LookupName("balance")
+	fmt.Printf("handle %d\n", balance)
 }

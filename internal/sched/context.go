@@ -230,6 +230,7 @@ func (h *handle) Join(t core.T) {
 	c := t.(*tc)
 	th, s := c.th, c.th.sc
 	loc, locID := s.progLoc()
+	th.joining = h.child
 	th.prePoint(core.OpJoin, h.child.name, h.child.nameID, loc)
 	for h.child.state != tDone {
 		th.blockOn(blockReason{

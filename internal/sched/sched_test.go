@@ -593,3 +593,99 @@ func TestFailEventCarriesLocID(t *testing.T) {
 		}
 	}
 }
+
+// lifecycleProbe is a nonpreemptive strategy that records the
+// reduction footprints it is offered and the decision points a run
+// ends at (RunEnder).
+type lifecycleProbe struct {
+	coast bool
+	seen  []core.Footprint // every footprint offered, in order
+	ends  [][]core.Footprint
+}
+
+func (p *lifecycleProbe) Name() string { return "lifecycle-probe" }
+
+func (p *lifecycleProbe) Pick(c *Choice) core.ThreadID {
+	if p.coast {
+		return CoastID
+	}
+	for _, id := range c.Runnable {
+		p.seen = append(p.seen, c.FootprintOf(id))
+	}
+	return Nonpreemptive().Pick(c)
+}
+
+func (p *lifecycleProbe) EndRun(c *Choice) {
+	var fps []core.Footprint
+	for _, id := range c.Runnable {
+		fps = append(fps, c.FootprintOf(id))
+	}
+	p.ends = append(p.ends, fps)
+}
+
+// TestLifecycleFootprints pins the reduction footprints of thread
+// lifecycle and the RunEnder contract. A thread that has not run yet
+// is a Local OpInvalid (PendingOf still reports the zero operation); a
+// fork names no object; a join is Local once its child has finished
+// and universal while the child may still run. A run that ends at a
+// failure or the step limit with threads still runnable offers that
+// point to EndRun once; a clean run, and a coasted one, do not.
+func TestLifecycleFootprints(t *testing.T) {
+	p := &lifecycleProbe{}
+	Run(Config{Strategy: p}, func(ct core.T) {
+		h := ct.Go("kid", func(core.T) {})
+		ct.Yield() // the kid has not run yet, and main's join is still ahead
+		h.Join(ct) // main runs on to the join: the kid is running
+	})
+	var unstarted, fork, joinRunning, joinDone int
+	for _, fp := range p.seen {
+		switch {
+		case fp == core.Footprint{Local: true}:
+			unstarted++
+		case fp.Op == core.OpFork:
+			fork++
+			if fp.Obj != 0 || fp.Local {
+				t.Errorf("fork footprint %+v, want no object and not local", fp)
+			}
+		case fp.Op == core.OpJoin && fp.Local:
+			joinDone++
+		case fp.Op == core.OpJoin:
+			joinRunning++
+		}
+	}
+	if unstarted == 0 || fork == 0 || joinRunning == 0 || joinDone == 0 {
+		t.Errorf("offered %d unstarted, %d fork, %d running-join, %d finished-join footprints; want each at least once: %+v",
+			unstarted, fork, joinRunning, joinDone, p.seen)
+	}
+	if len(p.ends) != 0 {
+		t.Errorf("a clean run offered its end: %+v", p.ends)
+	}
+
+	failing := func(ct core.T) {
+		ct.Go("kid", func(core.T) {})
+		ct.Assert(false, "boom")
+	}
+	p = &lifecycleProbe{}
+	if res := Run(Config{Strategy: p}, failing); res.Verdict != core.VerdictFail {
+		t.Fatalf("verdict %v, want fail", res.Verdict)
+	}
+	if want := [][]core.Footprint{{{Local: true}}}; !slices.EqualFunc(p.ends, want, slices.Equal) {
+		t.Errorf("failure end points %+v, want %+v (the unstarted kid)", p.ends, want)
+	}
+
+	p = &lifecycleProbe{}
+	res := Run(Config{Strategy: p, MaxSteps: 5}, func(ct core.T) {
+		for {
+			ct.Yield()
+		}
+	})
+	if res.Verdict != core.VerdictStepLimit || len(p.ends) != 1 {
+		t.Errorf("step limit: verdict %v, %d end points, want one", res.Verdict, len(p.ends))
+	}
+
+	p = &lifecycleProbe{coast: true}
+	Run(Config{Strategy: p}, failing)
+	if len(p.ends) != 0 {
+		t.Errorf("a coasted run offered its end: %+v", p.ends)
+	}
+}

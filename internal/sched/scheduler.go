@@ -326,8 +326,11 @@ type thread struct {
 	// listeners and deadlock reporting read it.
 	locksHeld []core.ObjectID
 	// pending describes the operation the thread will perform next if
-	// picked; noise heuristics read it through Choice.
+	// picked; noise heuristics read it through Choice. joining is the
+	// child of the thread's latest Join, so the reduction footprint can
+	// tell a join on a finished child from one that may block.
 	pending PendingOp
+	joining *thread
 	body    func(core.T)
 	sc      *scheduler
 	// tcv and hv are the thread's reusable core.T facade and join
@@ -348,21 +351,14 @@ type PendingOp struct {
 	Loc    core.Location
 }
 
-// Footprint is the operation's reduction-layer identity: its kind plus
-// the interned handle of the object it targets. The exploration
-// engine's independence relation (core.Footprint.Commutes) keys on
-// it. It allocates nothing — both fields are already carried by the
-// pending op.
-func (p PendingOp) Footprint() core.Footprint {
-	return core.Footprint{Op: p.Op, Obj: p.NameID}
-}
-
 type scheduler struct {
 	cfg       Config
 	listeners core.MultiListener
 	evMask    core.OpMask
 	plan      *instrument.Plan
 	strategy  Strategy
+	// ender is the strategy's RunEnder side, nil when it has none.
+	ender RunEnder
 	// capLoc gates per-operation source-location capture: on only when
 	// an attached listener may read locations (core.LocationIndifferent
 	// lets location-blind listeners opt out) or the strategy declared
@@ -509,6 +505,7 @@ func (s *scheduler) reset(cfg Config) {
 	s.evMask = s.listeners.WantMask()
 	s.plan = cfg.Plan
 	s.strategy = cfg.Strategy
+	s.ender, _ = cfg.Strategy.(RunEnder)
 	s.capLoc = s.listeners.NeedLocations()
 	if !s.capLoc {
 		if la, ok := cfg.Strategy.(LocationAware); ok && la.NeedsLocations() {
@@ -691,6 +688,7 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 	}
 	for {
 		if s.failure != nil {
+			s.endRun(nil)
 			return nil, stepOver
 		}
 		runnable := s.runnable()
@@ -706,6 +704,7 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 		}
 		if s.steps >= s.cfg.MaxSteps {
 			s.stepLimitHit = true
+			s.endRun(runnable)
 			return nil, stepOver
 		}
 		if s.ffQuiet {
@@ -721,18 +720,7 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 			}
 		}
 
-		choice := &s.choice
-		choice.Step = s.steps
-		choice.Runnable = runnable
-		choice.Current = core.NoThread
-		choice.LastEvent = nil
-		if s.cur != nil {
-			choice.Current = s.cur.id
-		}
-		if s.hasEvent {
-			choice.LastEvent = &s.evScratch
-		}
-		choice.CanIdle = s.hasFutureSleeper()
+		choice := s.choiceAt(runnable)
 		pick := s.strategy.Pick(choice)
 		switch pick {
 		case core.NoThread:
@@ -767,6 +755,39 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 				s.strategy.Name(), pick, runnable)})
 		}
 		return th, stepGo
+	}
+}
+
+// choiceAt fills the reusable Choice for a decision point with the
+// given runnable set.
+func (s *scheduler) choiceAt(runnable []core.ThreadID) *Choice {
+	choice := &s.choice
+	choice.Step = s.steps
+	choice.Runnable = runnable
+	choice.Current = core.NoThread
+	choice.LastEvent = nil
+	if s.cur != nil {
+		choice.Current = s.cur.id
+	}
+	if s.hasEvent {
+		choice.LastEvent = &s.evScratch
+	}
+	choice.CanIdle = s.hasFutureSleeper()
+	return choice
+}
+
+// endRun offers the decision point a run ends at to a RunEnder
+// strategy, when threads are still runnable there and the run is past
+// its fast-forward. runnable is nil when the caller has not scanned.
+func (s *scheduler) endRun(runnable []core.ThreadID) {
+	if s.ender == nil || s.ffQuiet {
+		return
+	}
+	if runnable == nil {
+		runnable = s.runnable()
+	}
+	if len(runnable) > 0 {
+		s.ender.EndRun(s.choiceAt(runnable))
 	}
 }
 
@@ -901,13 +922,23 @@ func (s *scheduler) pendingOf(id core.ThreadID) PendingOp {
 // footprintOf is the register-sized fast path behind Choice.
 // FootprintOf: the pending operation's reduction identity without
 // copying the whole PendingOp (whose Name/Loc strings make it a
-// several-word struct).
+// several-word struct). Two lifecycle steps are marked Local (see
+// core.Footprint): a thread that has not run yet — it is ready and has
+// published no operation, since every later ready state comes from a
+// probe — and a join whose child has finished.
 func (s *scheduler) footprintOf(id core.ThreadID) core.Footprint {
 	th := s.threadByID(id)
 	if th == nil {
 		return core.Footprint{}
 	}
-	return core.Footprint{Op: th.pending.Op, Obj: th.pending.NameID}
+	fp := core.Footprint{Op: th.pending.Op, Obj: th.pending.NameID}
+	switch fp.Op {
+	case core.OpInvalid:
+		fp.Local = th.state == tReady
+	case core.OpJoin:
+		fp.Local = th.joining != nil && th.joining.state == tDone
+	}
+	return fp
 }
 
 // describeDeadlock builds the human-readable wait-for description used
@@ -1113,6 +1144,7 @@ func (s *scheduler) spawn(name string, body func(core.T)) *thread {
 	th.wakeAt = 0
 	th.locksHeld = th.locksHeld[:0]
 	th.pending = PendingOp{}
+	th.joining = nil
 	th.body = body
 	s.threads = append(s.threads, th)
 	return th

@@ -86,6 +86,18 @@ type Strategy interface {
 	Pick(c *Choice) core.ThreadID
 }
 
+// RunEnder is an optional Strategy extension. A run can end at a
+// decision point while threads are still runnable: after an assertion
+// failure, or at the step limit. The scheduler then calls EndRun once,
+// with the Choice those threads would have been offered next, so a
+// strategy can see the operations the run left pending (the
+// exploration engine's DPOR checks them against the path). EndRun is
+// not called when the run ends inside a fast-forward or while coasting,
+// nor when nothing is runnable (clean completion, deadlock).
+type RunEnder interface {
+	EndRun(c *Choice)
+}
+
 // LocationAware is an optional Strategy extension. Capturing the
 // source location of every instrumented operation costs a call-site
 // lookup per probe (core.CallerLocationID), so the scheduler skips it
