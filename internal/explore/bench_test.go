@@ -120,7 +120,7 @@ func BenchmarkExploreReducedWorkers(b *testing.B) {
 var cacheSink bool
 
 // BenchmarkStateCache times the shared state cache's three operations
-// — a lookup that hits (and copies the entry out), a lookup that
+// — a lookup that hits (and copies the summary out), a lookup that
 // misses on a slot holding another state, and an insert — on one
 // goroutine and under b.RunParallel, where every goroutine walks its
 // own run of slots as the workers of one search do.
@@ -136,33 +136,32 @@ func BenchmarkStateCache(b *testing.B) {
 		hashes[i] = uint64(i)<<32 | uint64(i)*0x9e3779b1&c.mask
 		c.insert(hashes[i], 0, sum)
 	}
-	var hit cacheEnt
-	if !c.lookup(hashes[keys-1], 0, &hit) || int(hit.nsum) != len(sum) {
+	if got, ok := c.lookup(hashes[keys-1], 0, nil); !ok || len(got) != len(sum) {
 		b.Fatal("warm cache misses a key it holds")
 	}
 	ops := []struct {
 		name string
-		op   func(h uint64, hit *cacheEnt) bool
+		op   func(h uint64, buf []uint64) bool
 	}{
-		{"hit", func(h uint64, hit *cacheEnt) bool { return c.lookup(h, 0, hit) }},
-		{"miss", func(h uint64, hit *cacheEnt) bool { return c.lookup(h^1<<63, 0, hit) }},
-		{"insert", func(h uint64, _ *cacheEnt) bool { c.insert(h, 0, sum); return true }},
+		{"hit", func(h uint64, buf []uint64) bool { _, ok := c.lookup(h, 0, buf[:0]); return ok }},
+		{"miss", func(h uint64, buf []uint64) bool { _, ok := c.lookup(h^1<<63, 0, buf[:0]); return ok }},
+		{"insert", func(h uint64, _ []uint64) bool { c.insert(h, 0, sum); return true }},
 	}
 	for _, o := range ops {
 		b.Run(o.name+"/serial", func(b *testing.B) {
-			var hit cacheEnt
+			buf := make([]uint64, 0, subCap)
 			ok := false
 			for i := 0; i < b.N; i++ {
-				ok = o.op(hashes[i%keys], &hit)
+				ok = o.op(hashes[i%keys], buf)
 			}
 			cacheSink = ok
 		})
 		b.Run(o.name+"/parallel", func(b *testing.B) {
 			var start atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
-				var hit cacheEnt
+				buf := make([]uint64, 0, subCap)
 				for i := int(start.Add(keys / 16)); pb.Next(); i++ {
-					o.op(hashes[i%keys], &hit)
+					o.op(hashes[i%keys], buf)
 				}
 			})
 		})

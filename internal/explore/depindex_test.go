@@ -42,8 +42,8 @@ func refDporAnalyze(e *explorer, n *node, pd int) {
 	}
 }
 
-func refApplySummary(e *explorer, ent *cacheEnt, pd int) {
-	for _, packed := range ent.sum[:ent.nsum] {
+func refApplySummary(e *explorer, sum []uint64, pd int) {
+	for _, packed := range sum {
 		i := walkBack(e.path, pd, core.UnpackFootprint(packed), core.NoThread)
 		if i < 0 {
 			continue
@@ -265,10 +265,8 @@ func TestDPORLookupsMatchWalkBack(t *testing.T) {
 		pd := len(c.path)
 		got.dporAnalyze(c.n, pd)
 		refDporAnalyze(want, c.n, pd)
-		ent := &cacheEnt{nsum: uint8(len(c.sum))}
-		copy(ent.sum[:], c.sum)
-		got.applySummary(ent, pd)
-		refApplySummary(want, ent, pd)
+		got.applySummary(c.sum, pd)
+		refApplySummary(want, c.sum, pd)
 		for i := range c.path {
 			if !slices.Equal(got.path[i].todo, want.path[i].todo) {
 				t.Errorf("%s: node %d todo %v, walk-back %v", c.name, i, got.path[i].todo, want.path[i].todo)

@@ -619,12 +619,11 @@ func (e *explorer) newNode(c *sched.Choice, pd int) *node {
 	// reversals against the current path are still requested.
 	if e.red != nil {
 		n.stateHash = e.hashState(c, n)
-		if e.red.cache.lookup(n.stateHash, n.sleep0, &e.red.hit) {
-			ent := &e.red.hit
+		if sub, hit := e.red.cache.lookup(n.stateHash, n.sleep0, n.sub[:0]); hit {
 			e.stats.StateHits++
 			if e.opts.DPOR {
-				e.applySummary(ent, pd)
-				n.sub = append(n.sub[:0], ent.sum[:ent.nsum]...)
+				e.applySummary(sub, pd)
+				n.sub = sub
 			}
 			n.cut = true
 			e.cutDepth = pd

@@ -90,6 +90,8 @@
 package explore
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"mtbench/internal/core"
@@ -371,102 +373,178 @@ func (sh *stateHasher) OnEvent(ev *core.Event) {
 	sh.chains[t] = h
 }
 
-// cacheEnt is one direct-mapped cache slot. The summary is inline so
-// steady-state insertion allocates nothing. An entry is live only
-// when its gen matches the cache's current generation — bumping the
-// generation invalidates the whole table without touching its memory,
-// which is what lets the pooled table be reused across explorations
-// instead of zeroing (or reallocating) it per Explore call.
-type cacheEnt struct {
+// cacheSlot is one direct-mapped cache slot: 32 bytes and no
+// pointers, so the slot table is allocated unscanned and the collector
+// never walks it (a slice header per slot would make every GC cycle
+// scan every pooled table). The slot's subtree summary lives out of
+// line in its stripe's arena at arena[off:off+nsum]; the words up to
+// off+ncap are reserved for the slot, so a later insert whose summary
+// fits reuses them. An entry is live only when its gen matches the
+// cache's current generation — bumping the generation invalidates the
+// whole table without touching its slots, which is what lets the
+// pooled table be reused across explorations instead of zeroing (or
+// reallocating) it per Explore call.
+type cacheSlot struct {
 	hash  uint64
 	sleep threadSet // inherited sleep set at exploration
 	gen   uint32
-	nsum  uint8
-	sum   [subCap]uint64
+	off   uint32 // start of the slot's range in its stripe's arena
+	nsum  uint8  // summary words stored at off
+	ncap  uint8  // words reserved at off (nsum <= ncap <= subCap)
 }
 
 // stateCache is the bounded canonical-state table. One per search,
 // read and written by every worker: an entry asserts only "an
 // equivalent subtree was fully explored under this sleep set", a claim
 // that does not depend on which worker or shard explored it — a
-// worker's hits already cross shards with different prefixes. Entries
-// are 216 bytes, too wide to publish atomically, so slots are guarded
-// by striped locks; a lookup copies a hit out under its lock, so
-// readers never see a slot another worker is overwriting.
+// worker's hits already cross shards with different prefixes. An entry
+// is a slot plus its summary range, too wide to publish atomically, so
+// both are guarded by striped locks: stripe s guards the slots i with
+// i%cacheStripes == s and the arena their summaries live in. A lookup
+// copies a hit's summary out under its lock, so readers never see an
+// entry another worker is overwriting.
+//
+// Memory: the slot table is 1 MB. An arena grows only with the
+// summaries its slots store, and never past what they would occupy
+// inline (arenaCap): an arena that would outgrow it compacts its live
+// ranges first. So a table never holds more than an inline layout's
+// ~7 MB, and a typical search's summaries take a few hundred KB.
 type stateCache struct {
-	mask uint64
-	gen  uint32
-	ents []cacheEnt
-	// locks[i%cacheStripes] guards ents[i].
-	locks [cacheStripes]stripeLock
+	mask    uint64
+	gen     uint32
+	slots   []cacheSlot
+	stripes [cacheStripes]cacheStripe
 }
 
-// stripeLock is a slot lock padded to its own cache line, so workers
-// taking different stripes do not contend on the line.
-type stripeLock struct {
+// cacheStripe is one slot lock and the summary arena it guards, padded
+// to its own cache line so workers taking different stripes do not
+// contend on the line. The arena is pointer-free like the slots; it is
+// appended to and read only under the lock.
+type cacheStripe struct {
 	sync.Mutex
-	_ [56]byte
+	arena []uint64
+	_     [32]byte
 }
 
-// stateCacheSize is the entry count of a search's table (a power of
-// two, ~7 MB).
+// stateCacheSize is the slot count of a search's table (a power of
+// two; 32-byte slots make it 1 MB).
 const stateCacheSize = 1 << 15
 
 // cacheStripes is the number of slot locks. A lock is held for one
-// slot copy, so a few dozen stripes keep two workers from meeting on
-// a lock except by rare coincidence.
+// slot and summary copy, so a few dozen stripes keep two workers from
+// meeting on a lock except by rare coincidence.
 const cacheStripes = 64
 
+// arenaCap bounds a stripe's arena in words: its slots' summaries at
+// full size, what they took when summaries were stored in the slots.
+const arenaCap = stateCacheSize / cacheStripes * subCap
+
 func newStateCache() *stateCache {
-	return &stateCache{mask: stateCacheSize - 1, gen: 1, ents: make([]cacheEnt, stateCacheSize)}
+	return &stateCache{mask: stateCacheSize - 1, gen: 1, slots: make([]cacheSlot, stateCacheSize)}
 }
 
-// reset invalidates every entry in O(1) by advancing the generation.
-// Cached subtree identities are only meaningful within one exploration
-// of one program, so a recycled cache must start empty. It must not
-// run while a search is using the cache.
+// reset invalidates every entry in O(stripes) by advancing the
+// generation and truncating the arenas. Cached subtree identities are
+// only meaningful within one exploration of one program, so a recycled
+// cache must start empty. It must not run while a search is using the
+// cache.
 func (c *stateCache) reset() {
 	c.gen++
 	if c.gen == 0 { // generation counter wrapped: invalidate the slow way once
-		clear(c.ents)
+		clear(c.slots)
 		c.gen = 1
+	}
+	for i := range c.stripes {
+		c.stripes[i].arena = c.stripes[i].arena[:0]
 	}
 }
 
 // lookup reports whether the cache holds a usable entry for the state
 // — same hash, explored under a sleep set no larger than the current
-// one — and copies it into hit, which the caller owns.
-func (c *stateCache) lookup(hash uint64, sleep threadSet, hit *cacheEnt) bool {
+// one — and on a hit appends the entry's summary to dst, which the
+// caller owns.
+func (c *stateCache) lookup(hash uint64, sleep threadSet, dst []uint64) ([]uint64, bool) {
 	i := hash & c.mask
-	mu := &c.locks[i%cacheStripes]
-	mu.Lock()
-	e := &c.ents[i]
+	st := &c.stripes[i%cacheStripes]
+	st.Lock()
+	s := &c.slots[i]
 	// A cached run that slept more than we would explored less.
-	ok := e.gen == c.gen && e.hash == hash && e.sleep&^sleep == 0
+	ok := s.gen == c.gen && s.hash == hash && s.sleep&^sleep == 0
 	if ok {
-		*hit = *e
+		dst = append(dst, st.arena[s.off:s.off+uint32(s.nsum)]...)
 	}
-	mu.Unlock()
-	return ok
+	st.Unlock()
+	return dst, ok
 }
 
 // insert records a fully-explored subtree. Collisions overwrite: the
-// cache is an accelerator, not a ledger.
+// cache is an accelerator, not a ledger. The summary goes into the
+// slot's own range when it fits there, otherwise into a new range at
+// the end of the stripe's arena.
 func (c *stateCache) insert(hash uint64, sleep threadSet, sum []uint64) {
 	i := hash & c.mask
-	mu := &c.locks[i%cacheStripes]
-	mu.Lock()
-	e := &c.ents[i]
-	e.hash, e.sleep, e.gen = hash, sleep, c.gen
-	e.nsum = uint8(len(sum))
-	copy(e.sum[:], sum)
-	mu.Unlock()
+	st := &c.stripes[i%cacheStripes]
+	st.Lock()
+	s := &c.slots[i]
+	if s.gen != c.gen || int(s.ncap) < len(sum) {
+		s.gen = 0 // dead: a compaction must not keep its old range
+		s.off = c.reserve(st, i%cacheStripes, len(sum))
+		s.ncap = uint8(len(sum))
+	}
+	s.hash, s.sleep, s.gen = hash, sleep, c.gen
+	s.nsum = uint8(len(sum))
+	copy(st.arena[s.off:], sum)
+	st.Unlock()
+}
+
+// reserve appends n words to a stripe's arena and returns their
+// offset, compacting the arena first when it would outgrow arenaCap.
+// The caller holds the stripe's lock.
+func (c *stateCache) reserve(st *cacheStripe, stripe uint64, n int) uint32 {
+	if len(st.arena)+n > arenaCap {
+		c.compact(st, stripe)
+	}
+	off := len(st.arena)
+	if off+n > cap(st.arena) {
+		grown := make([]uint64, off, min(max(2*cap(st.arena), off+n, 64), arenaCap))
+		copy(grown, st.arena)
+		st.arena = grown
+	}
+	st.arena = st.arena[:off+n]
+	return uint32(off)
+}
+
+// compact moves the live ranges of a stripe's slots to the front of
+// its arena, in arena order, each shrunk to the words it holds. The
+// live slots hold at most arenaCap words between them (a slot reserves
+// at most subCap), so compaction always makes room for one more
+// summary: insert marks the slot it is overwriting dead first. The
+// caller holds the stripe's lock.
+func (c *stateCache) compact(st *cacheStripe, stripe uint64) {
+	var live [stateCacheSize / cacheStripes]uint16
+	n := 0
+	for k := range live {
+		s := &c.slots[stripe+uint64(k)*cacheStripes]
+		if s.gen == c.gen && s.ncap > 0 {
+			live[n] = uint16(k)
+			n++
+		}
+	}
+	slot := func(k uint16) *cacheSlot { return &c.slots[stripe+uint64(k)*cacheStripes] }
+	slices.SortFunc(live[:n], func(a, b uint16) int { return cmp.Compare(slot(a).off, slot(b).off) })
+	end := uint32(0)
+	for _, k := range live[:n] {
+		s := slot(k)
+		copy(st.arena[end:], st.arena[s.off:s.off+uint32(s.nsum)])
+		s.off, s.ncap = end, s.nsum
+		end += uint32(s.nsum)
+	}
+	st.arena = st.arena[:end]
 }
 
 // reduction bundles a worker's view of the reduction layer: its event
 // hasher, its listener slice (hasher first, then the user's
-// listeners), the search's shared canonical-state cache, and hit, the
-// worker's copy of the entry its last cache hit returned. nil when
+// listeners) and the search's shared canonical-state cache. nil when
 // Options.StateCache is off; DPOR alone needs no per-worker state. The
 // hasher is owned by the worker's kit and the cache by the search;
 // only this thin bundle (and its listener slice) is rebuilt per
@@ -474,7 +552,6 @@ func (c *stateCache) insert(hash uint64, sleep threadSet, sum []uint64) {
 type reduction struct {
 	hasher    *stateHasher
 	cache     *stateCache
-	hit       cacheEnt
 	listeners []core.Listener
 }
 
@@ -650,9 +727,9 @@ func (e *explorer) notePick(c *sched.Choice, pick core.ThreadID) {
 // unknown, so no thread is excluded from the lookup and the
 // conservative all-options addition is used at the deepest dependent
 // node.
-func (e *explorer) applySummary(ent *cacheEnt, pd int) {
+func (e *explorer) applySummary(sum []uint64, pd int) {
 	e.dep.extend(e.path, pd)
-	for _, packed := range ent.sum[:ent.nsum] {
+	for _, packed := range sum {
 		i := e.dep.deepest(core.UnpackFootprint(packed), core.NoThread)
 		if i < 0 {
 			continue
