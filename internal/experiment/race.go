@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"mtbench/internal/core"
@@ -74,6 +75,7 @@ func Race(cfg RaceConfig) ([]*Table, error) {
 	}
 	summary.Note("a warning is real iff the variable is in the program's documented BugVars")
 	summary.Note("correct programs contribute only false alarms; %d runs per program", cfg.Runs)
+	summary.Note("slowdown: median over %d alternating timings of detector vs no-detector runs", slowdownSamples)
 
 	perProg := &Table{
 		ID:      "E2b",
@@ -85,11 +87,9 @@ func Race(cfg RaceConfig) ([]*Table, error) {
 	warned := map[key][]string{}
 
 	detectors := StockDetectors()
-	baselineTime := time.Duration(0)
-	detTime := map[string]time.Duration{}
-
 	bugsTotal := 0
-	for _, name := range cfg.Programs {
+	bodies := make([]func(core.T), len(cfg.Programs))
+	for i, name := range cfg.Programs {
 		prog, err := repository.Get(name)
 		if err != nil {
 			return nil, err
@@ -97,19 +97,35 @@ func Race(cfg RaceConfig) ([]*Table, error) {
 		if len(prog.BugVars) > 0 {
 			bugsTotal++
 		}
-		body := prog.BodyWith(nil)
+		bodies[i] = prog.BodyWith(nil)
+	}
 
-		// Timing baseline: same runs without any detector.
-		start := time.Now()
-		runMatrix(body, cfg.Runs)
-		baselineTime += time.Since(start)
-
-		for _, nd := range detectors {
-			d := nd.New()
+	// Each sample times every program's matrix without a detector (the
+	// baseline) and then under each detector, so slow phases of the
+	// machine fall on both sides of a ratio; the column reports each
+	// detector's median ratio over the samples. The runs are seeded, so
+	// every sample's detector warns on the same variables; the first
+	// sample's are kept.
+	baselineTime := make([]time.Duration, slowdownSamples)
+	detTime := map[string][]time.Duration{}
+	for _, nd := range detectors {
+		detTime[nd.Name] = make([]time.Duration, slowdownSamples)
+	}
+	for k := range slowdownSamples {
+		for i, name := range cfg.Programs {
 			start := time.Now()
-			runMatrix(body, cfg.Runs, d)
-			detTime[nd.Name] += time.Since(start)
-			warned[key{nd.Name, name}] = d.WarnedVars()
+			runMatrix(bodies[i], cfg.Runs)
+			baselineTime[k] += time.Since(start)
+
+			for _, nd := range detectors {
+				d := nd.New()
+				start := time.Now()
+				runMatrix(bodies[i], cfg.Runs, d)
+				detTime[nd.Name][k] += time.Since(start)
+				if k == 0 {
+					warned[key{nd.Name, name}] = d.WarnedVars()
+				}
+			}
 		}
 	}
 
@@ -138,8 +154,8 @@ func Race(cfg RaceConfig) ([]*Table, error) {
 			}
 		}
 		slow := "-"
-		if baselineTime > 0 {
-			slow = f2(float64(detTime[nd.Name])/float64(baselineTime)) + "x"
+		if ratio, ok := medianRatio(detTime[nd.Name], baselineTime); ok {
+			slow = f2(ratio) + "x"
 		}
 		summary.AddRow(nd.Name, itoa(bugsFound), itoa(bugsTotal), pct(bugsFound, bugsTotal),
 			itoa(totalWarned), itoa(real), itoa(false_), pct(false_, totalWarned), slow)
@@ -155,6 +171,30 @@ func Race(cfg RaceConfig) ([]*Table, error) {
 	}
 
 	return []*Table{summary, perProg}, nil
+}
+
+// slowdownSamples is how many times E2 times each matrix for its
+// slowdown column. One sample of ten short runs per program swung a
+// detector's ratio by 15% between invocations.
+const slowdownSamples = 5
+
+// medianRatio is the median of det[k]/base[k] over the samples whose
+// baseline took measurable time; ok is false when none did.
+func medianRatio(det, base []time.Duration) (float64, bool) {
+	var ratios []float64
+	for k := range base {
+		if base[k] > 0 {
+			ratios = append(ratios, float64(det[k])/float64(base[k]))
+		}
+	}
+	if len(ratios) == 0 {
+		return 0, false
+	}
+	slices.Sort(ratios)
+	if n := len(ratios); n%2 == 0 {
+		return (ratios[n/2-1] + ratios[n/2]) / 2, true
+	}
+	return ratios[len(ratios)/2], true
 }
 
 // runMatrix executes the body under a spread of schedules with the

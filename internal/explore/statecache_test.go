@@ -76,7 +76,8 @@ func (c *refCache) insert(hash uint64, sleep threadSet, sum []uint64) {
 //
 // The slot/tag byte picks one of eight slots — four on each of two
 // stripes — and one of four hashes placed there, so inserts collide and
-// overwrite. A reset must leave every arena empty. Summaries are 0..subCap words. An input runs at most
+// overwrite. A reset must leave every arena empty. Summaries are
+// 0..subCap words. An input runs at most
 // maxFuzzCalls calls and maxFuzzSweeps sweeps (later sweeps are
 // skipped), so one long input cannot stall the fuzzer.
 const maxFuzzCalls, maxFuzzSweeps = 256, 4
