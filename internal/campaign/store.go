@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -242,15 +243,19 @@ func (s *Store) Len() int {
 	return len(s.recs)
 }
 
-// Append records a completed cell and streams it to the journal.
+// Append streams a completed cell to the journal and then records it,
+// so a cell whose line could not be written is not reported by Has.
 func (s *Store) Append(rec Record) error {
 	if rec.Bugs == nil {
 		rec.Bugs = []string{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.writeLineLocked(rec); err != nil {
+		return err
+	}
 	s.recs[rec.Key()] = rec
-	return s.writeLineLocked(rec)
+	return nil
 }
 
 // Records returns the completed cells in canonical order.
@@ -268,7 +273,9 @@ func (s *Store) Records() []Record {
 // Compact rewrites the journal in canonical order (meta line, then
 // cells sorted by key), atomically via a temp file + rename. After
 // compaction two completed runs of the same fixed-seed config are
-// byte-identical. No-op for in-memory stores.
+// byte-identical. With SetSync on, the temp file is fsynced before the
+// rename and the directory after it, so a crash cannot leave the
+// rename pointing at unwritten data. No-op for in-memory stores.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -306,6 +313,9 @@ func (s *Store) Compact() error {
 	if err == nil {
 		err = w.Flush()
 	}
+	if err == nil && s.sync {
+		err = f.Sync()
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -325,6 +335,11 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("campaign: compact store: %w", err)
 	}
 	s.f = f
+	if s.sync {
+		if err := syncDir(filepath.Dir(s.path)); err != nil {
+			return fmt.Errorf("campaign: compact store: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -337,6 +352,19 @@ func (s *Store) Close() error {
 	}
 	err := s.f.Close()
 	s.f = nil
+	return err
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }
 

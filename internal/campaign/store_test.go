@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -327,6 +328,69 @@ func TestStoreSync(t *testing.T) {
 	mem.SetSync(true)
 	if err := mem.Append(rec("account", "fuzz", 0, 60, nil, -1)); err != nil {
 		t.Fatalf("mem synced append: %v", err)
+	}
+}
+
+// TestStoreFailedAppend: a record whose line cannot be written (a NaN
+// wall time does not encode) is refused and not recorded, so Has stays
+// false and the journal stays as it was; a good retry lands.
+func TestStoreFailedAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.jsonl")
+	store, err := Create(path, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	bad := rec("account", "fuzz", 0, 60, nil, -1)
+	bad.WallMS = math.NaN()
+	if err := store.Append(bad); err == nil {
+		t.Fatal("a record with a NaN wall time was appended")
+	}
+	if store.Has(bad.Key()) || store.Len() != 0 {
+		t.Fatalf("refused record counted: has=%v len=%d", store.Has(bad.Key()), store.Len())
+	}
+	if _, recs, err := Load(path); err != nil || len(recs) != 0 {
+		t.Fatalf("journal after a refused append: %d records, %v", len(recs), err)
+	}
+	if err := store.Append(rec("account", "fuzz", 0, 60, nil, -1)); err != nil {
+		t.Fatal(err)
+	}
+	if !store.Has(bad.Key()) {
+		t.Fatal("good retry not recorded")
+	}
+}
+
+// TestStoreSyncedCompact: a synced store compacts to the same bytes as
+// an unsynced one, leaves no temp file, and keeps appending.
+func TestStoreSyncedCompact(t *testing.T) {
+	dir := t.TempDir()
+	compacted := func(name string, sync bool) []byte {
+		path := filepath.Join(dir, name)
+		store, err := Create(path, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		store.SetSync(sync)
+		store.Append(rec("semleak", "noise", 0, 60, nil, -1))
+		store.Append(rec("account", "fuzz", 0, 60, []string{"fail:x"}, 3))
+		if err := store.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("compaction left its temp file: %v", err)
+		}
+		if err := store.Append(rec("lockedcounter", "race", 0, 60, nil, -1)); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if synced, plain := compacted("synced.jsonl", true), compacted("plain.jsonl", false); !bytes.Equal(synced, plain) {
+		t.Fatalf("synced compaction differs:\n%s\n%s", synced, plain)
 	}
 }
 

@@ -22,6 +22,11 @@
 //     — one that keeps killing workers — is quarantined after
 //     MaxAttempts failed leases as a "quarantined:" record instead of
 //     wedging the fleet forever.
+//   - A cell costs one round trip: a completion can ask for the
+//     worker's next grant and carries it back, and Client hands that
+//     grant to the worker's next Lease without a request. A retried
+//     completion (its response lost) gets the same grant again while
+//     it is live, so a lost response orphans no lease.
 //
 // The package splits along the obvious seam: Coordinator owns all
 // campaign state behind one mutex (time enters only through its
@@ -100,6 +105,9 @@ type CompleteRequest struct {
 	LeaseID string `json:"lease_id"`
 	// Record is the cell's result from campaign.ExecCell.
 	Record campaign.Record `json:"record"`
+	// Next asks for the worker's next lease in the response, saving
+	// the round trip of a separate lease request.
+	Next bool `json:"next,omitempty"`
 }
 
 // CompleteResponse acknowledges a completion.
@@ -108,6 +116,9 @@ type CompleteResponse struct {
 	// Not an error — idempotent ingestion is what makes worker-side
 	// retries safe.
 	Duplicate bool `json:"duplicate"`
+	// Next is the worker's next grant when the request asked for one:
+	// exactly what a lease request would have answered.
+	Next *LeaseResponse `json:"next,omitempty"`
 }
 
 // FailRequest reports that a cell could not be executed (in practice:

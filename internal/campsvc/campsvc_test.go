@@ -6,6 +6,8 @@ package campsvc_test
 
 import (
 	"context"
+	"math"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -437,5 +439,151 @@ func TestStatusTables(t *testing.T) {
 	}
 	if len(tables[1].Rows) != 1 {
 		t.Fatalf("worker roster rows = %v", tables[1].Rows)
+	}
+}
+
+// A completion that asks for its next lease gets exactly the grant a
+// lease request would have made, and a retry of that completion (its
+// response lost) gets the same grant back while it lives: no second
+// lease, no extra attempt.
+func TestCompleteCarriesNextLease(t *testing.T) {
+	ck := newClock()
+	c, err := campsvc.NewCoordinator(svcConfig(), nil, testOpts(ck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := campaign.Cells(svcConfig())
+	l := mustLease(t, c, "w1")
+	req := campsvc.CompleteRequest{Worker: "w1", LeaseID: l.ID, Record: recFor(l.Cell), Next: true}
+	resp, err := c.Complete(req)
+	if err != nil || resp.Duplicate || resp.Next == nil || resp.Next.Lease == nil {
+		t.Fatalf("completion with Next = %+v, %v; want a grant", resp, err)
+	}
+	next := *resp.Next.Lease
+	if next.Cell != cells[1] || next.Attempt != 1 || next.ConfigFingerprint != c.Config().Fingerprint() {
+		t.Fatalf("carried grant %+v, want cell %v at attempt 1", next, cells[1])
+	}
+
+	ck.Advance(time.Second)
+	retry, err := c.Complete(req)
+	if err != nil || !retry.Duplicate || retry.Next == nil || retry.Next.Lease == nil {
+		t.Fatalf("retried completion = %+v, %v; want a duplicate carrying the grant", retry, err)
+	}
+	if *retry.Next.Lease != next {
+		t.Fatalf("retried completion granted %+v, want the same grant %+v", *retry.Next.Lease, next)
+	}
+	if st := c.Status(); st.Leased != 1 || st.Done != 1 {
+		t.Fatalf("status after the retry %+v, want 1 leased / 1 done", st)
+	}
+
+	// Another worker's duplicate of the same cell gets a lease of its
+	// own, not w1's.
+	other, err := c.Complete(campsvc.CompleteRequest{Worker: "w2", LeaseID: l.ID, Record: recFor(l.Cell), Next: true})
+	if err != nil || other.Next == nil || other.Next.Lease == nil || other.Next.Lease.Cell != cells[2] {
+		t.Fatalf("other worker's duplicate = %+v, %v; want a grant of %v", other, err, cells[2])
+	}
+
+	// Once the carried grant is gone (expired here), a retry gets a
+	// fresh grant; the expired cell comes back first, at attempt 2.
+	ck.Advance(31 * time.Second)
+	c.Status()
+	ck.Advance(2 * time.Second)
+	late, err := c.Complete(req)
+	if err != nil || late.Next == nil || late.Next.Lease == nil {
+		t.Fatalf("retry after expiry = %+v, %v", late, err)
+	}
+	if late.Next.Lease.ID == next.ID || late.Next.Lease.Cell != cells[1] || late.Next.Lease.Attempt != 2 {
+		t.Fatalf("retry after expiry granted %+v, want a fresh grant of %v at attempt 2", *late.Next.Lease, cells[1])
+	}
+
+	// The last completion's Next says done.
+	for _, rest := range []campsvc.Lease{*late.Next.Lease, *other.Next.Lease} {
+		if _, err := c.Complete(campsvc.CompleteRequest{Worker: "w1", LeaseID: rest.ID, Record: recFor(rest.Cell)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := mustLease(t, c, "w1")
+	done, err := c.Complete(campsvc.CompleteRequest{Worker: "w1", LeaseID: last.ID, Record: recFor(last.Cell), Next: true})
+	if err != nil || done.Next == nil || !done.Next.Done {
+		t.Fatalf("last completion = %+v, %v; want Next done", done, err)
+	}
+	if _, err := c.Complete(campsvc.CompleteRequest{Record: recFor(last.Cell), Next: true}); err == nil {
+		t.Fatal("nameless completion asking for a lease accepted")
+	}
+}
+
+// A requeued cell is granted before later cells again: the grant scan
+// starts from the first cell that may be pending.
+func TestRequeuedCellGrantedFirst(t *testing.T) {
+	ck := newClock()
+	c, err := campsvc.NewCoordinator(svcConfig(), nil, testOpts(ck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := campaign.Cells(svcConfig())
+	first := mustLease(t, c, "w1")
+	second := mustLease(t, c, "w1")
+	if _, err := c.Complete(campsvc.CompleteRequest{Worker: "w1", LeaseID: second.ID, Record: recFor(second.Cell)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Fail(campsvc.FailRequest{Worker: "w1", LeaseID: first.ID, Reason: "panic: boom"}); err != nil {
+		t.Fatal(err)
+	}
+	if l := mustLease(t, c, "w1"); l.Cell != cells[2] {
+		t.Fatalf("grant inside the backoff = %v, want %v", l.Cell, cells[2])
+	}
+	ck.Advance(2 * time.Second)
+	if l := mustLease(t, c, "w1"); l.Cell != cells[0] || l.Attempt != 2 {
+		t.Fatalf("grant after the backoff = %+v, want %v at attempt 2", l, cells[0])
+	}
+}
+
+// A completion the store cannot write (a NaN wall time does not encode)
+// is refused without changing anything: the cell keeps its lease, the
+// store does not report it, the worker is not credited, and a good
+// retry settles it so the campaign finishes.
+func TestFailedAppendKeepsCellOpen(t *testing.T) {
+	ck := newClock()
+	cfg := svcConfig()
+	store, err := campaign.Create(filepath.Join(t.TempDir(), "s.jsonl"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	c, err := campsvc.NewCoordinator(cfg, store, testOpts(ck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := mustLease(t, c, "w1")
+	bad := recFor(l.Cell)
+	bad.WallMS = math.NaN()
+	if _, err := c.Complete(campsvc.CompleteRequest{Worker: "w1", LeaseID: l.ID, Record: bad, Next: true}); err == nil {
+		t.Fatal("unwritable completion accepted")
+	}
+	if store.Has(l.Cell.Key()) {
+		t.Fatal("store reports the refused record")
+	}
+	st := c.Status()
+	if st.Leased != 1 || st.Done != 0 || len(st.Workers) != 1 || st.Workers[0].Leases != 1 || st.Workers[0].Completed != 0 {
+		t.Fatalf("status after a refused completion %+v, want the cell still leased to w1", st)
+	}
+
+	resp, err := c.Complete(campsvc.CompleteRequest{Worker: "w1", LeaseID: l.ID, Record: recFor(l.Cell), Next: true})
+	if err != nil || resp.Duplicate {
+		t.Fatalf("good retry = %+v, %v", resp, err)
+	}
+	for resp.Next.Lease != nil {
+		n := *resp.Next.Lease
+		if resp, err = c.Complete(campsvc.CompleteRequest{Worker: "w1", LeaseID: n.ID, Record: recFor(n.Cell), Next: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.Wait(ctx); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if st := c.Status(); st.Done != len(campaign.Cells(cfg)) || st.Workers[0].Completed != st.Done {
+		t.Fatalf("final status %+v", st)
 	}
 }

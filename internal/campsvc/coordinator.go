@@ -90,6 +90,8 @@ const (
 // cellEntry is one matrix cell's coordinator-side state.
 type cellEntry struct {
 	cell        campaign.Cell
+	key         string // cell.Key()
+	idx         int    // position in canonical order
 	phase       cellPhase
 	attempts    int       // lease grants so far
 	notBefore   time.Time // backoff gate for the next grant
@@ -103,6 +105,9 @@ type lease struct {
 	key      string // cell key
 	worker   string
 	deadline time.Time
+	// carriedBy is the lease whose completion carried this grant ("" for
+	// a grant Lease made), so a retried completion finds it again.
+	carriedBy string
 }
 
 // workerState is the coordinator's view of one worker.
@@ -124,7 +129,7 @@ type Coordinator struct {
 	store   *campaign.Store
 	opts    CoordinatorOptions
 	cells   map[string]*cellEntry
-	order   []string // canonical cell-key order, the grant scan order
+	order   []*cellEntry // canonical cell order, the grant scan order
 	leases  map[string]*lease
 	workers map[string]*workerState
 	rng     *rand.Rand
@@ -132,6 +137,12 @@ type Coordinator struct {
 	open    int // cells not yet settled
 	done    chan struct{}
 	doneErr error
+
+	// cursor indexes the first cell in order that may be pending:
+	// grants only pass cells that are not, and failLocked, the one
+	// transition back to pending, moves it back.
+	cursor      int
+	fingerprint string // cfg.Fingerprint(), carried by every grant
 }
 
 // NewCoordinator builds a coordinator for cfg over store. A nil store
@@ -152,25 +163,26 @@ func NewCoordinator(cfg campaign.Config, store *campaign.Store, opts Coordinator
 	opts = opts.withDefaults()
 
 	c := &Coordinator{
-		cfg:     cfg,
-		store:   store,
-		opts:    opts,
-		cells:   map[string]*cellEntry{},
-		leases:  map[string]*lease{},
-		workers: map[string]*workerState{},
-		rng:     core.NewRand(opts.Seed),
-		done:    make(chan struct{}),
+		cfg:         cfg,
+		store:       store,
+		opts:        opts,
+		cells:       map[string]*cellEntry{},
+		fingerprint: cfg.Fingerprint(),
+		leases:      map[string]*lease{},
+		workers:     map[string]*workerState{},
+		rng:         core.NewRand(opts.Seed),
+		done:        make(chan struct{}),
 	}
-	for _, cell := range campaign.Cells(cfg) {
+	for i, cell := range campaign.Cells(cfg) {
 		key := cell.Key()
-		e := &cellEntry{cell: cell, phase: cellPending}
+		e := &cellEntry{cell: cell, key: key, idx: i, phase: cellPending}
 		if store.Has(key) {
 			e.phase = cellDone
 		} else {
 			c.open++
 		}
 		c.cells[key] = e
-		c.order = append(c.order, key)
+		c.order = append(c.order, e)
 	}
 	if c.open == 0 {
 		c.finishLocked()
@@ -208,18 +220,27 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	now := c.opts.Now()
 	c.touchLocked(req.Worker, now)
 	c.reapLocked(now)
+	return c.grantLocked(req.Worker, now), nil
+}
 
+// grantLocked leases the first grantable cell to worker, or answers
+// done / retry-later. Lease and a completion asking for its next lease
+// both end here.
+func (c *Coordinator) grantLocked(worker string, now time.Time) LeaseResponse {
 	if c.open == 0 {
-		return LeaseResponse{Done: true}, nil
+		return LeaseResponse{Done: true}
 	}
 
 	// Scan in canonical order so the fleet drains the matrix in the
 	// same order campaign.Run would; track the nearest backoff gate
-	// for the retry hint.
+	// for the retry hint. Cells before the cursor are not pending.
 	var nextGate time.Time
-	for _, key := range c.order {
-		e := c.cells[key]
+	for i := c.cursor; i < len(c.order); i++ {
+		e := c.order[i]
 		if e.phase != cellPending {
+			if i == c.cursor {
+				c.cursor++
+			}
 			continue
 		}
 		if e.notBefore.After(now) {
@@ -231,8 +252,8 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		c.leaseN++
 		l := &lease{
 			id:       fmt.Sprintf("L%06d", c.leaseN),
-			key:      key,
-			worker:   req.Worker,
+			key:      e.key,
+			worker:   worker,
 			deadline: now.Add(c.opts.LeaseTTL),
 		}
 		e.phase = cellLeased
@@ -240,15 +261,8 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		e.lease = l
 		c.leases[l.id] = l
 		c.opts.Logf("campsvc: lease %s: cell %s -> worker %s (attempt %d/%d)",
-			l.id, key, req.Worker, e.attempts, c.opts.MaxAttempts)
-		return LeaseResponse{Lease: &Lease{
-			ID:                l.id,
-			Cell:              e.cell,
-			Deadline:          l.deadline,
-			HeartbeatMS:       (c.opts.LeaseTTL / 3).Milliseconds(),
-			ConfigFingerprint: c.cfg.Fingerprint(),
-			Attempt:           e.attempts,
-		}}, nil
+			l.id, e.key, worker, e.attempts, c.opts.MaxAttempts)
+		return c.grantOf(l)
 	}
 
 	// Nothing grantable right now: all remaining cells are leased out
@@ -263,7 +277,20 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if retry < 10*time.Millisecond {
 		retry = 10 * time.Millisecond
 	}
-	return LeaseResponse{RetryMS: retry.Milliseconds()}, nil
+	return LeaseResponse{RetryMS: retry.Milliseconds()}
+}
+
+// grantOf is the wire form of a live lease.
+func (c *Coordinator) grantOf(l *lease) LeaseResponse {
+	e := c.cells[l.key]
+	return LeaseResponse{Lease: &Lease{
+		ID:                l.id,
+		Cell:              e.cell,
+		Deadline:          l.deadline,
+		HeartbeatMS:       (c.opts.LeaseTTL / 3).Milliseconds(),
+		ConfigFingerprint: c.fingerprint,
+		Attempt:           e.attempts,
+	}}
 }
 
 // Heartbeat extends the lease deadline, or reports the lease lost.
@@ -288,7 +315,15 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 // valid), later completions are acknowledged as duplicates and
 // dropped. Finders are deterministic, so a dropped duplicate is
 // byte-identical to the record already stored.
+//
+// With req.Next set the response also carries the worker's next grant,
+// so a cell costs one round trip. A retried completion of a lease whose
+// completion already carried a grant gets that grant again while it
+// lives: a lost response orphans no lease and spends no attempt.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
+	if req.Next && req.Worker == "" {
+		return CompleteResponse{}, fmt.Errorf("campsvc: completion asks for a lease without worker name")
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.opts.Now()
@@ -300,18 +335,48 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if !ok {
 		return CompleteResponse{}, fmt.Errorf("campsvc: completion for unknown cell %s", key)
 	}
+	var resp CompleteResponse
 	if e.phase == cellDone || e.phase == cellQuarantined {
-		return CompleteResponse{Duplicate: true}, nil
+		resp.Duplicate = true
+		if req.Next {
+			if l := c.carriedLocked(req.Worker, req.LeaseID); l != nil {
+				next := c.grantOf(l)
+				resp.Next = &next
+				return resp, nil
+			}
+		}
+	} else {
+		if err := c.settleLocked(e, req.Record, cellDone); err != nil {
+			return CompleteResponse{}, err
+		}
+		if w := c.workers[req.Worker]; w != nil {
+			w.completed++
+		}
+		c.opts.Logf("campsvc: cell %s completed by worker %s (%d open)", key, req.Worker, c.open)
 	}
-	c.dropLeaseLocked(e)
-	if w := c.workers[req.Worker]; w != nil {
-		w.completed++
+	if req.Next {
+		next := c.grantLocked(req.Worker, now)
+		if next.Lease != nil {
+			c.leases[next.Lease.ID].carriedBy = req.LeaseID
+		}
+		resp.Next = &next
 	}
-	if err := c.settleLocked(e, req.Record, cellDone); err != nil {
-		return CompleteResponse{}, err
+	return resp, nil
+}
+
+// carriedLocked finds the live grant that an earlier completion of
+// leaseID carried to worker, or nil. It runs only for duplicate
+// completions, so its walk over the live leases is off the common path.
+func (c *Coordinator) carriedLocked(worker, leaseID string) *lease {
+	if leaseID == "" {
+		return nil
 	}
-	c.opts.Logf("campsvc: cell %s completed by worker %s (%d open)", key, req.Worker, c.open)
-	return CompleteResponse{}, nil
+	for _, l := range c.leases {
+		if l.carriedBy == leaseID && l.worker == worker {
+			return l
+		}
+	}
+	return nil
 }
 
 // Fail reports an executable-but-failing cell (a panicking finder).
@@ -331,12 +396,11 @@ func (c *Coordinator) Fail(req FailRequest) (FailResponse, error) {
 		return FailResponse{}, nil
 	}
 	e := c.cells[l.key]
-	c.dropLeaseLocked(e)
-	if w := c.workers[req.Worker]; w != nil {
-		w.failed++
-	}
 	if err := c.failLocked(e, now, fmt.Sprintf("worker %s: %s", req.Worker, firstLine(req.Reason))); err != nil {
 		return FailResponse{}, err
+	}
+	if w := c.workers[req.Worker]; w != nil {
+		w.failed++
 	}
 	return FailResponse{Quarantined: e.phase == cellQuarantined}, nil
 }
@@ -374,17 +438,15 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		if l.deadline.After(now) {
 			continue
 		}
-		e := c.cells[l.key]
-		delete(c.leases, id)
-		e.lease = nil
-		// settleLocked errors (a failing store write) surface on the
-		// next Complete/Fail; expiry itself has no caller to fail.
-		_ = c.failLocked(e, now, fmt.Sprintf("lease %s expired on worker %s", id, l.worker))
+		// A failing quarantine write keeps the expired lease, so the
+		// next call's reap retries it; expiry has no caller to fail.
+		_ = c.failLocked(c.cells[l.key], now, fmt.Sprintf("lease %s expired on worker %s", id, l.worker))
 	}
 }
 
-// failLocked accounts one failed attempt: backoff-and-requeue, or
-// quarantine at the attempt limit.
+// failLocked accounts one failed attempt of a leased cell and drops its
+// lease: backoff-and-requeue, or quarantine at the attempt limit. A
+// failing quarantine write changes nothing.
 func (c *Coordinator) failLocked(e *cellEntry, now time.Time, reason string) error {
 	e.lastFailure = reason
 	if e.attempts >= c.opts.MaxAttempts {
@@ -401,8 +463,12 @@ func (c *Coordinator) failLocked(e *cellEntry, now time.Time, reason string) err
 		return c.settleLocked(e, rec, cellQuarantined)
 	}
 	d := c.backoffLocked(e.attempts)
+	c.dropLeaseLocked(e)
 	e.phase = cellPending
 	e.notBefore = now.Add(d)
+	if e.idx < c.cursor {
+		c.cursor = e.idx
+	}
 	c.opts.Logf("campsvc: cell %s failed attempt %d/%d (%s), retrying in %s",
 		e.cell.Key(), e.attempts, c.opts.MaxAttempts, reason, d)
 	return nil
@@ -430,12 +496,15 @@ func (c *Coordinator) dropLeaseLocked(e *cellEntry) {
 	}
 }
 
-// settleLocked finalizes a cell: the record is appended (fsynced) and
-// the campaign finishes when the last open cell settles.
+// settleLocked finalizes a cell: the record is appended (fsynced), the
+// cell's lease dropped, and the campaign finishes when the last open
+// cell settles. A failed append changes nothing, so the cell stays
+// leased or grantable and a retry can settle it.
 func (c *Coordinator) settleLocked(e *cellEntry, rec campaign.Record, phase cellPhase) error {
 	if err := c.store.Append(rec); err != nil {
 		return err
 	}
+	c.dropLeaseLocked(e)
 	e.phase = phase
 	c.open--
 	if c.open == 0 {

@@ -5,7 +5,11 @@
 // (leases, idempotence, quarantine) lives in the coordinator's state
 // machine, not in the wire format. Client maps HTTP 4xx to
 // PermanentError so workers distinguish "the coordinator said no"
-// from "the coordinator is unreachable".
+// from "the coordinator is unreachable". Client's one departure from
+// one-call-one-request: every completion asks for the worker's next
+// grant (CompleteRequest.Next), and the worker's next Lease returns
+// the grant the response carried instead of POSTing /v1/lease, so a
+// steadily working fleet sends one request per cell.
 package campsvc
 
 import (
@@ -16,6 +20,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"mtbench/internal/campaign"
@@ -72,7 +77,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // Client is the HTTP Transport: a worker's view of a remote
-// coordinator.
+// coordinator. Every Complete asks for the worker's next grant, and
+// the worker's next Lease returns that grant without a request, so a
+// cell costs one round trip.
 type Client struct {
 	// Base is the coordinator's base URL, e.g. "http://host:8347".
 	Base string
@@ -80,11 +87,23 @@ type Client struct {
 	// timeout; per-call deadlines must exist or a hung coordinator
 	// wedges the worker's retry loop).
 	HTTP *http.Client
+
+	mu   sync.Mutex
+	next map[string]LeaseResponse // by worker: the grant the last Complete carried
 }
 
 var _ Transport = (*Client)(nil)
 
+// Lease returns the grant the worker's last completion carried, once,
+// and asks the coordinator otherwise.
 func (c *Client) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
+	c.mu.Lock()
+	next, ok := c.next[req.Worker]
+	delete(c.next, req.Worker)
+	c.mu.Unlock()
+	if ok {
+		return next, nil
+	}
 	return post[LeaseResponse](ctx, c, "/v1/lease", req)
 }
 
@@ -92,8 +111,20 @@ func (c *Client) Heartbeat(ctx context.Context, req HeartbeatRequest) (Heartbeat
 	return post[HeartbeatResponse](ctx, c, "/v1/heartbeat", req)
 }
 
+// Complete reports the cell and keeps the worker's next grant, which
+// the response carries, for its next Lease.
 func (c *Client) Complete(ctx context.Context, req CompleteRequest) (CompleteResponse, error) {
-	return post[CompleteResponse](ctx, c, "/v1/complete", req)
+	req.Next = true
+	resp, err := post[CompleteResponse](ctx, c, "/v1/complete", req)
+	if err == nil && resp.Next != nil {
+		c.mu.Lock()
+		if c.next == nil {
+			c.next = map[string]LeaseResponse{}
+		}
+		c.next[req.Worker] = *resp.Next
+		c.mu.Unlock()
+	}
+	return resp, err
 }
 
 func (c *Client) Fail(ctx context.Context, req FailRequest) (FailResponse, error) {

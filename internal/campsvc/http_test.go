@@ -7,11 +7,15 @@ package campsvc_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,19 +37,45 @@ func fleetConfig() campaign.Config {
 // to completion. Returns the coordinator for post-hoc assertions.
 func runFleet(t *testing.T, cfg campaign.Config, storePath string, n int) *campsvc.Coordinator {
 	t.Helper()
+	c, total := runFleetWith(t, cfg, storePath, n, fleetHooks{})
+	if total.Completed != len(campaign.Cells(cfg)) {
+		t.Fatalf("fleet completed %d cells, want %d (stats %+v)", total.Completed, len(campaign.Cells(cfg)), total)
+	}
+	return c
+}
+
+// fleetHooks let a test watch or perturb a fleet's traffic; zero
+// fields leave that layer as it is.
+type fleetHooks struct {
+	handler func(http.Handler) http.Handler           // wraps the coordinator's handler
+	rt      http.RoundTripper                         // the workers' HTTP transport
+	wrap    func(campsvc.Transport) campsvc.Transport // wraps each worker's Client
+}
+
+// fleetTTL is the lease TTL runFleet's coordinator grants.
+const fleetTTL = 5 * time.Second
+
+// runFleetWith is runFleet under hooks; it returns the workers' summed
+// stats.
+func runFleetWith(t *testing.T, cfg campaign.Config, storePath string, n int, hooks fleetHooks) (*campsvc.Coordinator, campsvc.WorkerStats) {
+	t.Helper()
 	store, err := campaign.Create(storePath, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
 	c, err := campsvc.NewCoordinator(cfg, store, campsvc.CoordinatorOptions{
-		LeaseTTL: 5 * time.Second,
+		LeaseTTL: fleetTTL,
 		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(campsvc.Handler(c))
+	var h http.Handler = campsvc.Handler(c)
+	if hooks.handler != nil {
+		h = hooks.handler(h)
+	}
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -57,9 +87,16 @@ func runFleet(t *testing.T, cfg campaign.Config, storePath string, n int) *camps
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var tp campsvc.Transport = &campsvc.Client{Base: srv.URL}
+			if hooks.rt != nil {
+				tp = &campsvc.Client{Base: srv.URL, HTTP: &http.Client{Transport: hooks.rt, Timeout: 30 * time.Second}}
+			}
+			if hooks.wrap != nil {
+				tp = hooks.wrap(tp)
+			}
 			stats[i], errs[i] = campsvc.Work(ctx, campsvc.WorkerOptions{
 				Name:      string(rune('a' + i)),
-				Transport: &campsvc.Client{Base: srv.URL},
+				Transport: tp,
 				Backoff:   20 * time.Millisecond,
 			})
 		}()
@@ -73,14 +110,14 @@ func runFleet(t *testing.T, cfg campaign.Config, storePath string, n int) *camps
 	if err := c.Wait(ctx); err != nil {
 		t.Fatalf("coordinator Wait: %v", err)
 	}
-	var completed int
+	var total campsvc.WorkerStats
 	for _, s := range stats {
-		completed += s.Completed
+		total.Completed += s.Completed
+		total.Duplicates += s.Duplicates
+		total.Failures += s.Failures
+		total.Abandoned += s.Abandoned
 	}
-	if completed != len(campaign.Cells(cfg)) {
-		t.Fatalf("fleet completed %d cells, want %d (stats %+v)", completed, len(campaign.Cells(cfg)), stats)
-	}
-	return c
+	return c, total
 }
 
 func TestHTTPFleetMatchesInProcessRun(t *testing.T) {
@@ -169,4 +206,118 @@ func TestHTTPStatusAndConfigEndpoints(t *testing.T) {
 	if err == nil || !campsvc.IsPermanent(err) {
 		t.Fatalf("nameless lease over HTTP = %v, want a permanent error", err)
 	}
+}
+
+// grantWatch wraps a worker's transport and tallies what its leases
+// answered: empty grants, and the highest attempt any grant carried.
+type grantWatch struct {
+	campsvc.Transport
+	empty, maxAttempt *atomic.Int64
+}
+
+func (g grantWatch) Lease(ctx context.Context, req campsvc.LeaseRequest) (campsvc.LeaseResponse, error) {
+	resp, err := g.Transport.Lease(ctx, req)
+	switch {
+	case err != nil:
+	case resp.Lease != nil:
+		for {
+			old := g.maxAttempt.Load()
+			if int64(resp.Lease.Attempt) <= old || g.maxAttempt.CompareAndSwap(old, int64(resp.Lease.Attempt)) {
+				break
+			}
+		}
+	case !resp.Done:
+		g.empty.Add(1)
+	}
+	return resp, err
+}
+
+// TestHTTPFleetOneRoundTripPerCell: completions carry the next grant,
+// so a fleet sends a lease request only to start and after an empty
+// grant, and its store still equals the in-process run.
+func TestHTTPFleetOneRoundTripPerCell(t *testing.T) {
+	cfg := fleetConfig()
+	path := filepath.Join(t.TempDir(), "dist.jsonl")
+	var leases, completes, empty, maxAttempt atomic.Int64
+	const workers = 2
+	_, total := runFleetWith(t, cfg, path, workers, fleetHooks{
+		handler: func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/v1/lease":
+					leases.Add(1)
+				case "/v1/complete":
+					completes.Add(1)
+				}
+				h.ServeHTTP(w, r)
+			})
+		},
+		wrap: func(tp campsvc.Transport) campsvc.Transport {
+			return grantWatch{Transport: tp, empty: &empty, maxAttempt: &maxAttempt}
+		},
+	})
+	if got, limit := leases.Load(), workers+empty.Load(); got > limit {
+		t.Fatalf("fleet sent %d lease requests, want at most %d (workers + %d empty grants)", got, limit, empty.Load())
+	}
+	if got, want := completes.Load(), int64(len(campaign.Cells(cfg))); got != want || total.Completed != int(want) {
+		t.Fatalf("fleet sent %d completions for %d cells (stats %+v)", got, want, total)
+	}
+	assertStoreParity(t, cfg, path)
+}
+
+// loseEveryNth is a RoundTripper that delivers every nth request to
+// path, lets the server process it, and then loses its response.
+type loseEveryNth struct {
+	path string
+	n    int64
+	seen atomic.Int64
+	lost atomic.Int64
+}
+
+func (l *loseEveryNth) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || r.URL.Path != l.path || l.seen.Add(1)%l.n != 0 {
+		return resp, err
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	l.lost.Add(1)
+	return nil, errors.New("test: response lost")
+}
+
+// TestHTTPFleetLostCompleteResponses: when a completion's response is
+// lost after the coordinator processed it, the retry gets back the
+// grant the lost response carried. So no lease is orphaned: every cell
+// settles on its first attempt and the campaign never waits out a
+// lease TTL.
+func TestHTTPFleetLostCompleteResponses(t *testing.T) {
+	cfg := fleetConfig()
+	cfg.Seeds = []int64{0, 1, 2, 3, 4, 5, 6, 7}
+	path := filepath.Join(t.TempDir(), "dist.jsonl")
+	rt := &loseEveryNth{path: "/v1/complete", n: 7}
+	var empty, maxAttempt atomic.Int64
+	start := time.Now()
+	_, total := runFleetWith(t, cfg, path, 2, fleetHooks{
+		rt: rt,
+		wrap: func(tp campsvc.Transport) campsvc.Transport {
+			return grantWatch{Transport: tp, empty: &empty, maxAttempt: &maxAttempt}
+		},
+	})
+	elapsed := time.Since(start)
+	if rt.lost.Load() == 0 {
+		t.Fatal("no completion response was lost; the test checked nothing")
+	}
+	// Each cell is acknowledged once: as a duplicate when its first
+	// completion's response was lost (a retry can be lost too).
+	if lost := int64(total.Duplicates); total.Completed+total.Duplicates != len(campaign.Cells(cfg)) || lost < 1 || lost > rt.lost.Load() {
+		t.Fatalf("stats %+v after %d lost responses, want %d acknowledgements, a duplicate per cell whose response was lost",
+			total, rt.lost.Load(), len(campaign.Cells(cfg)))
+	}
+	if got := maxAttempt.Load(); got != 1 {
+		t.Fatalf("a cell was granted at attempt %d after %d lost responses, want every cell at attempt 1", got, rt.lost.Load())
+	}
+	if elapsed >= fleetTTL {
+		t.Fatalf("campaign took %s, past the %s lease TTL: a lease was orphaned", elapsed, fleetTTL)
+	}
+	assertStoreParity(t, cfg, path)
 }

@@ -46,8 +46,8 @@ func (c *Coordinator) Status() Status {
 	c.reapLocked(now)
 
 	s := Status{Cells: len(c.order), Finished: c.open == 0}
-	for _, key := range c.order {
-		switch c.cells[key].phase {
+	for _, e := range c.order {
+		switch e.phase {
 		case cellPending:
 			s.Pending++
 		case cellLeased:
